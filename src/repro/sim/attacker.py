@@ -23,6 +23,7 @@ never happens).
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from typing import Callable, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -43,6 +44,7 @@ from repro.timesync.intervals import IntervalSchedule
 
 __all__ = [
     "forged_copies_for_fraction",
+    "forged_bytes",
     "announce_forgery_factory",
     "data_forgery_factory",
     "tesla_forgery_factory",
@@ -69,8 +71,14 @@ def forged_copies_for_fraction(authentic_copies: int, p: float) -> int:
     return max(round(authentic_copies * p / (1.0 - p)), 1)
 
 
-def _random_bits(rng: random.Random, nbytes: int) -> bytes:
-    return bytes(rng.getrandbits(8) for _ in range(nbytes))
+def forged_bytes(rng: random.Random, nbytes: int) -> bytes:
+    """``nbytes`` random bytes, one ``rng.getrandbits(8)`` draw each.
+
+    The one owner of the forged-byte draw order: the forgery factories
+    below and the fleet engine's mirrored plans both draw through it,
+    so the engines stay draw-for-draw identical.
+    """
+    return bytes(map(rng.getrandbits, repeat(8, nbytes)))
 
 
 def announce_forgery_factory() -> ForgeryFactory:
@@ -78,7 +86,7 @@ def announce_forgery_factory() -> ForgeryFactory:
 
     def factory(interval: int, copy: int, rng: random.Random) -> MacAnnouncePacket:
         return MacAnnouncePacket(
-            index=interval, mac=_random_bits(rng, 10), provenance=FORGED
+            index=interval, mac=forged_bytes(rng, 10), provenance=FORGED
         )
 
     return factory
@@ -91,7 +99,7 @@ def data_forgery_factory() -> ForgeryFactory:
         return MuTeslaDataPacket(
             index=interval,
             message=forged_message(interval, copy),
-            mac=_random_bits(rng, 10),
+            mac=forged_bytes(rng, 10),
             provenance=FORGED,
         )
 
@@ -105,9 +113,9 @@ def tesla_forgery_factory() -> ForgeryFactory:
         return TeslaPacket(
             index=interval,
             message=forged_message(interval, copy),
-            mac=_random_bits(rng, 10),
+            mac=forged_bytes(rng, 10),
             disclosed_index=max(interval - 2, 0),
-            disclosed_key=_random_bits(rng, 10),
+            disclosed_key=forged_bytes(rng, 10),
             provenance=FORGED,
         )
 
@@ -126,8 +134,8 @@ def cdm_forgery_factory(high_of: Callable[[int], int]) -> ForgeryFactory:
         high = high_of(interval)
         return CdmPacket(
             high_index=high,
-            low_commitment=_random_bits(rng, 10),
-            mac=_random_bits(rng, 10),
+            low_commitment=forged_bytes(rng, 10),
+            mac=forged_bytes(rng, 10),
             disclosed_index=0,
             disclosed_key=None,
             provenance=FORGED,
@@ -144,7 +152,7 @@ def message_key_forgery_factory() -> ForgeryFactory:
         return MessageKeyPacket(
             index=interval,
             message=forged_message(interval, copy),
-            key=_random_bits(rng, 10),
+            key=forged_bytes(rng, 10),
             provenance=FORGED,
         )
 

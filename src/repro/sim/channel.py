@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from typing import Tuple
 
 import numpy as np
 
@@ -217,6 +218,9 @@ def gilbert_elliott_drop_mask(
     bounded memory. Returns a ``(steps, lanes)`` boolean drop mask, or
     a ``(drops, final_bad)`` pair when ``return_state`` is true so the
     caller can carry the per-lane channel state into the next block.
+    Long, narrow inputs are cut into segments along the step axis and
+    resolved exactly (see :func:`_segmented_drops`), so few lanes do not
+    cost one round of NumPy calls per step.
     """
     u = np.asarray(uniforms, dtype=np.float64)
     if u.ndim != 3 or u.shape[2] != 2:
@@ -234,13 +238,84 @@ def gilbert_elliott_drop_mask(
             )
         bad = bad.copy()
     drops = np.empty((steps, lanes), dtype=bool)
-    for step in range(steps):
-        transition = u[step, :, 0]
+    params = (p_good_to_bad, p_bad_to_good, loss_good, loss_bad)
+    bad = _segmented_drops(u, bad, params, drops)
+    if return_state:
+        return drops, bad
+    return drops
+
+
+#: Lanes one NumPy call of the per-step body should cover. Narrow
+#: inputs (few lanes, many steps) are cut into segments along the step
+#: axis until a step spans about this many lanes, so the Python loop
+#: runs once per segment step instead of once per step.
+_SEGMENT_LANES = 4096
+
+#: Running both start states doubles the element work, so fewer runs
+#: than this save too few calls to pay for it: inputs wider than
+#: ``_SEGMENT_LANES / (2 * _MIN_SEGMENTS)`` lanes keep a single run.
+_MIN_SEGMENTS = 4
+
+
+def _segmented_drops(
+    u: np.ndarray,
+    bad: np.ndarray,
+    params: Tuple[float, float, float, float],
+    drops: np.ndarray,
+) -> np.ndarray:
+    """Fill ``drops`` for ``u`` starting from ``bad``; return the end state.
+
+    The step axis is cut into ``segments`` equal runs of ``length``
+    steps. Each run is simulated from both start states at once (GOOD
+    and BAD, as extra lanes); the true start state of run ``s`` is the
+    end state of run ``s - 1`` from *its* true start, which a short
+    sequential pass over the runs resolves before the matching rows are
+    selected. Every decision uses the same comparisons on the same
+    uniforms as the one-run loop, so the result is exact. The fewer
+    than ``segments`` steps left over after the last run recurse from
+    the resolved end state.
+    """
+    steps, lanes, _ = u.shape
+    segments = min(steps, _SEGMENT_LANES // max(2 * lanes, 1))
+    if segments < _MIN_SEGMENTS:
+        return _run_steps(u, bad, params, drops)
+    length = steps // segments
+    covered = segments * length
+    # (length, segments, lanes, 2) view: step j of every run at once.
+    runs = u[:covered].reshape(segments, length, lanes, 2).swapaxes(0, 1)
+    starts = np.zeros((2, segments, lanes), dtype=bool)
+    starts[1] = True
+    both = np.empty((length, 2, segments, lanes), dtype=bool)
+    ends = _run_steps(runs, starts, params, both)
+    chosen = np.empty((segments, lanes), dtype=bool)
+    state = bad
+    for segment in range(segments):
+        chosen[segment] = state
+        state = np.where(state, ends[1, segment], ends[0, segment])
+    # Row s * length + j of ``drops`` is run s, step j.
+    out = drops[:covered].reshape(segments, length, lanes).swapaxes(0, 1)
+    np.copyto(out, both[:, 0])
+    np.copyto(out, both[:, 1], where=chosen)
+    return _segmented_drops(u[covered:], state, params, drops[covered:])
+
+
+def _run_steps(
+    u: np.ndarray,
+    bad: np.ndarray,
+    params: Tuple[float, float, float, float],
+    drops: np.ndarray,
+) -> np.ndarray:
+    """One Gilbert–Elliott step per row of ``u``; returns the end state.
+
+    ``u[step, ..., 0]`` must broadcast against ``bad``; ``drops[step]``
+    receives the drop decisions of that step in ``bad``'s shape.
+    """
+    p_good_to_bad, p_bad_to_good, loss_good, loss_bad = params
+    for step in range(u.shape[0]):
+        transition = u[step, ..., 0]
         # BAD lanes leave the fade when transition < b2g; GOOD lanes
         # enter one when transition < g2b.
         bad = np.where(bad, transition >= p_bad_to_good, transition < p_good_to_bad)
         loss = np.where(bad, loss_bad, loss_good)
-        drops[step] = u[step, :, 1] < loss
-    if return_state:
-        return drops, bad
-    return drops
+        drops[step] = u[step, ..., 1] < loss
+    return bad

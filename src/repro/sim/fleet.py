@@ -115,7 +115,7 @@ from repro.protocols.packets import (
 )
 from repro.protocols.tesla import TeslaSender
 from repro.protocols.tesla_pp import TeslaPlusPlusSender
-from repro.sim.attacker import forged_copies_for_fraction
+from repro.sim.attacker import forged_bytes, forged_copies_for_fraction
 from repro.sim.channel import (
     GilbertElliottLoss,
     bernoulli_drop_mask,
@@ -213,11 +213,6 @@ def shard_plan(receivers: int, shards: int) -> List[Tuple[int, int]]:
         plan.append((start, start + size))
         start += size
     return plan
-
-
-def _random_bits(rng: random.Random, nbytes: int) -> bytes:
-    """Mirror of the attacker factories' forged-byte draws."""
-    return bytes(rng.getrandbits(8) for _ in range(nbytes))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +372,7 @@ def _build_two_phase_plan(
                 entries.append((time, _FORGED, interval, -1 - len(forged_macs)))
                 # The factory draws 10 bytes per injection, in event
                 # order (strictly increasing times within the attacker).
-                forged_macs.append(_random_bits(attacker_rng, 10))
+                forged_macs.append(forged_bytes(attacker_rng, 10))
                 forged_bits += forged_wire_bits
 
     # Stable by construction: sender entries precede attacker entries in
@@ -389,11 +384,10 @@ def _build_two_phase_plan(
     sources = [entries[i][3] for i in order]
     # The security gate is identical across receivers (zero skew, equal
     # constant delay): evaluate once per announce slot at arrival time.
-    delay = config.link_delay
-    gate = [
-        kind == _REVEAL or condition.accepts(interval, time + delay)
-        for kind, interval, time in zip(kinds, intervals, times.tolist())
-    ]
+    gate = (
+        (np.array(kinds) == _REVEAL)
+        | condition.accepts_many(intervals, times + config.link_delay)
+    ).tolist()
     reservoir = config.protocol == "dap"
     micro_bits = 24 if reservoir else 80
     return _TwoPhasePlan(
@@ -483,14 +477,14 @@ def _build_single_level_plan(
                 k = len(forged_records)
                 # Factory draw order: MAC bytes, then (TESLA only) the
                 # forged disclosed key — at injection-event time.
-                mac = _random_bits(attacker_rng, 10)
+                mac = forged_bytes(attacker_rng, 10)
                 forged_records.append(
                     (interval, forged_message(interval, copy), mac)
                 )
                 disc = -1
                 forged_id = -1
                 if tesla:
-                    key = _random_bits(attacker_rng, 10)
+                    key = forged_bytes(attacker_rng, 10)
                     # The factory discloses interval-2 regardless of the
                     # configured delay (mirrors tesla_forgery_factory).
                     di = max(interval - 2, 0)
@@ -507,11 +501,10 @@ def _build_single_level_plan(
     rec_source = [entries[i][2] for i in order]
     disc_index = [entries[i][3] for i in order]
     forged_disc_id = [entries[i][4] for i in order]
-    delay_s = config.link_delay
-    gate = [
-        rec < 1 or condition.accepts(rec, time + delay_s)
-        for rec, time in zip(rec_interval, times.tolist())
-    ]
+    rec = np.array(rec_interval)
+    gate = (
+        (rec < 1) | condition.accepts_many(rec, times + config.link_delay)
+    ).tolist()
 
     # Batched receiver-side MAC verification: one verify_many call per
     # interval decides every record outcome up front (authentic
@@ -520,16 +513,16 @@ def _build_single_level_plan(
     # counting a forged acceptance exactly as the DES would).
     mac_scheme = MacScheme()
     forged_valid = [False] * len(forged_records)
+    reps_by_interval: Dict[int, List[Tuple[int, Tuple[bytes, bytes]]]] = {}
+    for (iv, src), pair in authentic_reps.items():
+        reps_by_interval.setdefault(iv, []).append((src, pair))
+    forged_by_interval: Dict[int, List[int]] = {}
+    for k, (iv, _m, _mac) in enumerate(forged_records):
+        forged_by_interval.setdefault(iv, []).append(k)
     for interval in range(1, config.intervals + 1):
         key = sender.chain.key(interval)
-        reps = [
-            (src, pair)
-            for (iv, src), pair in authentic_reps.items()
-            if iv == interval
-        ]
-        forged_ids = [
-            k for k, (iv, _m, _mac) in enumerate(forged_records) if iv == interval
-        ]
+        reps = reps_by_interval.get(interval, [])
+        forged_ids = forged_by_interval.get(interval, [])
         pairs = [pair for _src, pair in reps] + [
             (forged_records[k][1], forged_records[k][2]) for k in forged_ids
         ]
@@ -670,8 +663,8 @@ def _build_multilevel_plan(
             for copy in range(copies):
                 time = start + window * (copy + 0.5) / max(copies, 1)
                 # Factory draw order: commitment bytes, then MAC bytes.
-                commitment = _random_bits(attacker_rng, 10)
-                mac = _random_bits(attacker_rng, 10)
+                commitment = forged_bytes(attacker_rng, 10)
+                mac = forged_bytes(attacker_rng, 10)
                 entries.append((time, _CDM, high, len(forged_cdms), -1))
                 forged_cdms.append((high, commitment, mac))
                 forged_bits += probe.wire_bits
@@ -682,15 +675,16 @@ def _build_multilevel_plan(
     index = [entries[i][2] for i in order]
     sources = [entries[i][3] for i in order]
     disc_index = [entries[i][4] for i in order]
-    delay_s = config.link_delay
-    gate: List[bool] = []
-    for kind, idx, time in zip(kinds, index, times.tolist()):
-        if kind == _CDM:
-            gate.append(high_cond.accepts(idx, time + delay_s))
-        elif kind == _DATA:
-            gate.append(low_cond.accepts(idx, time + delay_s))
-        else:
-            gate.append(True)
+    arrivals = times + config.link_delay
+    kind_array = np.array(kinds)
+    gate = np.select(
+        [kind_array == _CDM, kind_array == _DATA],
+        [
+            high_cond.accepts_many(index, arrivals),
+            low_cond.accepts_many(index, arrivals),
+        ],
+        default=True,
+    ).tolist()
 
     # Batched receiver-side verification tables. Data records: every
     # representative must verify under its sub-interval key. Forged

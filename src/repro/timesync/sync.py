@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.errors import ConfigurationError, SecurityConditionError
 from repro.timesync.intervals import IntervalSchedule
 
@@ -115,6 +118,34 @@ class SecurityCondition:
         return self.is_plausible(packet_interval, receiver_time) and self.is_safe(
             packet_interval, receiver_time
         )
+
+    def accepts_many(
+        self, intervals: npt.ArrayLike, receiver_times: npt.ArrayLike
+    ) -> npt.NDArray[np.bool_]:
+        """:meth:`accepts` over paired arrays of intervals and arrival times.
+
+        The same float operations in the same order as the scalar path
+        (:meth:`LooseTimeSync.sender_interval_upper_bound` then
+        :meth:`IntervalSchedule.index_at`), so every element equals the
+        scalar verdict.
+        """
+        index = np.asarray(intervals, dtype=np.int64)
+        times = np.asarray(receiver_times, dtype=np.float64)
+        sender_time = times + self.sync.max_offset
+        schedule = self.schedule
+        elapsed = (sender_time - schedule.start) / schedule.duration
+        upper = np.floor(elapsed).astype(np.int64) + 1
+        if schedule.count is not None:
+            upper = np.minimum(upper, schedule.count)
+        # Before ``start`` the scalar bound is 0 and this one is <= 0:
+        # no interval >= 1 is plausible under either, so no special case.
+        deadline = index + self.disclosure_delay
+        if self.paper_literal:
+            safe = ~(deadline < upper)
+        else:
+            safe = upper < deadline
+        accepted: npt.NDArray[np.bool_] = (index >= 1) & (index <= upper) & safe
+        return accepted
 
     def require_safe(self, packet_interval: int, receiver_time: float) -> None:
         """Raise :class:`SecurityConditionError` for unsafe packets."""

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.devtools.sanitizers.determinism import traced_rng, tracing
 from repro.errors import ConfigurationError
 from repro.game.parameters import paper_parameters
 from repro.protocols.packets import (
@@ -22,6 +23,7 @@ from repro.sim.attacker import (
     announce_forgery_factory,
     cdm_forgery_factory,
     data_forgery_factory,
+    forged_bytes,
     forged_copies_for_fraction,
     message_key_forgery_factory,
     tesla_forgery_factory,
@@ -29,6 +31,39 @@ from repro.sim.attacker import (
 from repro.sim.events import Simulator
 from repro.sim.medium import BroadcastMedium
 from repro.timesync.intervals import IntervalSchedule
+
+
+class TestForgedBytes:
+    """The helper must consume the RNG exactly as the generator form
+    ``bytes(rng.getrandbits(8) for _ in range(n))`` did."""
+
+    @staticmethod
+    def _reference(rng, nbytes):
+        return bytes(rng.getrandbits(8) for _ in range(nbytes))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    @pytest.mark.parametrize("nbytes", [0, 1, 10, 33])
+    def test_same_bytes_and_end_state(self, seed, nbytes):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert forged_bytes(rng, nbytes) == self._reference(reference, nbytes)
+        assert rng.getstate() == reference.getstate()
+
+    def test_same_draws_through_the_determinism_sanitizer(self):
+        with tracing() as helper_trace:
+            rng = traced_rng(random.Random(9), "attacker")
+            got = [forged_bytes(rng, 10) for _ in range(4)]
+        with tracing() as reference_trace:
+            reference = traced_rng(random.Random(9), "attacker")
+            expected = [self._reference(reference, 10) for _ in range(4)]
+        assert got == expected
+        assert rng.getstate() == reference.getstate()
+        helper_draws = helper_trace.trace.streams["attacker"]
+        reference_draws = reference_trace.trace.streams["attacker"]
+        assert len(helper_draws) == 40
+        assert [(d.method, d.value) for d in helper_draws] == [
+            (d.method, d.value) for d in reference_draws
+        ]
 
 
 class TestForgedCopiesForFraction:

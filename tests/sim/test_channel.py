@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.protocols.packets import MacAnnouncePacket
+from repro.scenarios import get_scenario
+from repro.sim import channel as channel_module
 from repro.sim.channel import (
     BernoulliLoss,
     GilbertElliottLoss,
@@ -16,7 +19,63 @@ from repro.sim.channel import (
     gilbert_elliott_drop_mask,
 )
 from repro.sim.events import Simulator
+from repro.sim.fleet import _packed_delivery_mask
 from repro.sim.medium import BroadcastMedium, LinkQuality
+
+#: Widest lane count the Gilbert–Elliott mask still cuts into segments.
+_WIDTH = channel_module._SEGMENT_LANES // (2 * channel_module._MIN_SEGMENTS)
+
+#: ``(p_good_to_bad, p_bad_to_good, loss_good, loss_bad)``: a typical
+#: channel, fades entered more often than left, certain entry, certain
+#: exit, and lossy GOOD states throughout.
+_CHANNELS = [
+    (0.15, 0.35, 0.02, 0.9),
+    (0.625, 0.25, 0.125, 1.0),
+    (1.0, 0.375, 0.25, 0.75),
+    (0.25, 1.0, 0.0625, 1.0),
+]
+_CHANNEL_IDS = ["typical", "g2b>b2g", "g2b=1", "b2g=1"]
+
+#: ``(steps, lanes)``: empty and single steps, one lane, lanes just
+#: below, at and above the segment width, and step counts that leave a
+#: ragged tail after the last full segment.
+_SHAPES = [
+    (0, 4),
+    (1, 4),
+    (1, 1),
+    (997, 1),
+    (1001, 3),
+    (40, _WIDTH - 1),
+    (40, _WIDTH),
+    (40, _WIDTH + 1),
+    (7, 2 * _WIDTH),
+]
+
+
+class _Replay(random.Random):
+    """Hands out a fixed sequence of uniforms as ``random()`` draws."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def _scalar_replay(uniforms, channel, initial_bad):
+    """Per-lane :meth:`GilbertElliottLoss.should_drop` over ``uniforms``."""
+    steps, lanes, _ = uniforms.shape
+    drops = np.empty((steps, lanes), dtype=bool)
+    states = np.empty(lanes, dtype=bool)
+    for lane in range(lanes):
+        process = GilbertElliottLoss(*channel)
+        if initial_bad is not None:
+            process._bad = bool(initial_bad[lane])
+        rng = _Replay(uniforms[:, lane, :].ravel().tolist())
+        drops[:, lane] = [process.should_drop(rng) for _ in range(steps)]
+        states[lane] = process.in_fade
+    return drops, states
 
 
 class TestBernoulliLoss:
@@ -153,6 +212,91 @@ class TestVectorizedMasks:
         assert mask.shape == (steps, lanes)
         for lane in range(lanes):
             assert mask[:, lane].tolist() == scalar[lane]
+
+    @pytest.mark.parametrize("channel", _CHANNELS, ids=_CHANNEL_IDS)
+    @pytest.mark.parametrize("steps, lanes", _SHAPES)
+    def test_gilbert_elliott_mask_matches_scalar_replay(self, channel, steps, lanes):
+        """Segmented and single-run shapes alike replay the scalar
+        process on the same uniforms, from GOOD and from BAD starts."""
+        rng = np.random.RandomState(steps * 7919 + lanes)
+        uniforms = rng.random_sample((steps, lanes, 2))
+        for initial_bad in (None, rng.random_sample(lanes) < 0.5):
+            expected, expected_state = _scalar_replay(uniforms, channel, initial_bad)
+            mask, state = gilbert_elliott_drop_mask(
+                uniforms, *channel, initial_bad=initial_bad, return_state=True
+            )
+            assert mask.shape == (steps, lanes)
+            assert np.array_equal(mask, expected)
+            assert np.array_equal(state, expected_state)
+
+    @pytest.mark.parametrize("channel", _CHANNELS, ids=_CHANNEL_IDS)
+    @pytest.mark.parametrize("lanes", [1, 8, _WIDTH + 1])
+    def test_gilbert_elliott_mask_uniforms_on_thresholds(self, channel, lanes):
+        """A uniform exactly equal to a threshold decides as the scalar
+        ``<`` / ``>=`` comparisons do."""
+        rng = np.random.RandomState(lanes)
+        values = np.array(sorted(set(channel) | {0.0, 0.5, 0.999}))
+        uniforms = values[rng.randint(len(values), size=(301, lanes, 2))]
+        expected, expected_state = _scalar_replay(uniforms, channel, None)
+        mask, state = gilbert_elliott_drop_mask(uniforms, *channel, return_state=True)
+        assert np.array_equal(mask, expected)
+        assert np.array_equal(state, expected_state)
+
+    @pytest.mark.parametrize("lanes", [1, 8, _WIDTH + 1])
+    @pytest.mark.parametrize("cuts", [(0,), (1,), (1234,), (17, 18, 4000)])
+    def test_gilbert_elliott_mask_block_seams(self, lanes, cuts):
+        """Blocks chained through ``initial_bad``/``return_state`` equal
+        one call over the whole step axis."""
+        channel = _CHANNELS[0]
+        uniforms = np.random.RandomState(5).random_sample((5000, lanes, 2))
+        whole, whole_state = gilbert_elliott_drop_mask(
+            uniforms, *channel, return_state=True
+        )
+        blocks, state = [], None
+        for begin, end in zip((0,) + cuts, cuts + (len(uniforms),)):
+            drops, state = gilbert_elliott_drop_mask(
+                uniforms[begin:end], *channel, initial_bad=state, return_state=True
+            )
+            blocks.append(drops)
+        assert np.array_equal(np.concatenate(blocks), whole)
+        assert np.array_equal(state, whole_state)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            "vehicular-beacon-storm-t3",
+            "remote-id-storm-t3",
+            "crowdsensing-edrp-storm-t3",
+        ],
+    )
+    def test_fleet_delivery_mask_matches_scalar_medium(self, scenario):
+        """The fleet engine's packed mask for each storm catalog config is,
+        per receiver, a scalar ``should_drop`` replay of the medium
+        stream (one transition and one loss draw per receiver per slot,
+        in attachment order)."""
+        config = replace(get_scenario(scenario).config, receivers=9)
+        assert config.loss_mean_burst is not None
+        slots = 3001
+        packed, delivered_any, delivered_total = _packed_delivery_mask(
+            config, slots, random.Random(config.seed)
+        )
+        medium = random.Random(config.seed)
+        channels = [
+            GilbertElliottLoss.from_average(
+                config.loss_probability, config.loss_mean_burst
+            )
+            for _ in range(config.receivers)
+        ]
+        expected = np.array(
+            [
+                [not channel.should_drop(medium) for channel in channels]
+                for _ in range(slots)
+            ]
+        )
+        delivered = np.unpackbits(packed, axis=1)[:, : config.receivers]
+        assert np.array_equal(delivered.astype(bool), expected)
+        assert np.array_equal(delivered_any, expected.any(axis=1))
+        assert delivered_total == int(expected.sum())
 
     def test_gilbert_elliott_mask_requires_two_draws_per_decision(self):
         with pytest.raises(ConfigurationError):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SecurityConditionError
-from repro.timesync.intervals import IntervalSchedule
+from repro.timesync.intervals import IntervalSchedule, TwoLevelSchedule
 from repro.timesync.sync import LooseTimeSync, SecurityCondition
 
 
@@ -133,3 +136,57 @@ class TestPlausibility:
         assert cond.accepts(3, 2.5)  # current: plausible and safe
         assert not cond.accepts(1, 2.5)  # past: plausible but unsafe
         assert not cond.accepts(9, 2.5)  # future: safe but implausible
+
+
+def _conditions():
+    """Plain, bounded, offset-start and two-level schedules under both
+    inequalities and a range of disclosure delays and sync bounds."""
+    two_level = TwoLevelSchedule(0.5, 0.25, 4, high_count=6)
+    schedules = [
+        IntervalSchedule(0.0, 1.0),
+        IntervalSchedule(0.0, 0.1, count=30),
+        IntervalSchedule(3.7, 0.3),
+        two_level.high_schedule,
+        two_level.low_schedule,
+    ]
+    for schedule in schedules:
+        for offset in (0.0, 0.05, 1.3):
+            for delay in (1, 2, 5):
+                for literal in (False, True):
+                    yield SecurityCondition(
+                        schedule, LooseTimeSync(offset), delay, literal
+                    )
+
+
+class TestAcceptsMany:
+    """The array form must return the scalar ``accepts`` verdict."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_scalar_accepts(self, seed):
+        rng = random.Random(seed)
+        for cond in _conditions():
+            schedule, offset = cond.schedule, cond.sync.max_offset
+            times = [rng.uniform(schedule.start - 2.0, schedule.start + 40.0)]
+            for k in range(-3, 45):
+                boundary = schedule.start + k * schedule.duration
+                # Exactly on a boundary of receiver time and of sender time.
+                times += [boundary, boundary - offset]
+            times += [rng.uniform(-5.0, 60.0) for _ in range(40)]
+            intervals = [rng.randint(-2, 50) for _ in times]
+            got = cond.accepts_many(intervals, times)
+            assert got.dtype == np.bool_
+            assert got.tolist() == [
+                cond.accepts(i, t) for i, t in zip(intervals, times)
+            ]
+
+    def test_sub_one_intervals_never_accepted(self, schedule):
+        cond = SecurityCondition(schedule, LooseTimeSync(0.0), 1, paper_literal=True)
+        assert not cond.accepts_many([0, -1, -7], [2.5, 2.5, 2.5]).any()
+
+    def test_before_start_accepts_nothing(self):
+        cond = SecurityCondition(IntervalSchedule(10.0, 1.0), LooseTimeSync(0.0), 3)
+        assert not cond.accepts_many([1, 2, 3], [9.0, 9.5, 9.999]).any()
+
+    def test_empty(self, schedule):
+        cond = SecurityCondition(schedule, LooseTimeSync(0.0), 1)
+        assert cond.accepts_many([], []).shape == (0,)
