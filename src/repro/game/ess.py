@@ -15,20 +15,23 @@ Setting ``dX/dt = dY/dt = 0`` yields the candidate rest points
 
 The paper enumerates which of these "can be ESS"; here every candidate
 is classified rigorously through the Jacobian of the replicator field
-(asymptotically stable = all eigenvalue real parts negative), and
-:func:`realized_ess` reports which one the paper's own Euler dynamics
-actually reach from ``(0.5, 0.5)``. For the §VI-B constants this
-reproduces the paper's four regimes in ``m``: ``(1,1)`` for small
-``m``, then ``(1, Y')``, then the interior spiral, then ``(X', 1)``.
+(asymptotically stable = all eigenvalue real parts negative). The
+Jacobian is ``2 × 2``, so its eigenvalues are taken in closed form with
+plain floats: exactly the diagonal when an off-diagonal entry is zero
+(every corner and both edge families), otherwise
+``tr/2 ± sqrt(tr²/4 - det)``. :func:`realized_ess` reports which
+candidate the paper's own Euler dynamics actually reach from
+``(0.5, 0.5)``. For the §VI-B constants this reproduces the paper's
+four regimes in ``m``: ``(1,1)`` for small ``m``, then ``(1, Y')``,
+then the interior spiral, then ``(X', 1)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.game.parameters import GameParameters
@@ -96,7 +99,7 @@ class FixedPoint:
 
     def distance_to(self, x: float, y: float) -> float:
         """Euclidean distance from ``(x, y)``."""
-        return float(np.hypot(self.x - x, self.y - y))
+        return math.hypot(self.x - x, self.y - y)
 
 
 def interior_fixed_point(params: GameParameters) -> Optional[Tuple[float, float]]:
@@ -128,21 +131,49 @@ def edge_y_prime(params: GameParameters) -> Optional[float]:
     return y if 0.0 < y < 1.0 else None
 
 
+def _eigenvalues(
+    a: float, b: float, c: float, d: float
+) -> Tuple[complex, complex]:
+    """Eigenvalues of ``[[a, b], [c, d]]`` in closed form.
+
+    A zero off-diagonal entry makes the matrix triangular, and the
+    diagonal is returned exactly. Otherwise the roots are
+    ``tr/2 ± sqrt(disc)`` with ``disc = tr²/4 - det``, written as
+    ``((a - d)/2)² + bc`` so equal diagonals do not cancel; distinct real
+    roots are split the way LAPACK's ``dlanv2`` splits them, so the
+    smaller one keeps its relative accuracy.
+    """
+    if b == 0.0 or c == 0.0:
+        return (complex(a), complex(d))
+    half_gap = 0.5 * (a - d)
+    bc = b * c
+    disc = half_gap * half_gap + bc
+    if disc > 0.0:
+        z = half_gap + math.copysign(math.sqrt(disc), half_gap)
+        return (complex(d + z), complex(d - bc / z))
+    half_trace = 0.5 * (a + d)
+    imag = math.sqrt(-disc)
+    return (complex(half_trace, imag), complex(half_trace, -imag))
+
+
 def _classify(dynamics: ReplicatorDynamics, x: float, y: float) -> Tuple[
     Stability, Tuple[complex, complex]
 ]:
-    jac = dynamics.jacobian(x, y)
-    eigs = np.linalg.eigvals(jac)
-    reals = np.real(eigs)
-    if np.all(reals < -_STABILITY_TOL):
+    (a, b), (c, d) = dynamics.jacobian_entries(x, y)
+    eigs = _eigenvalues(a, b, c, d)
+    r1 = eigs[0].real
+    r2 = eigs[1].real
+    if r1 < -_STABILITY_TOL and r2 < -_STABILITY_TOL:
         stability = Stability.STABLE
-    elif np.all(reals > _STABILITY_TOL):
+    elif r1 > _STABILITY_TOL and r2 > _STABILITY_TOL:
         stability = Stability.UNSTABLE
-    elif np.any(reals > _STABILITY_TOL) and np.any(reals < -_STABILITY_TOL):
+    elif (r1 > _STABILITY_TOL and r2 < -_STABILITY_TOL) or (
+        r1 < -_STABILITY_TOL and r2 > _STABILITY_TOL
+    ):
         stability = Stability.SADDLE
     else:
         stability = Stability.MARGINAL
-    return stability, (complex(eigs[0]), complex(eigs[1]))
+    return stability, eigs
 
 
 def fixed_points(params: GameParameters) -> List[FixedPoint]:
@@ -175,6 +206,23 @@ def stable_points(params: GameParameters) -> List[FixedPoint]:
     return [point for point in fixed_points(params) if point.is_ess]
 
 
+def _nearest_point(
+    points: Iterable[FixedPoint], x: float, y: float, tol: float
+) -> Optional[FixedPoint]:
+    """The point nearest ``(x, y)`` within ``tol``, ``None`` when none is.
+
+    A tie goes to the later point.
+    """
+    best: Optional[FixedPoint] = None
+    best_distance = tol
+    for point in points:
+        distance = point.distance_to(x, y)
+        if distance <= best_distance:
+            best = point
+            best_distance = distance
+    return best
+
+
 def label_point(
     params: GameParameters, x: float, y: float, tol: float = 1e-2
 ) -> Optional[EssType]:
@@ -182,13 +230,7 @@ def label_point(
     candidate within ``tol``; ``None`` when nothing is close."""
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ConfigurationError(f"point ({x}, {y}) outside the unit square")
-    best: Optional[FixedPoint] = None
-    best_distance = tol
-    for point in fixed_points(params):
-        distance = point.distance_to(x, y)
-        if distance <= best_distance:
-            best = point
-            best_distance = distance
+    best = _nearest_point(fixed_points(params), x, y, tol)
     return best.ess_type if best is not None else None
 
 
@@ -214,11 +256,4 @@ def realized_ess(
         x0=x0, y0=y0, dt=dt, max_steps=max_steps, method=method, record_every=10
     )
     fx, fy = trajectory.final
-    matched: Optional[FixedPoint] = None
-    best = match_tol
-    for point in fixed_points(params):
-        distance = point.distance_to(fx, fy)
-        if distance <= best:
-            matched = point
-            best = distance
-    return matched, trajectory
+    return _nearest_point(fixed_points(params), fx, fy, match_tol), trajectory

@@ -25,11 +25,18 @@ with ``(1, Y')`` the ESS of the ``m = M`` game.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.game.ess import EssType, FixedPoint, realized_ess, stable_points
+from repro.game.ess import (
+    EssType,
+    FixedPoint,
+    _nearest_point,
+    realized_ess,
+    stable_points,
+)
 from repro.game.parameters import GameParameters
 
 __all__ = [
@@ -109,8 +116,8 @@ class EquilibriumSolver:
         fx, fy = trajectory.final
         # No candidate nearby: settle for the trajectory endpoint, label
         # with the nearest stable candidate if any exists.
-        label = stable[0].ess_type if stable else None
-        return (fx, fy, label)
+        nearest = _nearest_point(stable, fx, fy, math.inf)
+        return (fx, fy, nearest.ess_type if nearest is not None else None)
 
 
 @dataclass(frozen=True)

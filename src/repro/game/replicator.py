@@ -140,22 +140,32 @@ class ReplicatorDynamics:
         u = expected_utilities(self._params, x, y)
         return (x * (u.defend - u.defender_mean), y * (u.attack - u.attacker_mean))
 
-    def jacobian(self, x: float, y: float) -> np.ndarray:
-        """Analytic Jacobian of the vector field at ``(x, y)``.
+    def jacobian_entries(
+        self, x: float, y: float
+    ) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+        """Analytic Jacobian of the vector field at ``(x, y)``, as floats.
 
-        Used by :mod:`repro.game.ess` to classify fixed points: a fixed
-        point is asymptotically stable (an ESS of the dynamics) when
-        every eigenvalue has negative real part.
+        Row-major ``((df/dx, df/dy), (dg/dx, dg/dy))``. Used by
+        :mod:`repro.game.ess` to classify fixed points: a fixed point is
+        asymptotically stable (an ESS of the dynamics) when every
+        eigenvalue has negative real part.
         """
         p = self._params
+        ra = p.ra
         q = 1.0 - p.attack_success_probability
-        bracket_x = p.ra * y * q - p.k2 * p.m * x
-        bracket_y = p.ra - q * x * p.ra - p.k1 * p.xa * y
-        dfdx = (1.0 - 2.0 * x) * bracket_x + x * (1.0 - x) * (-p.k2 * p.m)
-        dfdy = x * (1.0 - x) * p.ra * q
-        dgdx = y * (1.0 - y) * (-p.ra * q)
-        dgdy = (1.0 - 2.0 * y) * bracket_y + y * (1.0 - y) * (-p.k1 * p.xa)
-        return np.array([[dfdx, dfdy], [dgdx, dgdy]], dtype=float)
+        k2m = p.k2 * p.m
+        k1xa = p.k1 * p.xa
+        bracket_x = ra * y * q - k2m * x
+        bracket_y = ra - q * x * ra - k1xa * y
+        dfdx = (1.0 - 2.0 * x) * bracket_x - x * (1.0 - x) * k2m
+        dfdy = x * (1.0 - x) * ra * q
+        dgdx = y * (1.0 - y) * (-ra * q)
+        dgdy = (1.0 - 2.0 * y) * bracket_y - y * (1.0 - y) * k1xa
+        return ((dfdx, dfdy), (dgdx, dgdy))
+
+    def jacobian(self, x: float, y: float) -> np.ndarray:
+        """:meth:`jacobian_entries` as a ``2 × 2`` array."""
+        return np.array(self.jacobian_entries(x, y), dtype=float)
 
     # ------------------------------------------------------------------
     # integration

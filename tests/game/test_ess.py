@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.game.ess import (
+    _STABILITY_TOL,
     EssType,
+    FixedPoint,
     Stability,
+    _nearest_point,
     edge_x_prime,
     edge_y_prime,
     fixed_points,
@@ -16,7 +22,7 @@ from repro.game.ess import (
     realized_ess,
     stable_points,
 )
-from repro.game.parameters import paper_parameters
+from repro.game.parameters import GameParameters, paper_parameters
 from repro.game.replicator import ReplicatorDynamics
 
 
@@ -187,3 +193,98 @@ class TestLabelPoint:
     def test_out_of_square_rejected(self):
         with pytest.raises(ConfigurationError):
             label_point(paper_parameters(p=0.8, m=30), 1.5, 0.5)
+
+
+def _lapack_stability(eigs: np.ndarray) -> Stability:
+    """The classification rule applied to ``np.linalg.eigvals`` output."""
+    reals = np.real(eigs)
+    if np.all(reals < -_STABILITY_TOL):
+        return Stability.STABLE
+    if np.all(reals > _STABILITY_TOL):
+        return Stability.UNSTABLE
+    if np.any(reals > _STABILITY_TOL) and np.any(reals < -_STABILITY_TOL):
+        return Stability.SADDLE
+    return Stability.MARGINAL
+
+
+def _parity_games():
+    """The Fig. 7/8 grid, a seeded random sample, and ``p`` in {0, 1}."""
+    for i in range(1, 100):
+        for m in range(1, 101):
+            yield paper_parameters(p=i / 100, m=m, max_buffers=100)
+    rng = random.Random(2016)
+    for _ in range(2000):
+        yield GameParameters(
+            ra=rng.uniform(1.0, 500.0),
+            k1=rng.uniform(0.5, 50.0),
+            k2=rng.uniform(0.1, 20.0),
+            p=rng.random(),
+            m=rng.randint(1, 100),
+            max_buffers=100,
+        )
+    for p in (0.0, 1.0):
+        for m in range(1, 101):
+            yield paper_parameters(p=p, m=m, max_buffers=100)
+
+
+def _by_value(z: complex):
+    return (z.real, z.imag)
+
+
+class TestClosedFormClassification:
+    """The closed-form ``2 × 2`` eigenvalues against LAPACK as the oracle."""
+
+    def test_matches_lapack(self):
+        checked = 0
+        for params in _parity_games():
+            dynamics = ReplicatorDynamics(params)
+            for point in fixed_points(params):
+                eigs = np.linalg.eigvals(dynamics.jacobian(point.x, point.y))
+                assert point.stability is _lapack_stability(eigs), (params, point)
+                assert all(type(e) is complex for e in point.eigenvalues)
+                ours = sorted(point.eigenvalues, key=_by_value)
+                oracle = sorted((complex(e) for e in eigs), key=_by_value)
+                for mine, ref in zip(ours, oracle):
+                    assert abs(mine - ref) <= 1e-12 * abs(ref), (params, point, eigs)
+                checked += 1
+        assert checked > 70_000
+
+    def test_exact_zero_eigenvalue_is_marginal(self):
+        params = paper_parameters(p=1.0, m=5)
+        corner = next(
+            point for point in fixed_points(params)
+            if point.ess_type is EssType.CORNER_00
+        )
+        assert corner.stability is Stability.MARGINAL
+        assert corner.eigenvalues == (0j, complex(params.ra))
+        eigs = np.linalg.eigvals(
+            ReplicatorDynamics(params).jacobian(corner.x, corner.y)
+        )
+        assert _lapack_stability(eigs) is Stability.MARGINAL
+
+    def test_jacobian_entries_equal_jacobian(self):
+        rng = random.Random(7)
+        for m in (1, 14, 30, 70):
+            dynamics = ReplicatorDynamics(
+                paper_parameters(p=0.8, m=m, max_buffers=100)
+            )
+            for _ in range(50):
+                x, y = rng.random(), rng.random()
+                entries = dynamics.jacobian_entries(x, y)
+                assert dynamics.jacobian(x, y).tolist() == [
+                    list(row) for row in entries
+                ]
+
+
+class TestNearestPoint:
+    def _point(self, x, y, ess_type):
+        return FixedPoint(x, y, ess_type, Stability.STABLE, (-1 + 0j, -2 + 0j))
+
+    def test_tie_goes_to_the_later_point(self):
+        first = self._point(0.0, 0.5, EssType.CORNER_00)
+        second = self._point(1.0, 0.5, EssType.CORNER_11)
+        assert _nearest_point([first, second], 0.5, 0.5, 1.0) is second
+
+    def test_nothing_within_tol(self):
+        point = self._point(1.0, 1.0, EssType.CORNER_11)
+        assert _nearest_point([point], 0.0, 0.0, 0.5) is None

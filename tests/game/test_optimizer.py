@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.game.ess import EssType
+from repro.game import optimizer
+from repro.game.ess import EssType, FixedPoint, Stability
 from repro.game.optimizer import (
     BufferOptimizer,
     EquilibriumSolver,
@@ -13,6 +15,7 @@ from repro.game.optimizer import (
     naive_defense_cost,
 )
 from repro.game.parameters import paper_parameters
+from repro.game.replicator import Trajectory
 
 
 class TestDefenseCost:
@@ -70,6 +73,39 @@ class TestEquilibriumSolver:
         x, y, _ = EquilibriumSolver().solve(params)
         dx, dy = ReplicatorDynamics(params).derivatives(x, y)
         assert abs(dx) + abs(dy) < 1e-8
+
+    @staticmethod
+    def _stub_dynamics(monkeypatch, final):
+        """Make the fallback's integration end unmatched at ``final``."""
+        trajectory = Trajectory(
+            xs=np.array([0.5, final[0]]),
+            ys=np.array([0.5, final[1]]),
+            converged=False,
+            steps=1,
+            dt=0.01,
+            method="euler",
+        )
+        monkeypatch.setattr(
+            optimizer, "realized_ess", lambda params, **kwargs: (None, trajectory)
+        )
+
+    def test_fallback_labels_nearest_stable_candidate(self, monkeypatch):
+        eigs = (-1 + 0j, -2 + 0j)
+        corner = FixedPoint(1.0, 1.0, EssType.CORNER_11, Stability.STABLE, eigs)
+        edge = FixedPoint(1.0, 0.3, EssType.EDGE_1Y, Stability.STABLE, eigs)
+        self._stub_dynamics(monkeypatch, (0.9, 0.35))
+        x, y, label = EquilibriumSolver()._solve_by_dynamics(
+            paper_parameters(p=0.8, m=14), [corner, edge]
+        )
+        assert (x, y) == (0.9, 0.35)
+        assert label is EssType.EDGE_1Y
+
+    def test_fallback_without_stable_candidate_is_unlabelled(self, monkeypatch):
+        self._stub_dynamics(monkeypatch, (0.9, 0.35))
+        _, _, label = EquilibriumSolver()._solve_by_dynamics(
+            paper_parameters(p=0.8, m=14), []
+        )
+        assert label is None
 
 
 class TestBufferOptimizer:
