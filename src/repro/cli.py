@@ -1250,7 +1250,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ("mac verify_many", results["mac_verify"]["speedup"]),
         ("mac compute_many", results["mac_batch"]["speedup"]),
         ("reservoir offer_many", results["umac_reservoir"]["speedup"]),
-        ("fast μMAC (vs scalar HMAC)", results["fast_umac"]["fast_speedup"]),
         ("scenario wall (naive stack)", results["scenario"]["speedup"]),
         ("scenario replay (off vs on)", results["scenario"]["replay_speedup"]),
     ]

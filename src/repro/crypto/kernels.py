@@ -39,15 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ENABLED",
-    "FAST_UMAC",
     "ChainWalkCache",
-    "fast_micro_mac",
-    "fast_umac",
-    "fast_umac_enabled",
     "hmac_midstate",
     "kernels_disabled",
     "kernels_enabled",
-    "set_fast_umac",
     "set_kernels_enabled",
     "sha256_digest",
     "sha256_midstate",
@@ -55,20 +50,9 @@ __all__ = [
 
 #: Module-wide switch. Hot paths read this directly; flip it with
 #: :func:`set_kernels_enabled` (or the :func:`kernels_disabled` context
-#: manager) to fall back to the naive reference implementations.
+#: manager) to fall back to the naive reference implementations, which
+#: the parity tests use as the oracle for every kernel here.
 ENABLED: bool = True
-
-#: Opt-in *non-faithful* μMAC fast path (default off). Unlike every
-#: other kernel in this module, :func:`fast_micro_mac` is NOT
-#: bit-identical to the HMAC-SHA-256 reference — it swaps the primitive
-#: for keyed BLAKE2s. The distributional model is unchanged (a
-#: pseudorandom ``bits``-wide tag with the same 2^-bits collision
-#: probability), so aggregate figures are statistically equivalent, but
-#: individual collision events land on different packets. Flip it with
-#: :func:`set_fast_umac` / the :func:`fast_umac` context manager; it
-#: only takes effect while :data:`ENABLED` is also true, so
-#: :func:`kernels_disabled` parity harnesses force the faithful path.
-FAST_UMAC: bool = False
 
 
 def kernels_enabled() -> bool:
@@ -92,33 +76,6 @@ def kernels_disabled() -> Iterator[None]:
         yield
     finally:
         set_kernels_enabled(previous)
-
-
-def fast_umac_enabled() -> bool:
-    """Whether the non-faithful BLAKE2s μMAC fast path is active.
-
-    True only when both :data:`FAST_UMAC` and :data:`ENABLED` are set —
-    the fast path is a kernel, so the kernel master switch gates it.
-    """
-    return FAST_UMAC and ENABLED
-
-
-def set_fast_umac(flag: bool) -> bool:
-    """Switch the μMAC fast path on or off; returns the previous setting."""
-    global FAST_UMAC
-    previous = FAST_UMAC
-    FAST_UMAC = bool(flag)
-    return previous
-
-
-@contextmanager
-def fast_umac(flag: bool = True) -> Iterator[None]:
-    """Run a block with the μMAC fast path forced to ``flag``."""
-    previous = set_fast_umac(flag)
-    try:
-        yield
-    finally:
-        set_fast_umac(previous)
 
 
 # ----------------------------------------------------------------------
@@ -181,61 +138,6 @@ def hmac_midstate(key: bytes, label: bytes) -> _hmac.HMAC:
     else:
         _HMAC_MIDSTATES.move_to_end(cache_key)
     return state
-
-
-#: BLAKE2s personalisation for the μMAC fast path — domain-separates it
-#: from any other blake2 use the way ``b"repro.umac|"`` separates the
-#: HMAC reference path.
-_FAST_UMAC_PERSON = b"repro.um"
-
-#: BLAKE2s accepts keys up to 32 bytes; longer receiver keys are folded
-#: through one SHA-256 first (cached per key — local keys are few and
-#: reused across every packet a receiver handles).
-_FAST_UMAC_KEY_MAX = 32
-_FAST_UMAC_FOLDED_KEYS: "OrderedDict[bytes, bytes]" = OrderedDict()
-_FAST_UMAC_FOLDED_MAX = 1024
-
-
-def fast_micro_mac(key: bytes, data: bytes, bits: int) -> bytes:
-    """Keyed-BLAKE2s μMAC truncated to ``bits`` — the opt-in fast path.
-
-    **Non-faithful by design**: the bytes differ from the HMAC-SHA-256
-    reference μMAC, so per-packet outcomes that hinge on exact tag
-    values (the 2^-bits collision events) land on different packets.
-    The *distributional* collision model is identical, which is what
-    the statistical-equivalence harness checks when the switch is on.
-    Callers route through :meth:`repro.crypto.mac.MicroMacScheme` and
-    consult :func:`fast_umac_enabled` — never call the primitive from a
-    hot loop directly (reprolint RPL009 pins that).
-
-    Keys longer than BLAKE2s's 32-byte limit are folded through one
-    SHA-256 (cached); ``bits`` must be in (0, 256] so the tag fits a
-    single BLAKE2s digest.
-    """
-    if not key:
-        raise ConfigurationError("fast_micro_mac key must be non-empty")
-    if bits <= 0 or bits > 256:
-        raise ConfigurationError(f"bits must be in (0, 256], got {bits}")
-    if len(key) > _FAST_UMAC_KEY_MAX:
-        folded = _FAST_UMAC_FOLDED_KEYS.get(key)
-        if folded is None:
-            folded = hashlib.sha256(b"repro.umk|" + key).digest()
-            _FAST_UMAC_FOLDED_KEYS[key] = folded
-            while len(_FAST_UMAC_FOLDED_KEYS) > _FAST_UMAC_FOLDED_MAX:
-                _FAST_UMAC_FOLDED_KEYS.popitem(last=False)
-        else:
-            _FAST_UMAC_FOLDED_KEYS.move_to_end(key)
-        key = folded
-    nbytes = (bits + 7) // 8
-    digest = hashlib.blake2s(
-        data, digest_size=nbytes, key=key, person=_FAST_UMAC_PERSON
-    ).digest()
-    spare = nbytes * 8 - bits
-    if spare:
-        # Same masking rule as onewayfn.truncate_to_bits (not imported:
-        # that module imports this one).
-        digest = digest[:-1] + bytes((digest[-1] & ((0xFF << spare) & 0xFF),))
-    return digest
 
 
 # ----------------------------------------------------------------------

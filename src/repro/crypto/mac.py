@@ -169,21 +169,9 @@ class MicroMacScheme:
             )
 
     def compute(self, local_key: bytes, mac: bytes) -> bytes:
-        """Compute ``μMAC = MAC_{local_key}(mac)``.
-
-        With :func:`~repro.crypto.kernels.fast_umac_enabled` the tag
-        comes from the keyed-BLAKE2s kernel instead of HMAC-SHA-256 —
-        different bytes, same distributional collision model (see the
-        ``FAST_UMAC`` notes in :mod:`repro.crypto.kernels`).
-        """
+        """Compute ``μMAC = MAC_{local_key}(mac)``."""
         if not local_key:
             raise ConfigurationError("receiver local key must be non-empty")
-        if kernels.fast_umac_enabled():
-            if perf.ACTIVE is not None:
-                perf.ACTIVE.incr("crypto.mac")
-            return kernels.fast_micro_mac(
-                bytes(local_key), bytes(mac), self.micro_mac_bits
-            )
         return _hmac_truncated(
             bytes(local_key), bytes(mac), self.micro_mac_bits, b"repro.umac"
         )
@@ -193,9 +181,8 @@ class MicroMacScheme:
 
         The shape of reveal-time strong authentication: one receiver
         re-hashes every buffered MAC of a slot under its private key.
-        One HMAC midstate (or one BLAKE2s key block on the fast path)
-        serves the whole batch; results are positionally identical to
-        per-MAC :meth:`compute`.
+        One HMAC midstate serves the whole batch; results are
+        positionally identical to per-MAC :meth:`compute`.
         """
         if not local_key:
             raise ConfigurationError("receiver local key must be non-empty")
@@ -207,9 +194,6 @@ class MicroMacScheme:
             perf.ACTIVE.incr("crypto.mac.batches")
         local_key = bytes(local_key)
         bits = self.micro_mac_bits
-        if kernels.fast_umac_enabled():
-            fast = kernels.fast_micro_mac
-            return [fast(local_key, mac, bits) for mac in items]
         if kernels.ENABLED:
             base = kernels.hmac_midstate(local_key, b"repro.umac")
             out = []

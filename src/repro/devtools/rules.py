@@ -21,12 +21,9 @@ RPL007    every ``register_scenario`` call declares its ``tier=`` and
 RPL008    every ``SharedMemory`` block is ``close()``d — and
           ``unlink()``ed when created — in a ``finally`` path (shared
           segments outlive the process; leaks accumulate in /dev/shm)
-RPL009    μMAC/MAC hot paths use the batch APIs: no direct
-          ``hashlib.blake2*`` outside :mod:`repro.crypto.kernels`
-          (the fast μMAC is non-faithful and must stay behind the
-          ``FAST_UMAC`` switch), no scalar ``.compute()``/``.verify()``
-          MAC calls inside loop bodies (use ``compute_many`` /
-          ``verify_many``)
+RPL009    μMAC/MAC hot paths use the batch APIs: no scalar
+          ``.compute()``/``.verify()`` MAC calls inside loop bodies
+          (use ``compute_many`` / ``verify_many``)
 ========  ==============================================================
 
 Rules report through :class:`~repro.devtools.lint.Violation`; the
@@ -942,64 +939,32 @@ class SharedMemoryHygieneRule(Rule):
 
 
 class BatchedMacRoutingRule(Rule):
-    """RPL009 — MAC hot paths stay on the batch/kernel routes.
+    """RPL009 — MAC hot paths stay on the batch routes.
 
-    Two anti-patterns, both born in the PR-9 batching work:
-
-    1. A direct ``hashlib.blake2b``/``blake2s`` call outside
-       :mod:`repro.crypto.kernels`. The keyed-BLAKE2s μMAC fast path is
-       *non-faithful by design* (different bytes, same collision
-       model), so it must stay behind :func:`kernels.fast_micro_mac`
-       and the ``FAST_UMAC`` switch — a stray blake2 call sidesteps the
-       switch and the parity harnesses can no longer force the
-       faithful path.
-    2. A scalar ``.compute()`` / ``.verify()`` call on a MAC scheme
-       inside a loop body. Per-call key-block lookups in a flood loop
-       are exactly what :meth:`MacScheme.compute_many` /
-       :meth:`verify_many` batch away (the fleet replay's single-pair
-       ``verify_many`` bug, generalised); hoist the loop into one
-       batched call. Reference fallbacks and scalar-vs-batched benches
-       carry an annotated suppression.
+    Flags a scalar ``.compute()`` / ``.verify()`` call on a MAC scheme
+    inside a loop body. Per-call key-block lookups in a flood loop are
+    exactly what :meth:`MacScheme.compute_many` / :meth:`verify_many`
+    batch away (the fleet replay's single-pair ``verify_many`` bug,
+    generalised); hoist the loop into one batched call. Reference
+    fallbacks and scalar-vs-batched benches carry an annotated
+    suppression. Direct ``hashlib`` calls are RPL001's concern.
     """
 
     code = "RPL009"
     name = "batched-mac-routing"
-    description = (
-        "direct hashlib.blake2* call outside crypto.kernels, or scalar"
-        " MAC compute()/verify() inside a loop body"
-    )
+    description = "scalar MAC compute()/verify() inside a loop body"
 
     SCOPE = ("repro/", "benchmarks/")
-    ALLOWED_BLAKE2 = frozenset({"repro/crypto/kernels.py"})
-    _BLAKE2 = frozenset({"blake2b", "blake2s"})
     _SCALAR = frozenset({"compute", "verify"})
     _MAC_HINTS = ("mac", "micro", "scheme")
 
     def check(self, ctx: LintContext) -> Iterator[Violation]:
         if not ctx.in_dir(*self.SCOPE):
             return
-        imports = _Imports(ctx.tree, {"hashlib"})
-        blake2_allowed = ctx.logical_path in self.ALLOWED_BLAKE2
         loop_calls = self._loop_body_calls(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            if not blake2_allowed:
-                resolved = imports.resolve_call(node.func)
-                if (
-                    resolved is not None
-                    and resolved[0] == "hashlib"
-                    and resolved[1] in self._BLAKE2
-                ):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"direct hashlib.{resolved[1]}() call: the"
-                        " BLAKE2 μMAC fast path is non-faithful and"
-                        " must stay behind kernels.fast_micro_mac and"
-                        " the FAST_UMAC switch so parity harnesses can"
-                        " force the faithful path",
-                    )
             if id(node) in loop_calls and self._is_scalar_mac_call(node.func):
                 assert isinstance(node.func, ast.Attribute)
                 yield self.violation(

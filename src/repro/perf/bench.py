@@ -29,14 +29,6 @@ Sections:
     :meth:`~repro.buffers.reservoir.ReservoirBuffer.offer_many` vs
     per-copy :meth:`~repro.buffers.reservoir.ReservoirBuffer.offer`,
     end state asserted identical (same RNG stream) in the same run.
-``fast_umac``
-    μMAC tagging three ways: scalar HMAC
-    :meth:`~repro.crypto.mac.MicroMacScheme.compute`, batched
-    :meth:`~repro.crypto.mac.MicroMacScheme.compute_many`, and
-    ``compute_many`` under the opt-in non-faithful keyed-BLAKE2s
-    kernel (:func:`repro.crypto.kernels.fast_umac` — different bytes,
-    same distributional collision model; see EXPERIMENTS.md before
-    using it for figures).
 ``pebbled``
     Sequential sender traversal cost plus the memory story (stored and
     peak pebbles vs the dense chain's ``n`` keys).
@@ -77,9 +69,9 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.buffers.reservoir import ReservoirBuffer
-from repro.crypto.kernels import ChainWalkCache, fast_umac, set_kernels_enabled
+from repro.crypto.kernels import ChainWalkCache, set_kernels_enabled
 from repro.crypto.keychain import KeyChain, KeyChainAuthenticator
-from repro.crypto.mac import MICRO_MAC_BITS, MacScheme, MicroMacScheme
+from repro.crypto.mac import MacScheme
 from repro.crypto.onewayfn import OneWayFunction
 from repro.crypto.pebbled import PebbledKeyChain, pebble_bound
 from repro.errors import ConfigurationError, ReproError
@@ -378,49 +370,6 @@ def _bench_umac_reservoir(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]
     }
 
 
-def _bench_fast_umac(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]:
-    """μMAC tag generation three ways: scalar HMAC, batched HMAC, and the
-    opt-in keyed-BLAKE2s fast path (``kernels.FAST_UMAC``).
-
-    ``faithful_bytes`` is false for the fast column by design — the fast
-    tags differ from the HMAC reference byte-for-byte while keeping the
-    same 2^-bits distributional collision model, so figures produced
-    under it are statistically, not bitwise, equivalent.
-    """
-    micro = MicroMacScheme()
-    key = b"\x24" * 16
-    flood = int(preset["umac_flood"])
-    macs = [b"mac-%06d" % i for i in range(flood)]
-
-    def scalar() -> int:
-        for mac in macs:
-            # reprolint: disable=RPL009 -- the scalar column of the bench: per-call compute is what is being timed
-            micro.compute(key, mac)
-        return flood
-
-    def batched() -> int:
-        micro.compute_many(key, macs)
-        return flood
-
-    set_kernels_enabled(True)
-    hmac_scalar = _best_rate(scalar, repeat)
-    hmac_batched = _best_rate(batched, repeat)
-    with fast_umac(True):
-        fast_rate = _best_rate(batched, repeat)
-    return {
-        "flood": flood,
-        "bits": MICRO_MAC_BITS,
-        "hmac_scalar_ops_per_sec": round(hmac_scalar, 1),
-        "hmac_batched_ops_per_sec": round(hmac_batched, 1),
-        "fast_ops_per_sec": round(fast_rate, 1),
-        "batched_speedup": (
-            round(hmac_batched / hmac_scalar, 3) if hmac_scalar else 0.0
-        ),
-        "fast_speedup": round(fast_rate / hmac_scalar, 3) if hmac_scalar else 0.0,
-        "faithful_bytes": False,
-    }
-
-
 def _bench_pebbled(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]:
     length = int(preset["pebbled_length"])
     function = OneWayFunction("F")
@@ -529,7 +478,6 @@ def run_bench(preset: str = "smoke", repeat: int = 3) -> Dict[str, Any]:
             "mac_verify": _bench_mac_verify(sizes, repeat),
             "mac_batch": _bench_mac_batch(sizes, repeat),
             "umac_reservoir": _bench_umac_reservoir(sizes, repeat),
-            "fast_umac": _bench_fast_umac(sizes, repeat),
             "pebbled": _bench_pebbled(sizes, repeat),
             "scenario": _bench_scenario(sizes),
         }

@@ -68,24 +68,18 @@ so peak memory tracks one shard regardless of fleet size. Parallel
 executors receive the packed mask through
 :class:`multiprocessing.shared_memory.SharedMemory` (one copy for the
 whole pool, closed and unlinked in ``finally`` paths).
-
-:func:`statistical_equivalence` is the cross-check harness: it runs
-both engines over a seed set and bounds the paired auth/attack-rate
-differences with a confidence interval (identically zero under the
-exact-mirroring contract, which the parity tests pin per family).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro import perf
-from repro.analysis.statistics import MeanEstimate, mean_estimate
 from repro.crypto import kernels
 from repro.crypto.mac import INDEX_BITS, MacScheme, MicroMacScheme
 from repro.crypto.onewayfn import OneWayFunction, standard_functions
@@ -150,8 +144,6 @@ __all__ = [
     "supports",
     "shard_plan",
     "run_fleet_scenario",
-    "statistical_equivalence",
-    "EquivalenceReport",
 ]
 
 #: Protocols the vectorized fast path covers (catalog-complete) — the
@@ -1937,72 +1929,4 @@ def run_fleet_scenario(
         forged_bandwidth_fraction=forged_fraction,
         simulated_seconds=simulated,
         nodes=(),
-    )
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """DES-vs-vectorized cross-check over a seed set.
-
-    Attributes:
-        config: the scenario compared (seed field varies per run).
-        seeds: the seeds compared.
-        identical: how many seeds produced byte-identical fleet
-            summaries (the exact-mirroring contract makes this equal
-            ``len(seeds)`` for every supported family).
-        auth_rate_diff: paired authentication-rate differences
-            (vectorized minus DES), with confidence bounds.
-        attack_rate_diff: paired attack-success-rate differences.
-        passes: whether both confidence intervals contain zero (within
-            ``tolerance``).
-    """
-
-    config: ScenarioConfig
-    seeds: Tuple[int, ...]
-    identical: int
-    auth_rate_diff: MeanEstimate
-    attack_rate_diff: MeanEstimate
-    passes: bool
-
-
-def statistical_equivalence(
-    config: ScenarioConfig,
-    seeds: Sequence[int],
-    confidence: float = 0.95,
-    tolerance: float = 1e-9,
-) -> EquivalenceReport:
-    """Run both engines over ``seeds`` and bound their rate differences.
-
-    The exact-mirroring contract makes the differences identically zero
-    for every supported family; the harness proves it per preset (and
-    remains the right tool for future fast paths where per-draw
-    mirroring is impractical and only distributional equality holds).
-    """
-    from repro.sim.scenario import run_scenario
-
-    if not seeds:
-        raise ConfigurationError("seeds must be non-empty")
-    auth_diffs: List[float] = []
-    attack_diffs: List[float] = []
-    identical = 0
-    for seed in seeds:
-        des = run_scenario(replace(config, seed=seed, engine="des"))
-        fast = run_fleet_scenario(replace(config, seed=seed, engine="vectorized"))
-        auth_diffs.append(fast.authentication_rate - des.authentication_rate)
-        attack_diffs.append(fast.attack_success_rate - des.attack_success_rate)
-        if fast.fleet == des.fleet:
-            identical += 1
-    auth = mean_estimate(auth_diffs, confidence)
-    attack = mean_estimate(attack_diffs, confidence)
-    passes = (
-        auth.low - tolerance <= 0.0 <= auth.high + tolerance
-        and attack.low - tolerance <= 0.0 <= attack.high + tolerance
-    )
-    return EquivalenceReport(
-        config=config,
-        seeds=tuple(seeds),
-        identical=identical,
-        auth_rate_diff=auth,
-        attack_rate_diff=attack,
-        passes=passes,
     )

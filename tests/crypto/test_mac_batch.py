@@ -1,21 +1,17 @@
-"""Batch MAC/μMAC APIs: scalar parity, kernel on/off parity, FAST_UMAC.
+"""Batch MAC/μMAC APIs: scalar parity and kernel on/off parity.
 
 Every ``*_many`` method must be positionally bit-identical to its
-scalar counterpart on both kernel paths; the opt-in ``FAST_UMAC``
-BLAKE2s path is *deliberately* non-faithful byte-wise, so here we pin
-its routing, determinism, gating and width contract instead.
+scalar counterpart on both kernel paths.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro import perf
 from repro.crypto import kernels
-from repro.crypto.kernels import fast_micro_mac, fast_umac, kernels_disabled
-from repro.crypto.mac import MICRO_MAC_BITS, MacScheme, MicroMacScheme
+from repro.crypto.kernels import kernels_disabled
+from repro.crypto.mac import MacScheme, MicroMacScheme
 from repro.errors import ConfigurationError
 
 KEY = b"batch-key-0123456789"
@@ -33,25 +29,23 @@ BOUNDARY_BITS = (1, 7, 24, 80, 255, 256)
 class TestMacComputeManyParity:
     def test_matches_scalar_compute(self, bits, enabled):
         scheme = MacScheme(mac_bits=bits)
-        with fast_umac(False):
-            previous = kernels.set_kernels_enabled(enabled)
-            try:
-                batched = scheme.compute_many(KEY, MESSAGES)
-                scalar = [scheme.compute(KEY, m) for m in MESSAGES]
-            finally:
-                kernels.set_kernels_enabled(previous)
+        previous = kernels.set_kernels_enabled(enabled)
+        try:
+            batched = scheme.compute_many(KEY, MESSAGES)
+            scalar = [scheme.compute(KEY, m) for m in MESSAGES]
+        finally:
+            kernels.set_kernels_enabled(previous)
         assert batched == scalar
         assert all(len(mac) == (bits + 7) // 8 for mac in batched)
 
     def test_micro_matches_scalar_compute(self, bits, enabled):
         micro = MicroMacScheme(micro_mac_bits=bits)
-        with fast_umac(False):
-            previous = kernels.set_kernels_enabled(enabled)
-            try:
-                batched = micro.compute_many(LOCAL, MESSAGES)
-                scalar = [micro.compute(LOCAL, m) for m in MESSAGES]
-            finally:
-                kernels.set_kernels_enabled(previous)
+        previous = kernels.set_kernels_enabled(enabled)
+        try:
+            batched = micro.compute_many(LOCAL, MESSAGES)
+            scalar = [micro.compute(LOCAL, m) for m in MESSAGES]
+        finally:
+            kernels.set_kernels_enabled(previous)
         assert batched == scalar
 
 
@@ -132,85 +126,3 @@ class TestBatchCounters:
         assert registry.counter("crypto.mac.batches") == 2
         assert registry.counter("crypto.mac") == 2 * len(MESSAGES)
 
-
-class TestFastUmac:
-    def test_default_off(self):
-        assert kernels.FAST_UMAC is False
-        assert kernels.fast_umac_enabled() is False
-
-    def test_gated_by_kernel_master_switch(self):
-        with fast_umac(True):
-            assert kernels.fast_umac_enabled() is True
-            with kernels_disabled():
-                assert kernels.fast_umac_enabled() is False
-            assert kernels.fast_umac_enabled() is True
-        assert kernels.fast_umac_enabled() is False
-
-    def test_context_manager_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with fast_umac(True):
-                raise RuntimeError("boom")
-        assert kernels.FAST_UMAC is False
-
-    def test_routes_compute_through_the_kernel(self):
-        micro = MicroMacScheme()
-        faithful = micro.compute(LOCAL, MESSAGES[0])
-        with fast_umac(True):
-            fast = micro.compute(LOCAL, MESSAGES[0])
-            assert fast == fast_micro_mac(LOCAL, MESSAGES[0], MICRO_MAC_BITS)
-        assert fast != faithful  # non-faithful by design
-        assert len(fast) == len(faithful) == (MICRO_MAC_BITS + 7) // 8
-
-    def test_compute_many_matches_scalar_on_the_fast_path(self):
-        micro = MicroMacScheme()
-        with fast_umac(True):
-            batched = micro.compute_many(LOCAL, MESSAGES)
-            scalar = [micro.compute(LOCAL, m) for m in MESSAGES]
-        assert batched == scalar
-
-    def test_verify_roundtrip_on_the_fast_path(self):
-        micro = MicroMacScheme()
-        with fast_umac(True):
-            tag = micro.compute(LOCAL, MESSAGES[0])
-            assert micro.verify(LOCAL, MESSAGES[0], tag)
-            assert not micro.verify(LOCAL, MESSAGES[1], tag)
-
-    def test_kernels_disabled_forces_the_faithful_path(self):
-        """Parity harnesses run under kernels_disabled(); FAST_UMAC must
-        not leak through it."""
-        micro = MicroMacScheme()
-        faithful = micro.compute(LOCAL, MESSAGES[0])
-        with fast_umac(True), kernels_disabled():
-            assert micro.compute(LOCAL, MESSAGES[0]) == faithful
-            assert micro.compute_many(LOCAL, MESSAGES[:3]) == [
-                faithful,
-                micro.compute(LOCAL, MESSAGES[1]),
-                micro.compute(LOCAL, MESSAGES[2]),
-            ]
-
-    def test_long_keys_fold_deterministically(self):
-        long_key = b"\x7e" * 100  # past BLAKE2s's 32-byte key limit
-        first = fast_micro_mac(long_key, MESSAGES[0], MICRO_MAC_BITS)
-        again = fast_micro_mac(long_key, MESSAGES[0], MICRO_MAC_BITS)
-        assert first == again
-        assert first != fast_micro_mac(
-            b"\x7e" * 32, MESSAGES[0], MICRO_MAC_BITS
-        )
-
-    @given(st.binary(min_size=1, max_size=64), st.binary(max_size=64))
-    def test_fast_tag_is_deterministic_and_width_correct(self, key, data):
-        for bits in (7, 24, 80, 255):
-            tag = fast_micro_mac(key, data, bits)
-            assert tag == fast_micro_mac(key, data, bits)
-            assert len(tag) == (bits + 7) // 8
-            spare = len(tag) * 8 - bits
-            if spare:
-                assert tag[-1] & ((1 << spare) - 1) == 0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigurationError):
-            fast_micro_mac(b"", b"data", 24)
-        with pytest.raises(ConfigurationError):
-            fast_micro_mac(b"key", b"data", 0)
-        with pytest.raises(ConfigurationError):
-            fast_micro_mac(b"key", b"data", 257)

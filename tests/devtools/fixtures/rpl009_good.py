@@ -1,12 +1,6 @@
-"""RPL009 good corpus: batch APIs and the kernel-routed fast path."""
+"""RPL009 good corpus: batch APIs, and scalar calls outside loops."""
 
-from repro.crypto import kernels
 from repro.crypto.mac import MacScheme, MicroMacScheme
-
-
-def fast_tag(key: bytes, mac: bytes) -> bytes:
-    # the non-faithful fast μMAC goes through the kernel switchboard
-    return kernels.fast_micro_mac(key, mac, 24)
 
 
 def verify_all(scheme: MacScheme, key: bytes, records):

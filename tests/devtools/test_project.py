@@ -178,7 +178,7 @@ def test_file_rules_still_fire_under_project_pass(tmp_path):
         per_rule.setdefault(violation.rule, 0)
         per_rule[violation.rule] += 1
     assert per_rule.get("RPL007") == 4, per_rule
-    assert per_rule.get("RPL009") == 4, per_rule
+    assert per_rule.get("RPL009") == 2, per_rule
     assert "RPL010" in report.rules and "RPL012" in report.rules
 
 

@@ -17,7 +17,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: fixture). The paths deliberately sit *outside* the real package
 #: files so the corpus keeps working however the tree evolves.
 CASES = {
-    "RPL001": ("repro/protocols/fixture_mod.py", 2),
+    "RPL001": ("repro/protocols/fixture_mod.py", 3),
     "RPL002": ("repro/sim/fixture_mod.py", 4),
     "RPL003": ("repro/net/fixture_mod.py", 2),
     "RPL004": ("repro/analysis/fixture_mod.py", 3),
@@ -25,7 +25,7 @@ CASES = {
     "RPL006": ("repro/game/fixture_mod.py", 1),
     "RPL007": ("repro/scenarios/fixture_mod.py", 4),
     "RPL008": ("repro/sim/fixture_mod.py", 3),
-    "RPL009": ("repro/protocols/fixture_mod.py", 4),
+    "RPL009": ("repro/protocols/fixture_mod.py", 2),
 }
 
 

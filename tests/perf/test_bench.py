@@ -48,7 +48,7 @@ class TestRunBench:
         results = smoke_document["results"]
         assert set(results) == {
             "one_way", "keychain_walks", "mac_verify", "mac_batch",
-            "umac_reservoir", "fast_umac", "pebbled", "scenario",
+            "umac_reservoir", "pebbled", "scenario",
         }
         for section in ("one_way", "keychain_walks", "mac_verify"):
             assert results[section]["naive_ops_per_sec"] > 0
@@ -63,13 +63,6 @@ class TestRunBench:
         assert smoke_document["results"]["umac_reservoir"][
             "identical_survivors"
         ] is True
-
-    def test_fast_umac_section_is_marked_non_faithful(self, smoke_document):
-        fast = smoke_document["results"]["fast_umac"]
-        assert fast["faithful_bytes"] is False
-        assert fast["hmac_scalar_ops_per_sec"] > 0
-        assert fast["fast_ops_per_sec"] > 0
-        assert fast["fast_speedup"] > 0
 
     def test_scenario_reports_the_three_way_comparison(self, smoke_document):
         scenario = smoke_document["results"]["scenario"]
@@ -107,17 +100,27 @@ class TestRunBench:
         assert path.read_text().endswith("\n")
 
 
+BENCH_CRYPTO = Path(__file__).resolve().parents[2] / "BENCH_crypto.json"
+
+
 class TestCheckedInArtifact:
     def test_bench_crypto_artifact_meets_the_speedup_floor(self):
         """The committed BENCH_crypto.json documents the fig5 end-to-end
         speedup the CI perf-smoke job enforces: naive DES stack vs the
         fleet kernel stack, summaries byte-identical in the same run."""
-        path = Path(__file__).resolve().parents[2] / "BENCH_crypto.json"
-        scenario = json.loads(path.read_text())["results"]["scenario"]
+        scenario = json.loads(BENCH_CRYPTO.read_text())["results"]["scenario"]
         assert scenario["identical_summaries"] is True
         assert scenario["speedup"] >= 1.5
         assert scenario["replay_speedup"] > 0
         assert scenario["counters"]["crypto.mac.batches"] > 0
+
+    def test_bench_crypto_artifact_has_the_current_sections(
+        self, smoke_document
+    ):
+        """A section run_bench no longer writes (or one it writes but the
+        artifact lacks) means the committed file is stale."""
+        committed = json.loads(BENCH_CRYPTO.read_text())["results"]
+        assert set(committed) == set(smoke_document["results"])
 
 
 class TestSimBenchReceiversScaling:
