@@ -1,8 +1,8 @@
-"""K-1 — kernel parity benches: cached paths must never be slower.
+"""K-1 — kernel benches: cached and batched paths must never be slower.
 
-The midstate/walk-cache/pebbling layer exists to make the hot path
+The walk-cache/batching/pebbling layer exists to make the hot path
 cheaper, so the regression these benches guard is the embarrassing one:
-a "kernel" path losing to the naive path it replaced. Timing asserts
+a "kernel" path losing to the per-call path beside it. Timing asserts
 use best-of-N manual loops with lenient margins (1.15x) so scheduler
 noise on shared CI runners cannot flake them; the pytest-benchmark
 fixtures report the absolute numbers alongside.
@@ -12,11 +12,7 @@ from __future__ import annotations
 
 import time
 
-from repro.crypto.kernels import (
-    ChainWalkCache,
-    kernels_disabled,
-    set_kernels_enabled,
-)
+from repro.crypto.kernels import ChainWalkCache
 from repro.crypto.keychain import KeyChain, KeyChainAuthenticator
 from repro.crypto.mac import MacScheme
 from repro.crypto.onewayfn import OneWayFunction
@@ -35,39 +31,6 @@ def _best_seconds(fn, repeat: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - started)
     return best
-
-
-def test_midstate_not_slower_than_naive():
-    """The micro-bench the issue asks for: the midstate-cached one-way
-    function must be no slower than re-hashing the prefix every call."""
-    function = OneWayFunction("F")
-    value = b"\x5a" * function.output_bytes
-
-    def burst():
-        v = value
-        for _ in range(3000):
-            v = function(v)
-
-    set_kernels_enabled(True)
-    cached = _best_seconds(burst)
-    with kernels_disabled():
-        naive = _best_seconds(burst)
-    set_kernels_enabled(True)
-    assert cached <= naive * NOISE_MARGIN, (cached, naive)
-
-
-def test_iterate_midstate_not_slower(benchmark):
-    function = OneWayFunction("F")
-    value = b"\x33" * function.output_bytes
-
-    def walk():
-        return function.iterate(value, 500)
-
-    with kernels_disabled():
-        naive = _best_seconds(walk)
-    cached = _best_seconds(walk)
-    assert cached <= naive * NOISE_MARGIN, (cached, naive)
-    benchmark(walk)
 
 
 def test_walk_cache_duplicate_flood(benchmark):

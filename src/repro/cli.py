@@ -1245,13 +1245,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     write_bench_json(json_path, document)
     results = document["results"]
     rows = [
-        ("one-way (midstate vs naive)", results["one_way"]["speedup"]),
         ("keychain flood walks", results["keychain_walks"]["speedup"]),
         ("mac verify_many", results["mac_verify"]["speedup"]),
         ("mac compute_many", results["mac_batch"]["speedup"]),
         ("reservoir offer_many", results["umac_reservoir"]["speedup"]),
         ("scenario wall (naive stack)", results["scenario"]["speedup"]),
-        ("scenario replay (off vs on)", results["scenario"]["replay_speedup"]),
     ]
     for label, speedup in rows:
         print(f"{label:<30}: {speedup:.2f}x")

@@ -5,12 +5,7 @@ with explicit domain separation and bit-accurate output widths so the
 storage/bandwidth accounting matches the paper's numbers.
 """
 
-from repro.crypto.kernels import (
-    ChainWalkCache,
-    kernels_disabled,
-    kernels_enabled,
-    set_kernels_enabled,
-)
+from repro.crypto.kernels import ChainWalkCache
 from repro.crypto.keychain import (
     KeyChain,
     KeyChainAuthenticator,
@@ -54,11 +49,8 @@ __all__ = [
     "PebbledKeyChain",
     "TwoLevelKeyChain",
     "derive_seed_key",
-    "kernels_disabled",
-    "kernels_enabled",
     "make_key_chain",
     "pebble_bound",
-    "set_kernels_enabled",
     "standard_functions",
     "truncate_to_bits",
 ]

@@ -1,4 +1,4 @@
-"""Midstate-cached crypto kernels and the kernel on/off switch.
+"""Midstate-cached crypto kernels.
 
 Every packet the simulator, the game's payoff evaluation and the live
 testbed push through a protocol bottoms out in two hot paths:
@@ -16,10 +16,8 @@ testbed push through a protocol bottoms out in two hot paths:
   duplicate flood costs one dictionary hit instead of a back-walk.
 
 Everything here is *exact*: the cached paths are bit-identical to the
-naive ones (property-tested), and :func:`set_kernels_enabled` switches
-the whole layer off so equivalence is checkable end-to-end
-(``tests/perf/test_parity.py`` runs seeded scenarios both ways and
-compares summaries).
+stdlib ``hashlib``/``hmac`` expressions they replace and to the
+uncached walk, which the property tests use as their oracles.
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro import perf
 from repro.devtools.sanitizers.locks import optional_lock
@@ -38,45 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crypto.onewayfn import OneWayFunction
 
 __all__ = [
-    "ENABLED",
     "ChainWalkCache",
     "hmac_midstate",
-    "kernels_disabled",
-    "kernels_enabled",
-    "set_kernels_enabled",
     "sha256_digest",
     "sha256_midstate",
 ]
-
-#: Module-wide switch. Hot paths read this directly; flip it with
-#: :func:`set_kernels_enabled` (or the :func:`kernels_disabled` context
-#: manager) to fall back to the naive reference implementations, which
-#: the parity tests use as the oracle for every kernel here.
-ENABLED: bool = True
-
-
-def kernels_enabled() -> bool:
-    """Whether the midstate/walk-cache kernels are active."""
-    return ENABLED
-
-
-def set_kernels_enabled(flag: bool) -> bool:
-    """Switch the kernels on or off; returns the previous setting."""
-    global ENABLED
-    previous = ENABLED
-    ENABLED = bool(flag)
-    return previous
-
-
-@contextmanager
-def kernels_disabled() -> Iterator[None]:
-    """Run a block on the naive reference paths (restores on exit)."""
-    previous = set_kernels_enabled(False)
-    try:
-        yield
-    finally:
-        set_kernels_enabled(previous)
-
 
 # ----------------------------------------------------------------------
 # midstate caches
@@ -106,13 +69,13 @@ def sha256_digest(data: bytes, *, prefix: bytes = b"") -> bytes:
     The routing point for call sites outside the crypto hot loops
     (workload readings, deterministic message payloads, seed
     derivation) so every hash in the tree flows through one module —
-    reprolint's RPL001 pins that. With a non-empty ``prefix`` and the
-    kernels enabled, the prefix absorption comes from the midstate
-    cache; the digest is bit-identical either way. ``prefix`` must be
+    reprolint's RPL001 pins that. With a non-empty ``prefix`` the
+    prefix absorption comes from the midstate cache; the digest is
+    bit-identical to hashing the concatenation. ``prefix`` must be
     a fixed domain-separation label (it keys the unbounded midstate
     cache) — variable content belongs in ``data``.
     """
-    if prefix and ENABLED:
+    if prefix:
         h = sha256_midstate(prefix).copy()
         h.update(data)
         return h.digest()
@@ -195,10 +158,9 @@ class ChainWalkCache:
     def iterate(self, value: bytes, times: int) -> bytes:
         """Memoized ``function.iterate(value, times)``.
 
-        Bit-identical to the uncached walk; with kernels disabled the
-        memo layer is bypassed entirely so on/off runs do the same work.
+        Bit-identical to the uncached walk.
         """
-        if times <= 0 or not ENABLED:
+        if times <= 0:
             # times == 0 is the identity, times < 0 raises inside
             # iterate — neither is worth a cache slot.
             return self._function.iterate(value, times)

@@ -19,7 +19,6 @@ Truncation widths are explicit so the bit-accurate storage model in
 
 from __future__ import annotations
 
-import hashlib
 import hmac as _hmac
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
@@ -50,21 +49,17 @@ INDEX_BITS = 32
 
 
 def _hmac_truncated(key: bytes, message: bytes, bits: int, label: bytes) -> bytes:
-    """One HMAC: midstate-cloned when the kernels are on, naive otherwise.
+    """One HMAC-SHA-256 over ``label || "|" || message``, truncated.
 
-    Both paths produce identical bytes — HMAC absorbs its input as a
-    stream, so cloning a state that already holds ``label || "|"`` and
-    feeding it ``message`` equals hashing the concatenation outright.
+    HMAC absorbs its input as a stream, so cloning a midstate that
+    already holds ``label || "|"`` and feeding it ``message`` equals
+    hashing the concatenation outright.
     """
     if perf.ACTIVE is not None:
         perf.ACTIVE.incr("crypto.mac")
-    if kernels.ENABLED:
-        h = kernels.hmac_midstate(key, label).copy()
-        h.update(message)
-        return truncate_to_bits(h.digest(), bits)
-    # reprolint: disable=RPL001 -- kernels-disabled reference path, parity-tested against hmac_midstate
-    digest = _hmac.new(key, label + b"|" + message, hashlib.sha256).digest()
-    return truncate_to_bits(digest, bits)
+    h = kernels.hmac_midstate(key, label).copy()
+    h.update(message)
+    return truncate_to_bits(h.digest(), bits)
 
 
 @dataclass(frozen=True)
@@ -109,22 +104,13 @@ class MacScheme:
             perf.ACTIVE.incr("crypto.mac.batches")
         key = bytes(key)
         bits = self.mac_bits
-        if kernels.ENABLED:
-            base = kernels.hmac_midstate(key, b"repro.mac")
-            out = []
-            for message in items:
-                h = base.copy()
-                h.update(message)
-                out.append(truncate_to_bits(h.digest(), bits))
-            return out
-        return [
-            truncate_to_bits(
-                # reprolint: disable=RPL001 -- kernels-disabled reference path, parity-tested against hmac_midstate
-                _hmac.new(key, b"repro.mac|" + message, hashlib.sha256).digest(),
-                bits,
-            )
-            for message in items
-        ]
+        base = kernels.hmac_midstate(key, b"repro.mac")
+        out = []
+        for message in items:
+            h = base.copy()
+            h.update(message)
+            out.append(truncate_to_bits(h.digest(), bits))
+        return out
 
     def verify(self, key: bytes, message: bytes, mac: bytes) -> bool:
         """Constant-time check that ``mac`` authenticates ``message``."""
@@ -194,22 +180,13 @@ class MicroMacScheme:
             perf.ACTIVE.incr("crypto.mac.batches")
         local_key = bytes(local_key)
         bits = self.micro_mac_bits
-        if kernels.ENABLED:
-            base = kernels.hmac_midstate(local_key, b"repro.umac")
-            out = []
-            for mac in items:
-                h = base.copy()
-                h.update(mac)
-                out.append(truncate_to_bits(h.digest(), bits))
-            return out
-        return [
-            truncate_to_bits(
-                # reprolint: disable=RPL001 -- kernels-disabled reference path, parity-tested against hmac_midstate
-                _hmac.new(local_key, b"repro.umac|" + mac, hashlib.sha256).digest(),
-                bits,
-            )
-            for mac in items
-        ]
+        base = kernels.hmac_midstate(local_key, b"repro.umac")
+        out = []
+        for mac in items:
+            h = base.copy()
+            h.update(mac)
+            out.append(truncate_to_bits(h.digest(), bits))
+        return out
 
     def verify(self, local_key: bytes, mac: bytes, micro_mac: bytes) -> bool:
         """Constant-time check of a stored μMAC against a recomputed MAC."""

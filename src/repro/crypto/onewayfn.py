@@ -24,7 +24,6 @@ functions even though both are backed by SHA-256.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import ClassVar, Dict
 
@@ -131,12 +130,9 @@ class OneWayFunction:
         active = perf.ACTIVE
         if active is not None:
             active.incr("crypto.hash")
-        if kernels.ENABLED:
-            h = kernels.sha256_midstate(self._prefix).copy()
-            h.update(value)
-            return self._truncate(h.digest())
-        # reprolint: disable=RPL001 -- kernels-disabled reference path, parity-tested against the midstate kernel
-        return self._truncate(hashlib.sha256(self._prefix + bytes(value)).digest())
+        h = kernels.sha256_midstate(self._prefix).copy()
+        h.update(value)
+        return self._truncate(h.digest())
 
     def iterate(self, value: bytes, times: int) -> bytes:
         """Apply the function ``times`` times (``times = 0`` is identity).
@@ -156,17 +152,11 @@ class OneWayFunction:
             active.incr("crypto.hash", times)
             active.observe("crypto.chain_walk", times)
         truncate = self._truncate
-        if kernels.ENABLED:
-            midstate = kernels.sha256_midstate(self._prefix)
-            for _ in range(times):
-                h = midstate.copy()
-                h.update(result)
-                result = truncate(h.digest())
-        else:
-            prefix = self._prefix
-            for _ in range(times):
-                # reprolint: disable=RPL001 -- kernels-disabled reference path, parity-tested against the midstate kernel
-                result = truncate(hashlib.sha256(prefix + result).digest())
+        midstate = kernels.sha256_midstate(self._prefix)
+        for _ in range(times):
+            h = midstate.copy()
+            h.update(result)
+            result = truncate(h.digest())
         return result
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Union
 
-from repro.crypto import kernels
 from repro.crypto.keychain import KeyChain, derive_seed_key
 from repro.crypto.onewayfn import OneWayFunction
 from repro.errors import (
@@ -253,20 +252,14 @@ def make_key_chain(
     length: int,
     function: Optional[OneWayFunction] = None,
     label: str = "chain",
-    pebbled: Optional[bool] = None,
 ) -> KeyChainLike:
     """Build the right chain implementation for ``length``.
 
     Short chains stay dense (:class:`KeyChain`); chains of
     :data:`PEBBLED_THRESHOLD` intervals or more — the load-harness
     soak regime — get :class:`PebbledKeyChain`'s O(log n) storage.
-    Pass ``pebbled`` explicitly to override, and note the two produce
-    bit-identical commitments and keys either way. With the crypto
-    kernels globally disabled the dense reference implementation is
-    always used.
+    The two produce bit-identical commitments and keys.
     """
-    if pebbled is None:
-        pebbled = kernels.ENABLED and length >= PEBBLED_THRESHOLD
-    if pebbled:
+    if length >= PEBBLED_THRESHOLD:
         return PebbledKeyChain(seed, length, function, label)
     return KeyChain(seed, length, function, label)

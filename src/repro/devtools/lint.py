@@ -9,7 +9,7 @@ violations into a :class:`LintReport` with deterministic ordering.
 
 Suppression syntax (both forms take an optional ``-- justification``):
 
-- ``# reprolint: disable=RPL001`` on a flagged line (or on its own
+- ``# reprolint: disable=RPL009`` on a flagged line (or on its own
   line directly above one) silences the named rule(s) there; several
   codes may be comma-separated. A directive anywhere on a multi-line
   statement covers the whole statement, so a call spanning several

@@ -134,10 +134,9 @@ class KernelRoutingRule(Rule):
     Direct ``hashlib``/``hmac`` digest calls bypass the midstate caches
     in :mod:`repro.crypto.kernels` and fragment the hot path the perf
     suite measures. Only the kernels module itself and the cache-key
-    reducer (:mod:`repro.engine.hashing`) may touch the primitives;
-    kernels-disabled reference fallbacks carry an annotated
-    suppression. ``hmac.compare_digest`` is comparison, not hashing,
-    and stays allowed.
+    reducer (:mod:`repro.engine.hashing`) may touch the primitives.
+    ``hmac.compare_digest`` is comparison, not hashing, and stays
+    allowed.
     """
 
     code = "RPL001"
@@ -174,8 +173,7 @@ class KernelRoutingRule(Rule):
                 node,
                 f"direct {module}.{attr}() call; route through"
                 " repro.crypto.kernels (sha256_digest/sha256_midstate/"
-                "hmac_midstate) or annotate a kernels-disabled fallback"
-                " with a justified suppression",
+                "hmac_midstate)",
             )
 
 
@@ -945,9 +943,9 @@ class BatchedMacRoutingRule(Rule):
     inside a loop body. Per-call key-block lookups in a flood loop are
     exactly what :meth:`MacScheme.compute_many` / :meth:`verify_many`
     batch away (the fleet replay's single-pair ``verify_many`` bug,
-    generalised); hoist the loop into one batched call. Reference
-    fallbacks and scalar-vs-batched benches carry an annotated
-    suppression. Direct ``hashlib`` calls are RPL001's concern.
+    generalised); hoist the loop into one batched call. Bench columns
+    that time the scalar path, and per-key call sites, carry an
+    annotated suppression. Direct ``hashlib`` calls are RPL001's concern.
     """
 
     code = "RPL009"
@@ -974,7 +972,7 @@ class BatchedMacRoutingRule(Rule):
                     " body: one key-block setup per call is the shape"
                     " compute_many/verify_many batch away; hoist the"
                     " loop into one batched call (or annotate a"
-                    " reference/bench path with a justified"
+                    " bench or per-key path with a justified"
                     " suppression)",
                 )
 

@@ -1,21 +1,20 @@
 """The JSON bench runner behind ``repro bench`` and CI's perf-smoke step.
 
-Benchmarks here are *comparative*: each section measures the naive
-reference path and the kernel path on the same workload in the same
-process, so the JSON it writes (``BENCH_crypto.json`` at the repo root)
-carries defensible speedup ratios rather than machine-dependent
-absolute numbers. Absolute ops/sec are reported too — they anchor the
-ratios — but the checked-in artifact's claim is the ratio column.
+Benchmarks here are *comparative*: each section measures a scalar or
+uncached baseline and the batched or cached path on the same workload
+in the same process, so the JSON it writes (``BENCH_crypto.json`` at
+the repo root) carries defensible speedup ratios rather than
+machine-dependent absolute numbers. Absolute ops/sec are reported
+too — they anchor the ratios — but the checked-in artifact's claim is
+the ratio column.
 
 Sections:
 
-``one_way``
-    Single one-way-function applications, midstate vs naive.
 ``keychain_walks``
     The paper's DoS shape: a receiver back-walking repeated disclosures
-    across a gap. Naive = kernels off, no memo; kernel = midstate +
-    :class:`~repro.crypto.kernels.ChainWalkCache`. This is the ratio the
-    acceptance bar (>= 2x) applies to.
+    across a gap. Naive = no memo; kernel = a
+    :class:`~repro.crypto.kernels.ChainWalkCache`. This is the ratio
+    the acceptance bar (>= 2x) applies to.
 ``mac_verify``
     Batched :meth:`~repro.crypto.mac.MacScheme.verify_many` vs per-pair
     :meth:`~repro.crypto.mac.MacScheme.verify`.
@@ -33,16 +32,14 @@ Sections:
     Sequential sender traversal cost plus the memory story (stored and
     peak pebbles vs the dense chain's ``n`` keys).
 ``scenario``
-    The end-to-end fig5 run, three ways on one config and seed: the
-    naive stack (event-driven DES, kernels off), the fleet engine on
-    its scalar reference replay (kernels off), and the kernel stack
-    (fleet engine's vectorized reservoir kernel + batched crypto,
-    kernels on) — all three summaries asserted byte-identical in the
+    The end-to-end fig5 run, two ways on one config and seed: the
+    naive stack (the event-driven DES, one callback per delivery) and
+    the kernel stack (the fleet engine's vectorized reservoir replay +
+    batched crypto) — both summaries asserted byte-identical in the
     same run, with the counter deltas that prove the kernel run
     exercised the crypto hot path. ``speedup`` is naive stack vs
-    kernel stack; ``replay_speedup`` isolates the vectorized replay
-    (fleet kernels off vs on). The preset's ``scenario_receivers``
-    scales the catalog config's fleet so the walls are measurable.
+    kernel stack. The preset's ``scenario_receivers`` scales the
+    catalog config's fleet so the walls are measurable.
 
 A second suite, :func:`run_sim_bench` (``repro bench --suite sim``,
 ``BENCH_sim.json``), measures the vectorized fleet engine
@@ -69,7 +66,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.buffers.reservoir import ReservoirBuffer
-from repro.crypto.kernels import ChainWalkCache, set_kernels_enabled
+from repro.crypto.kernels import ChainWalkCache
 from repro.crypto.keychain import KeyChain, KeyChainAuthenticator
 from repro.crypto.mac import MacScheme
 from repro.crypto.onewayfn import OneWayFunction
@@ -97,13 +94,12 @@ SCENARIO_PRESETS: Dict[str, ScenarioConfig] = {
     "smoke": get_scenario("smoke-t2").config,
 }
 
-#: Bench sizing presets: (one-way ops, walk gap, walk repeats, MAC batch,
+#: Bench sizing presets: (walk gap, walk repeats, MAC batch,
 #: μMAC flood sizes, pebbled chain length, scenario preset + fleet size).
 #: Both presets point ``scenario`` at fig5 so even the CI smoke artifact
 #: carries the fig5 end-to-end speedup the acceptance bar applies to.
 BENCH_PRESETS: Dict[str, Dict[str, Any]] = {
     "smoke": {
-        "oneway_ops": 2000,
         "walk_gap": 64,
         "walk_repeats": 200,
         "mac_batch": 64,
@@ -115,7 +111,6 @@ BENCH_PRESETS: Dict[str, Dict[str, Any]] = {
         "scenario_receivers": 50,
     },
     "full": {
-        "oneway_ops": 20000,
         "walk_gap": 64,
         "walk_repeats": 2000,
         "mac_batch": 64,
@@ -180,29 +175,6 @@ def _best_rate(fn: Callable[[], int], repeat: int) -> float:
     return best
 
 
-def _bench_one_way(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]:
-    function = OneWayFunction("F")
-    payload = b"\x5a" * function.output_bytes
-    ops = int(preset["oneway_ops"])
-
-    def burst() -> int:
-        value = payload
-        for _ in range(ops):
-            value = function(value)
-        return ops
-
-    set_kernels_enabled(False)
-    naive = _best_rate(burst, repeat)
-    set_kernels_enabled(True)
-    midstate = _best_rate(burst, repeat)
-    return {
-        "ops": ops,
-        "naive_ops_per_sec": round(naive, 1),
-        "kernel_ops_per_sec": round(midstate, 1),
-        "speedup": round(midstate / naive, 3) if naive else 0.0,
-    }
-
-
 def _bench_keychain_walks(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]:
     """The flooding-receiver shape: the same disclosure verified over and
     over across a ``gap``-step back-walk (duplicate floods, re-disclosures,
@@ -231,9 +203,7 @@ def _bench_keychain_walks(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]
             authenticator.authenticate(forged, gap)
         return repeats
 
-    set_kernels_enabled(False)
     naive = _best_rate(naive_burst, repeat)
-    set_kernels_enabled(True)
     cached = _best_rate(cached_burst, repeat)
     return {
         "gap": gap,
@@ -264,9 +234,7 @@ def _bench_mac_verify(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]:
             scheme.verify_many(key, pairs)
         return rounds * batch
 
-    set_kernels_enabled(False)
     naive = _best_rate(per_pair, repeat)
-    set_kernels_enabled(True)
     many = _best_rate(batched, repeat)
     return {
         "batch": batch,
@@ -279,10 +247,9 @@ def _bench_mac_verify(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]:
 def _bench_mac_batch(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]:
     """Sender-side shape: MAC a whole broadcast slot under one key.
 
-    Unlike :func:`_bench_mac_verify` (kernels off vs on), both sides
-    here run with the kernels on — the section isolates what the batch
-    API itself buys over per-call :meth:`MacScheme.compute`, i.e. one
-    midstate lookup per *batch* instead of per digest.
+    Isolates what the batch API itself buys over per-call
+    :meth:`MacScheme.compute`, i.e. one midstate lookup per *batch*
+    instead of per digest.
     """
     scheme = MacScheme()
     key = b"\x42" * 10
@@ -302,7 +269,6 @@ def _bench_mac_batch(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]:
             scheme.compute_many(key, messages)
         return rounds * batch
 
-    set_kernels_enabled(True)
     scalar_rate = _best_rate(scalar, repeat)
     many_rate = _best_rate(batched, repeat)
     return {
@@ -391,58 +357,45 @@ def _bench_pebbled(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]:
     }
 
 
-def _bench_scenario(preset: Dict[str, Any]) -> Dict[str, Any]:
-    """End-to-end fig5 three ways on one config and seed.
+def _bench_scenario(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]:
+    """End-to-end fig5 two ways on one config and seed.
 
-    1. event-driven engine, kernels off — the naive stack;
-    2. fleet engine, kernels off — the scalar reference replay;
-    3. fleet engine, kernels on — the kernel stack (batched MACs,
-       midstates, one-pass numpy reservoir replay).
+    1. event-driven engine — the naive stack;
+    2. fleet engine — the kernel stack (batched MACs, midstates,
+       one-pass numpy reservoir replay).
 
-    All three summaries must be byte-identical (a single divergence
-    fails the bench), so the headline ``speedup`` — naive stack over
-    kernel stack — compares two runs *proven in this very invocation*
-    to compute the same answer. ``replay_speedup`` isolates the
-    vectorized replay against the scalar fleet reference.
+    Both engines run ``repeat`` times (best-of walls, so the fleet
+    engine's one-time lazy imports do not count against it) and every
+    pair of summaries must be byte-identical (a divergence fails the
+    bench), so the headline ``speedup`` — naive stack over kernel
+    stack — compares runs *proven in this very invocation* to compute
+    the same answer. The counters are the last kernel run's.
     """
     base = SCENARIO_PRESETS[str(preset["scenario"])]
     receivers = int(preset.get("scenario_receivers", base.receivers))
     des_config = dataclasses.replace(base, receivers=receivers, engine="des")
     fleet_config = dataclasses.replace(des_config, engine="vectorized")
 
-    set_kernels_enabled(False)
-    started = time.perf_counter()
-    des_result = run_scenario(des_config)
-    naive_wall = time.perf_counter() - started
-
-    started = time.perf_counter()
-    reference_result = run_scenario(fleet_config)
-    reference_wall = time.perf_counter() - started
-
-    set_kernels_enabled(True)
-    with collecting() as kernel_registry:
+    naive_wall = kernel_wall = float("inf")
+    for _ in range(repeat):
         started = time.perf_counter()
-        kernel_result = run_scenario(fleet_config)
-        kernel_wall = time.perf_counter() - started
-
-    if (
-        des_result.fleet != kernel_result.fleet
-        or reference_result.fleet != kernel_result.fleet
-    ):
-        raise ReproError(
-            "scenario engines diverged — the kernel stack is not"
-            " byte-identical to the naive event-driven reference"
-        )
+        des_result = run_scenario(des_config)
+        naive_wall = min(naive_wall, time.perf_counter() - started)
+        with collecting() as kernel_registry:
+            started = time.perf_counter()
+            kernel_result = run_scenario(fleet_config)
+            kernel_wall = min(kernel_wall, time.perf_counter() - started)
+        if des_result.fleet != kernel_result.fleet:
+            raise ReproError(
+                "scenario engines diverged — the kernel stack is not"
+                " byte-identical to the naive event-driven reference"
+            )
     return {
         "preset": str(preset["scenario"]),
         "receivers": receivers,
         "naive_wall_seconds": round(naive_wall, 4),
-        "reference_wall_seconds": round(reference_wall, 4),
         "kernel_wall_seconds": round(kernel_wall, 4),
         "speedup": round(naive_wall / kernel_wall, 3) if kernel_wall else 0.0,
-        "replay_speedup": (
-            round(reference_wall / kernel_wall, 3) if kernel_wall else 0.0
-        ),
         "identical_summaries": True,
         "counters": dict(kernel_registry.counters),
         "walk_cache_hit_rate": round(
@@ -461,7 +414,7 @@ def run_bench(preset: str = "smoke", repeat: int = 3) -> Dict[str, Any]:
         ConfigurationError: for unknown presets or non-positive repeat.
         ReproError: if the instrumented scenario reports zero hash
             invocations (the CI tripwire: it means the counters came
-            unwired from the hot path) or if kernel on/off runs diverge.
+            unwired from the hot path) or if the scenario engines diverge.
     """
     if preset not in BENCH_PRESETS:
         raise ConfigurationError(
@@ -470,19 +423,14 @@ def run_bench(preset: str = "smoke", repeat: int = 3) -> Dict[str, Any]:
     if repeat < 1:
         raise ConfigurationError(f"repeat must be >= 1, got {repeat}")
     sizes = BENCH_PRESETS[preset]
-    previous = set_kernels_enabled(True)
-    try:
-        results = {
-            "one_way": _bench_one_way(sizes, repeat),
-            "keychain_walks": _bench_keychain_walks(sizes, repeat),
-            "mac_verify": _bench_mac_verify(sizes, repeat),
-            "mac_batch": _bench_mac_batch(sizes, repeat),
-            "umac_reservoir": _bench_umac_reservoir(sizes, repeat),
-            "pebbled": _bench_pebbled(sizes, repeat),
-            "scenario": _bench_scenario(sizes),
-        }
-    finally:
-        set_kernels_enabled(previous)
+    results = {
+        "keychain_walks": _bench_keychain_walks(sizes, repeat),
+        "mac_verify": _bench_mac_verify(sizes, repeat),
+        "mac_batch": _bench_mac_batch(sizes, repeat),
+        "umac_reservoir": _bench_umac_reservoir(sizes, repeat),
+        "pebbled": _bench_pebbled(sizes, repeat),
+        "scenario": _bench_scenario(sizes, repeat),
+    }
     counters = results["scenario"]["counters"]
     hashes = counters.get("crypto.hash", 0)
     macs = counters.get("crypto.mac", 0)

@@ -40,15 +40,14 @@ seed, for every family:
   blocks along the slot axis, carrying the per-lane channel state
   between blocks;
 - reservoir draws: per-receiver ``random.Random`` streams replay
-  Algorithm 2's ``m/k`` rule offer-for-offer. With the crypto kernels
-  on, the two-phase replay runs a one-pass numpy reservoir kernel:
-  segmented-cumsum ranks decide every free-slot fill for a whole
-  slot flood at once, and only the overflow offers (rank past
-  capacity) reach a tight scalar loop that consumes the acceptance
-  ``random()`` and the inlined ``randrange``/``getrandbits``
-  rejection draws in exactly the per-offer order. Multi-level
-  receivers share one stream between the CDM and data pools in
-  delivery order, as the DES receiver does;
+  Algorithm 2's ``m/k`` rule offer-for-offer. The two-phase replay
+  runs a one-pass numpy reservoir kernel: segmented-cumsum ranks
+  decide every free-slot fill for a whole slot flood at once, and
+  only the overflow offers (rank past capacity) reach a tight scalar
+  loop that consumes the acceptance ``random()`` and the inlined
+  ``randrange``/``getrandbits`` rejection draws in exactly the
+  per-offer order. Multi-level receivers share one stream between the
+  CDM and data pools in delivery order, as the DES receiver does;
 - forged bytes are replayed from the attacker stream in injection
   order, which is what makes every collision fallback exact.
 
@@ -80,14 +79,13 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, U
 import numpy as np
 
 from repro import perf
-from repro.crypto import kernels
 from repro.crypto.mac import INDEX_BITS, MacScheme, MicroMacScheme
 from repro.crypto.onewayfn import OneWayFunction, standard_functions
 from repro.devtools.sanitizers.determinism import traced_rng
 from repro.devtools.sanitizers.resources import release_resource, track_resource
 from repro.engine.executors import Executor
 from repro.engine.spec import ExperimentSpec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.protocols.dap import DapSender
 from repro.protocols.edrp import edrp_params
 from repro.protocols.eftp import eftp_params
@@ -865,143 +863,6 @@ _Counts = Tuple[
 ]
 
 
-def _replay_two_phase(
-    plan: _TwoPhasePlan,
-    config: ScenarioConfig,
-    start: int,
-    seeds: Sequence[int],
-    delivered: np.ndarray,
-) -> _Counts:
-    """Two-phase replay dispatch: the vectorized slot-flood kernel when
-    the crypto kernels are on, the scalar reference loop otherwise.
-
-    Both paths are byte-identical (the parity tests run seeded
-    scenarios through each and compare summaries against the DES); the
-    kernel processes a whole slot's flood per numpy call instead of one
-    Python iteration per delivered copy.
-    """
-    if kernels.ENABLED:
-        pre = _two_phase_precompute(plan)
-        if pre is not None:
-            return _replay_two_phase_vectorized(
-                plan, pre, config, start, seeds, delivered
-            )
-    return _replay_two_phase_reference(plan, config, start, seeds, delivered)
-
-
-def _replay_two_phase_reference(
-    plan: _TwoPhasePlan,
-    config: ScenarioConfig,
-    start: int,
-    seeds: Sequence[int],
-    delivered: np.ndarray,
-) -> _Counts:
-    """Scalar per-copy replay — the ``kernels_disabled()`` reference
-    path the vectorized kernel is parity-tested against."""
-    kinds = plan.kinds
-    intervals = plan.intervals
-    sources = plan.sources
-    gate = plan.gate
-    announce_macs = plan.announce_macs
-    forged_macs = plan.forged_macs
-    reservoir = plan.reservoir
-    micro = MicroMacScheme(plan.item_bits - INDEX_BITS)
-    capacity = config.buffers
-
-    out: Tuple[List[int], ...] = ([], [], [], [], [], [], [], [])
-    (auth_c, lost_c, rejf_c, weak_c, disc_c, facc_c, recv_c, peak_c) = out
-    for local, seed in enumerate(seeds):
-        local_key = _seed_bytes(config, f"local-{start + local}")
-        rng_r = traced_rng(random.Random(seed), f"receiver-{start + local}")
-        rand = rng_r.random
-        randrange = rng_r.randrange
-        delivered_slots = np.nonzero(delivered[:, local])[0].tolist()
-        # interval -> [seen_count, slot values]; a slot value names the
-        # MAC bytes the DES would have re-hashed into that record.
-        buckets: Dict[int, List[Any]] = {}
-        resolved = set()
-        trusted = 0
-        stored = 0
-        peak = 0
-        n_auth = n_lost = n_weak = n_discarded = 0
-        for b in delivered_slots:
-            kind = kinds[b]
-            if kind != _REVEAL:
-                if not gate[b]:
-                    n_discarded += 1
-                    continue
-                interval = intervals[b]
-                bucket = buckets.get(interval)
-                if bucket is None:
-                    bucket = [0, []]
-                    buckets[interval] = bucket
-                bucket[0] += 1
-                held = bucket[1]
-                if len(held) < capacity:
-                    held.append(sources[b])
-                    stored += 1
-                    if stored > peak:
-                        peak = stored
-                elif reservoir:
-                    # Algorithm 2: keep copy k with probability m/k,
-                    # replacing a uniformly random buffered copy.
-                    if rand() < capacity / bucket[0]:
-                        held[randrange(capacity)] = sources[b]
-                continue
-            interval = intervals[b]
-            source = sources[b]
-            key = (interval, source)
-            if key in resolved:
-                continue
-            if interval > trusted:
-                if interval - trusted > _MAX_KEY_GAP:
-                    n_weak += 1
-                    continue
-                trusted = interval
-            # Weak auth passed: free records older than interval - 1
-            # (one interval of slack for reordered reveals).
-            cutoff = interval - 1
-            stale = [i for i in buckets if i < cutoff]
-            for i in stale:
-                stored -= len(buckets.pop(i)[1])
-            bucket = buckets.get(interval)
-            matched = False
-            if bucket is not None and bucket[1]:
-                held = bucket[1]
-                if source in held:
-                    matched = True
-                else:
-                    # No surviving record shares this reveal's MAC
-                    # bytes — decide by actual μMAC equality so 24-bit
-                    # collisions authenticate exactly as in the DES.
-                    # reprolint: disable=RPL009 -- scalar reference replay: keeps the per-slot shape the vectorized kernel's compute_many batch is parity-tested against
-                    expected = micro.compute(local_key, announce_macs[key])
-                    for slot in held:
-                        mac = (
-                            announce_macs[(interval, slot)]
-                            if slot >= 0
-                            else forged_macs[-1 - slot]
-                        )
-                        # reprolint: disable=RPL009 -- scalar reference replay: per-slot digest order is the baseline the batched kernel path must reproduce
-                        if micro.compute(local_key, mac) == expected:
-                            matched = True
-                            break
-            if matched:
-                resolved.add(key)
-                n_auth += 1
-            else:
-                n_lost += 1
-        auth_c.append(n_auth)
-        lost_c.append(n_lost)
-        rejf_c.append(0)
-        weak_c.append(n_weak)
-        disc_c.append(n_discarded)
-        facc_c.append(0)
-        recv_c.append(len(delivered_slots))
-        peak_c.append(peak * plan.item_bits)
-    return out  # type: ignore[return-value]
-
-
 @dataclass(frozen=True)
 class _TwoPhaseVecPlan:
     """Receiver-independent numpy views of a :class:`_TwoPhasePlan`.
@@ -1009,10 +870,6 @@ class _TwoPhaseVecPlan:
     Offers (gated announce/forged slots) are grouped into contiguous
     per-interval *runs*; reveals carry their position within the offer
     sequence so fills-before-reveal falls out of one cumulative sum.
-    :func:`_two_phase_precompute` returns ``None`` when the slot layout
-    violates the window structure the kernel's frozen-bucket argument
-    needs (never true for plans built here) — the dispatcher then runs
-    the scalar reference loop instead.
     """
 
     offer_rows: np.ndarray
@@ -1029,7 +886,7 @@ class _TwoPhaseVecPlan:
     pos_in_offers: np.ndarray
 
 
-def _two_phase_precompute(plan: _TwoPhasePlan) -> Optional[_TwoPhaseVecPlan]:
+def _two_phase_precompute(plan: _TwoPhasePlan) -> _TwoPhaseVecPlan:
     """Lay out a two-phase plan for the vectorized replay kernel.
 
     Verifies the structural facts the kernel's exactness proof rests
@@ -1037,8 +894,11 @@ def _two_phase_precompute(plan: _TwoPhasePlan) -> Optional[_TwoPhaseVecPlan]:
     ascend, reveals arrive in non-decreasing interval order, and every
     reveal of an interval lands after that interval's last offer (so
     the bucket it matches against is frozen). Announce/reveal windows
-    guarantee all of this for generated plans; any violation falls
-    back to the reference loop rather than risking drift.
+    guarantee all of this for generated plans.
+
+    Raises:
+        SimulationError: if the plan violates any of these facts — the
+            replay would drift from the DES rather than fail.
     """
     kinds = np.asarray(plan.kinds, dtype=np.int64)
     gate = np.asarray(plan.gate, dtype=bool)
@@ -1060,7 +920,9 @@ def _two_phase_precompute(plan: _TwoPhasePlan) -> Optional[_TwoPhaseVecPlan]:
         )
         run_intervals_arr = offer_intervals[run_starts]
         if np.any(np.diff(run_intervals_arr) <= 0):
-            return None  # an interval's offers split across runs
+            raise SimulationError(
+                "two-phase plan: an interval's offers split across runs"
+            )
     else:
         run_starts = np.zeros(0, dtype=np.int64)
         run_ends = np.zeros(0, dtype=np.int64)
@@ -1071,7 +933,9 @@ def _two_phase_precompute(plan: _TwoPhasePlan) -> Optional[_TwoPhaseVecPlan]:
         run_id = np.cumsum(run_id)
     reveal_intervals = intervals[reveal_rows]
     if np.any(np.diff(reveal_intervals) < 0):
-        return None  # out-of-order reveals break the stale-pop pointer
+        raise SimulationError(
+            "two-phase plan: reveals arrive out of interval order"
+        )
     run_of_interval = {
         int(v): idx for idx, v in enumerate(run_intervals_arr.tolist())
     }
@@ -1079,7 +943,10 @@ def _two_phase_precompute(plan: _TwoPhasePlan) -> Optional[_TwoPhaseVecPlan]:
     for row, interval in zip(reveal_rows.tolist(), reveal_intervals.tolist()):
         run = run_of_interval.get(interval)
         if run is not None and row < int(last_offer_row[run]):
-            return None  # bucket not frozen at reveal time
+            raise SimulationError(
+                f"two-phase plan: reveal at slot {row} precedes the last "
+                f"offer of interval {interval}"
+            )
     return _TwoPhaseVecPlan(
         offer_rows=offer_rows,
         discard_rows=discard_rows,
@@ -1120,7 +987,7 @@ def _replay_two_phase_vectorized(
     the per-receiver RNG: a tight scalar loop replays the ``m/k``
     acceptance ``random()`` and the inlined ``randrange`` /
     ``getrandbits`` victim draws for exactly those offers, in delivery
-    order, leaving every bucket byte-identical to the reference loop.
+    order, leaving every bucket byte-identical to the DES receiver's.
     The short reveal pass then replays weak authentication, pops and
     matching per receiver, batching μMAC collision fallbacks through
     :meth:`~repro.crypto.mac.MicroMacScheme.compute_many`.
@@ -1191,13 +1058,13 @@ def _replay_two_phase_vectorized(
 
         # --- overflow offers, receiver-major: the only RNG draws ---
         # (transposing first makes np.nonzero group by receiver, in
-        # offer order — exactly the draw order of the reference loop)
+        # offer order — exactly the DES receiver's draw order)
         if reservoir and offer_rows.size:
             over_t = np.ascontiguousarray((d_off & ~stored_m).T)
             ov_r, ov_c = np.nonzero(over_t)
             ov_split = np.searchsorted(ov_r, np.arange(nb + 1)).tolist()
             # m/k acceptance thresholds; int64 -> float64 division is
-            # bit-identical to the reference's Python capacity / seen.
+            # bit-identical to the DES reservoir's Python capacity / seen.
             thr_all = (capacity / rank[ov_c, ov_r]).tolist()
             rkb_all = rk_base[ov_c].tolist()
             src_all = offer_sources[ov_c].tolist()
@@ -1224,7 +1091,7 @@ def _replay_two_phase_vectorized(
             ):
                 # Keep copy k with probability m/k; the victim draw
                 # inlines CPython randrange's getrandbits rejection
-                # loop (stream-identical to the reference).
+                # loop (stream-identical to the DES reservoir).
                 if rand() < thr:
                     victim = getrandbits(kbits)
                     while victim >= capacity:
@@ -1320,7 +1187,7 @@ def _replay_two_phase_vectorized(
                     trusted = interval
                 # Buffer occupancy right now — evaluated before the
                 # pops below, so together with the end-of-run candidate
-                # it covers every point where the reference's
+                # it covers every point where the DES receiver's
                 # append-time peak can land.
                 stored_now = fb - popped
                 if stored_now > peak:
@@ -1692,7 +1559,9 @@ def _replay_span(
     """Replay receivers ``[start, start + len(seeds))`` against their
     delivery slice (``start`` keys per-receiver local-key derivation)."""
     if isinstance(plan, _TwoPhasePlan):
-        return _replay_two_phase(plan, config, start, seeds, delivered)
+        return _replay_two_phase_vectorized(
+            plan, _two_phase_precompute(plan), config, start, seeds, delivered
+        )
     if isinstance(plan, _SingleLevelPlan):
         return _replay_single_level(plan, config, seeds, delivered)
     return _replay_multilevel(plan, config, start, seeds, delivered)

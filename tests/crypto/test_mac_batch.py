@@ -1,17 +1,21 @@
-"""Batch MAC/μMAC APIs: scalar parity and kernel on/off parity.
+"""Batch MAC/μMAC APIs: scalar parity and stdlib parity.
 
 Every ``*_many`` method must be positionally bit-identical to its
-scalar counterpart on both kernel paths.
+scalar counterpart and to the naive stdlib expression the midstate
+kernel replaces, ``hmac.new(key, label || "|" || msg, sha256)``
+truncated to the scheme's width.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 import pytest
 
 from repro import perf
-from repro.crypto import kernels
-from repro.crypto.kernels import kernels_disabled
 from repro.crypto.mac import MacScheme, MicroMacScheme
+from repro.crypto.onewayfn import truncate_to_bits
 from repro.errors import ConfigurationError
 
 KEY = b"batch-key-0123456789"
@@ -24,60 +28,64 @@ MESSAGES = [b"msg-%04d" % i for i in range(17)]
 BOUNDARY_BITS = (1, 7, 24, 80, 255, 256)
 
 
+def _naive(key: bytes, label: bytes, message: bytes, bits: int) -> bytes:
+    digest = hmac.new(key, label + b"|" + message, hashlib.sha256).digest()
+    return truncate_to_bits(digest, bits)
+
+
 @pytest.mark.parametrize("bits", BOUNDARY_BITS)
-@pytest.mark.parametrize("enabled", [True, False], ids=["kernels", "naive"])
+@pytest.mark.parametrize("oracle", ["kernels", "naive"])
 class TestMacComputeManyParity:
-    def test_matches_scalar_compute(self, bits, enabled):
+    """``kernels``: per-call ``compute``; ``naive``: the stdlib HMAC."""
+
+    def test_matches_scalar_compute(self, bits, oracle):
         scheme = MacScheme(mac_bits=bits)
-        previous = kernels.set_kernels_enabled(enabled)
-        try:
-            batched = scheme.compute_many(KEY, MESSAGES)
-            scalar = [scheme.compute(KEY, m) for m in MESSAGES]
-        finally:
-            kernels.set_kernels_enabled(previous)
-        assert batched == scalar
+        batched = scheme.compute_many(KEY, MESSAGES)
+        if oracle == "kernels":
+            expected = [scheme.compute(KEY, m) for m in MESSAGES]
+        else:
+            expected = [_naive(KEY, b"repro.mac", m, bits) for m in MESSAGES]
+        assert batched == expected
         assert all(len(mac) == (bits + 7) // 8 for mac in batched)
 
-    def test_micro_matches_scalar_compute(self, bits, enabled):
+    def test_micro_matches_scalar_compute(self, bits, oracle):
         micro = MicroMacScheme(micro_mac_bits=bits)
-        previous = kernels.set_kernels_enabled(enabled)
-        try:
-            batched = micro.compute_many(LOCAL, MESSAGES)
-            scalar = [micro.compute(LOCAL, m) for m in MESSAGES]
-        finally:
-            kernels.set_kernels_enabled(previous)
-        assert batched == scalar
+        batched = micro.compute_many(LOCAL, MESSAGES)
+        if oracle == "kernels":
+            expected = [micro.compute(LOCAL, m) for m in MESSAGES]
+        else:
+            expected = [_naive(LOCAL, b"repro.umac", m, bits) for m in MESSAGES]
+        assert batched == expected
 
 
 class TestKernelOnOffBitParity:
-    """The kernels-on batch path and the naive reference path must
-    agree bit-for-bit for every new batch API."""
+    """The midstate batch path and the naive stdlib HMAC it replaces
+    must agree bit-for-bit for every batch API."""
 
     @pytest.mark.parametrize("bits", BOUNDARY_BITS)
     def test_mac_compute_many(self, bits):
         scheme = MacScheme(mac_bits=bits)
-        on = scheme.compute_many(KEY, MESSAGES)
-        with kernels_disabled():
-            off = scheme.compute_many(KEY, MESSAGES)
-        assert on == off
+        assert scheme.compute_many(KEY, MESSAGES) == [
+            _naive(KEY, b"repro.mac", m, bits) for m in MESSAGES
+        ]
 
     @pytest.mark.parametrize("bits", BOUNDARY_BITS)
     def test_micro_compute_many(self, bits):
         micro = MicroMacScheme(micro_mac_bits=bits)
-        on = micro.compute_many(LOCAL, MESSAGES)
-        with kernels_disabled():
-            off = micro.compute_many(LOCAL, MESSAGES)
-        assert on == off
+        assert micro.compute_many(LOCAL, MESSAGES) == [
+            _naive(LOCAL, b"repro.umac", m, bits) for m in MESSAGES
+        ]
 
     def test_verify_many_agrees(self):
         scheme = MacScheme()
         pairs = list(zip(MESSAGES, scheme.compute_many(KEY, MESSAGES)))
         pairs[3] = (pairs[3][0], b"\x00" * 10)  # one tampered tag
-        on = scheme.verify_many(KEY, pairs)
-        with kernels_disabled():
-            off = scheme.verify_many(KEY, pairs)
-        assert on == off
-        assert on == [i != 3 for i in range(len(pairs))]
+        verdicts = scheme.verify_many(KEY, pairs)
+        assert verdicts == [
+            hmac.compare_digest(_naive(KEY, b"repro.mac", m, 80), mac)
+            for m, mac in pairs
+        ]
+        assert verdicts == [i != 3 for i in range(len(pairs))]
 
 
 class TestVerifyMany:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.kernels import kernels_disabled
 from repro.crypto.keychain import KeyChain
 from repro.crypto.pebbled import (
     PEBBLED_THRESHOLD,
@@ -139,22 +138,17 @@ class TestMakeKeyChain:
         assert isinstance(chain, PebbledKeyChain)
 
     def test_explicit_override(self, function):
-        assert isinstance(
-            make_key_chain(SEED, 10, function, pebbled=True), PebbledKeyChain
-        )
-        assert isinstance(
-            make_key_chain(SEED, PEBBLED_THRESHOLD, function, pebbled=False),
-            KeyChain,
-        )
-
-    def test_kernels_disabled_forces_dense(self, function):
-        with kernels_disabled():
-            chain = make_key_chain(SEED, PEBBLED_THRESHOLD, function)
-        assert isinstance(chain, KeyChain)
+        """Either implementation is buildable at any length, on either
+        side of the threshold ``make_key_chain`` dispatches on."""
+        for length in (10, PEBBLED_THRESHOLD):
+            assert (
+                PebbledKeyChain(SEED, length, function).commitment
+                == KeyChain(SEED, length, function).commitment
+            )
 
     def test_both_implementations_agree(self, function):
-        dense = make_key_chain(SEED, 64, function, pebbled=False)
-        pebbled = make_key_chain(SEED, 64, function, pebbled=True)
+        dense = KeyChain(SEED, 64, function)
+        pebbled = PebbledKeyChain(SEED, 64, function)
         assert dense.commitment == pebbled.commitment
         assert [dense.key(i) for i in range(65)] == [
             pebbled.key(i) for i in range(65)

@@ -1,51 +1,56 @@
-"""ChainWalkCache and the kernel switch: identical bytes, fewer walks."""
+"""ChainWalkCache and the midstate kernels: identical bytes, fewer walks.
+
+The oracles are the stdlib expressions the kernels replace: a fresh
+``hashlib.sha256`` over ``"repro.owf|<label>|" || value`` per one-way
+step and a fresh ``hmac.new`` over ``"repro.mac|" || message`` per MAC.
+"""
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.kernels import (
-    ChainWalkCache,
-    hmac_midstate,
-    kernels_disabled,
-    kernels_enabled,
-    set_kernels_enabled,
-    sha256_midstate,
-)
+from repro.crypto.kernels import ChainWalkCache, hmac_midstate, sha256_midstate
 from repro.crypto.keychain import KeyChain, KeyChainAuthenticator
 from repro.crypto.mac import MacScheme
-from repro.crypto.onewayfn import OneWayFunction
+from repro.crypto.onewayfn import OneWayFunction, truncate_to_bits
 from repro.errors import ConfigurationError
 
 SEED = b"walk-cache-test-seed"
 
 
-class TestKernelSwitch:
-    def test_context_manager_restores(self):
-        assert kernels_enabled()
-        with kernels_disabled():
-            assert not kernels_enabled()
-        assert kernels_enabled()
+def _naive_step(function: OneWayFunction, value: bytes) -> bytes:
+    digest = hashlib.sha256(
+        b"repro.owf|" + function.label.encode() + b"|" + value
+    ).digest()
+    return truncate_to_bits(digest, function.output_bits)
 
-    def test_set_returns_previous(self):
-        previous = set_kernels_enabled(False)
-        try:
-            assert previous is True
-            assert set_kernels_enabled(True) is False
-        finally:
-            set_kernels_enabled(True)
+
+def _naive_iterate(function: OneWayFunction, value: bytes, times: int) -> bytes:
+    result = value
+    for _ in range(times):
+        result = _naive_step(function, result)
+    return result
+
+
+def _naive_mac(key: bytes, message: bytes, bits: int) -> bytes:
+    digest = hmac.new(key, b"repro.mac|" + message, hashlib.sha256).digest()
+    return truncate_to_bits(digest, bits)
+
+
+class TestKernelSwitch:
+    """The midstate kernels against the stdlib expressions they replace."""
 
     def test_midstate_matches_naive_digest(self):
-        function = OneWayFunction("F")
-        value = b"\x17" * function.output_bytes
-        with_kernels = function(value)
-        with kernels_disabled():
-            naive = function(value)
-        assert with_kernels == naive
+        for bits in (7, 80, 256):
+            function = OneWayFunction("F", bits)
+            value = b"\x17" * function.output_bytes
+            assert function(value) == _naive_step(function, value)
 
     def test_iterate_matches_across_switch(self):
         function = OneWayFunction("F")
@@ -56,9 +61,7 @@ class TestKernelSwitch:
         scheme = MacScheme()
         key, message = b"k" * 10, b"payload"
         with_kernels = scheme.compute(key, message)
-        with kernels_disabled():
-            naive = scheme.compute(key, message)
-        assert with_kernels == naive
+        assert with_kernels == _naive_mac(key, message, scheme.mac_bits)
         assert scheme.verify(key, message, with_kernels)
 
     def test_midstate_objects_are_shared_not_mutated(self):
@@ -72,14 +75,6 @@ class TestKernelSwitch:
         hm_clone = hm.copy()
         hm_clone.update(b"junk")
         assert hm.copy().hexdigest() == hm_before
-
-
-def _naive_iterate(function: OneWayFunction, value: bytes, times: int) -> bytes:
-    with kernels_disabled():
-        result = value
-        for _ in range(times):
-            result = function(result)
-        return result
 
 
 class TestChainWalkCache:
@@ -100,16 +95,18 @@ class TestChainWalkCache:
         first = cache.iterate(value, 9)
         second = cache.iterate(value, 9)
         assert first == second == function.iterate(value, 9)
+        assert first == _naive_iterate(function, value, 9)
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate == 0.5
 
     def test_identity_and_disabled_bypass(self):
+        """Walks of zero or negative length never reach the memo."""
         function = OneWayFunction("F")
         cache = ChainWalkCache(function)
         value = b"\x22" * function.output_bytes
         assert cache.iterate(value, 0) == value
-        with kernels_disabled():
-            cache.iterate(value, 5)
+        with pytest.raises(ConfigurationError):
+            cache.iterate(value, -1)
         assert len(cache) == 0 and cache.misses == 0
 
     def test_lru_bound(self):
@@ -181,8 +178,10 @@ class TestVerifyMany:
             pairs.append((message, mac))
         expected = [scheme.verify(key, m, t) for m, t in pairs]
         assert scheme.verify_many(key, pairs) == expected
-        with kernels_disabled():
-            assert scheme.verify_many(key, pairs) == expected
+        assert expected == [
+            hmac.compare_digest(_naive_mac(key, m, scheme.mac_bits), t)
+            for m, t in pairs
+        ]
 
     def test_empty_batch_and_bad_key(self):
         scheme = MacScheme()

@@ -47,10 +47,10 @@ class TestRunBench:
         assert smoke_document["preset"] == "smoke"
         results = smoke_document["results"]
         assert set(results) == {
-            "one_way", "keychain_walks", "mac_verify", "mac_batch",
+            "keychain_walks", "mac_verify", "mac_batch",
             "umac_reservoir", "pebbled", "scenario",
         }
-        for section in ("one_way", "keychain_walks", "mac_verify"):
+        for section in ("keychain_walks", "mac_verify"):
             assert results[section]["naive_ops_per_sec"] > 0
             assert results[section]["kernel_ops_per_sec"] > 0
             assert results[section]["speedup"] > 0
@@ -65,19 +65,18 @@ class TestRunBench:
         ] is True
 
     def test_scenario_reports_the_three_way_comparison(self, smoke_document):
+        """DES vs fleet walls and their ratio, on the preset's fleet."""
         scenario = smoke_document["results"]["scenario"]
         assert scenario["naive_wall_seconds"] > 0
-        assert scenario["reference_wall_seconds"] > 0
         assert scenario["kernel_wall_seconds"] > 0
         assert scenario["speedup"] > 0
-        assert scenario["replay_speedup"] > 0
         assert scenario["receivers"] == BENCH_PRESETS["smoke"][
             "scenario_receivers"
         ]
 
     def test_keychain_walks_meet_the_acceptance_bar(self, smoke_document):
         """The checked-in artifact claims >= 2x on the keychain
-        micro-bench (midstate + walk cache vs naive, same run)."""
+        micro-bench (walk cache vs uncached walks, same run)."""
         assert smoke_document["results"]["keychain_walks"]["speedup"] >= 2.0
 
     def test_scenario_counters_nonzero(self, smoke_document):
@@ -111,7 +110,6 @@ class TestCheckedInArtifact:
         scenario = json.loads(BENCH_CRYPTO.read_text())["results"]["scenario"]
         assert scenario["identical_summaries"] is True
         assert scenario["speedup"] >= 1.5
-        assert scenario["replay_speedup"] > 0
         assert scenario["counters"]["crypto.mac.batches"] > 0
 
     def test_bench_crypto_artifact_has_the_current_sections(

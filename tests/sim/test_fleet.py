@@ -5,16 +5,16 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.engine import stable_key
 from repro.engine.executors import ParallelExecutor
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.net.harness import shard_sizes
 from repro.scenarios.families import ALL_PROTOCOLS
 from repro.sim import fleet
 from repro import perf
-from repro.crypto.kernels import kernels_disabled
 from repro.sim.fleet import run_fleet_scenario, shard_plan, supports
 from repro.sim.metrics import FleetAggregate
 from repro.sim.scenario import ScenarioConfig, run_scenario
@@ -269,8 +269,8 @@ class TestSharding:
 
 
 class TestBatchedReplay:
-    """The PR-9 hot path: batched MACs and the vectorized reservoir
-    kernel behind the kernel switch."""
+    """The fleet hot path: batched MACs and the vectorized reservoir
+    kernel."""
 
     @staticmethod
     def _config(protocol="dap", seed=7):
@@ -287,20 +287,42 @@ class TestBatchedReplay:
 
     @pytest.mark.parametrize("protocol", ["dap", "tesla_pp"])
     @pytest.mark.parametrize("seed", CATALOG_SEEDS)
-    def test_reservoir_kernel_matches_reference_replay(self, protocol, seed):
-        """Kernels on (one-pass numpy reservoir) vs off (scalar
-        draw-for-draw loop) must be byte-identical — the correctness
-        gate for the vectorized Algorithm-2 kernel."""
+    def test_reservoir_kernel_matches_des(self, protocol, seed):
+        """The one-pass numpy reservoir replay vs the DES receiver's
+        per-offer Algorithm 2 must be byte-identical — the correctness
+        gate for the vectorized kernel."""
         config = self._config(protocol, seed)
         kernel = run_fleet_scenario(config)
-        with kernels_disabled():
-            reference = run_fleet_scenario(config)
+        reference = run_scenario(dataclasses.replace(config, engine="des"))
         assert kernel.fleet == reference.fleet
         assert kernel.sent_authentic == reference.sent_authentic
         assert (
             kernel.forged_bandwidth_fraction
             == reference.forged_bandwidth_fraction
         )
+
+    def test_precompute_rejects_reveal_before_last_offer(self):
+        """A reveal landing before its interval's last gated offer
+        breaks the frozen-bucket argument the kernel's exactness rests
+        on; the layout must fail loudly rather than replay anyway."""
+        A, R = fleet._ANNOUNCE, fleet._REVEAL
+        kinds = [A, R, A]
+        plan = fleet._TwoPhasePlan(
+            times=np.arange(len(kinds), dtype=float),
+            kinds=kinds,
+            intervals=[1, 1, 1],
+            sources=[0, 0, 1],
+            gate=[True, True, True],
+            announce_macs={(1, 0): b"\x00" * 10, (1, 1): b"\x01" * 10},
+            forged_macs=[],
+            reservoir=True,
+            item_bits=56,
+            legitimate_bits=0,
+            forged_bits=0,
+            sent_authentic=2,
+        )
+        with pytest.raises(ReproError, match="precedes the last offer"):
+            fleet._two_phase_precompute(plan)
 
     @pytest.mark.parametrize("protocol", ["dap", "multilevel"])
     def test_replay_batches_macs_not_single_pairs(self, protocol):
