@@ -46,7 +46,10 @@ A second suite, :func:`run_sim_bench` (``repro bench --suite sim``,
 (:mod:`repro.sim.fleet`) against the event-driven simulator on
 fig5-style fleets — every catalog protocol family — and asserts the
 two produced identical summaries; the artifact's speedup claim is only
-meaningful because equality is checked in the same run. Passing
+meaningful because equality is checked in the same run. Every section
+and scaling entry also records ``phase_seconds``, the fleet run's
+split into plan build, delivery-mask draw and replay (the engine's
+``fleet.*`` perf timers). Passing
 ``receivers`` (CLI ``--receivers``) adds a receivers-scaling axis:
 per-count sharded fleet runs with wall time and peak RSS
 (``resource.getrusage`` high-water, KB), DES-compared up to
@@ -63,7 +66,7 @@ import random
 import resource
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.buffers.reservoir import ReservoirBuffer
 from repro.crypto.kernels import ChainWalkCache
@@ -448,13 +451,28 @@ def run_bench(preset: str = "smoke", repeat: int = 3) -> Dict[str, Any]:
     }
 
 
+def _collected_run(run: Callable[[], Any]) -> Tuple[float, Any, Dict[str, float]]:
+    """Run ``run`` under a fresh perf registry: its wall seconds, its
+    result, and the fleet engine's phase split (``fleet.plan``,
+    ``fleet.mask``, ``fleet.replay.<protocol>`` timers, in seconds)."""
+    with collecting() as registry:
+        started = time.perf_counter()
+        result = run()
+        wall = time.perf_counter() - started
+    phases = {
+        name: round(seconds, 6) for name, seconds in sorted(registry.timers.items())
+    }
+    return wall, result, phases
+
+
 def _bench_fleet(config: ScenarioConfig, repeat: int) -> Dict[str, Any]:
     """One sim-suite section: DES vs vectorized on the same config.
 
     Both engines run ``repeat`` times (best-of walls) and every
     vectorized result is compared against the DES reference — a single
     divergence fails the bench, so ``identical_summaries`` in the
-    artifact is a checked fact, not an assumption.
+    artifact is a checked fact, not an assumption. ``phase_seconds`` is
+    the best vectorized run's phase split.
     """
     des_config = dataclasses.replace(config, engine="des")
     vec_config = dataclasses.replace(config, engine="vectorized")
@@ -462,13 +480,16 @@ def _bench_fleet(config: ScenarioConfig, repeat: int) -> Dict[str, Any]:
     des_wall = float("inf")
     vec_wall = float("inf")
     des_result = vec_result = None
+    phases: Dict[str, float] = {}
     for _ in range(repeat):
         started = time.perf_counter()
         des_result = run_scenario(des_config)
         des_wall = min(des_wall, time.perf_counter() - started)
-        started = time.perf_counter()
-        vec_result = run_scenario(vec_config)
-        vec_wall = min(vec_wall, time.perf_counter() - started)
+        wall, vec_result, split = _collected_run(
+            lambda: run_scenario(vec_config)
+        )
+        if wall < vec_wall:
+            vec_wall, phases = wall, split
         if (
             des_result.fleet != vec_result.fleet
             or des_result.sent_authentic != vec_result.sent_authentic
@@ -489,6 +510,7 @@ def _bench_fleet(config: ScenarioConfig, repeat: int) -> Dict[str, Any]:
         "des_wall_seconds": round(des_wall, 4),
         "vectorized_wall_seconds": round(vec_wall, 4),
         "speedup": round(des_wall / vec_wall, 3) if vec_wall else 0.0,
+        "phase_seconds": phases,
         "identical_summaries": True,
     }
 
@@ -505,8 +527,8 @@ def _bench_receivers_scaling(
 
     Each count runs the vectorized engine sharded (spans of
     :data:`_SCALING_SHARD_SPAN` receivers) with streaming aggregate
-    reduction, recording wall time and the process peak RSS after the
-    run. Counts up to :data:`DES_PARITY_MAX_RECEIVERS` also run the DES
+    reduction, recording wall time, the phase split and the process
+    peak RSS after the run. Counts up to :data:`DES_PARITY_MAX_RECEIVERS` also run the DES
     once and check summary parity, so the recorded speedups stay
     checked facts; larger counts are fleet-only.
 
@@ -528,13 +550,16 @@ def _bench_receivers_scaling(
         shards = max(1, -(-count // _SCALING_SHARD_SPAN))
         vec_wall = float("inf")
         vec_result = None
+        phases: Dict[str, float] = {}
         runs = repeat if count <= DES_PARITY_MAX_RECEIVERS else 1
         for _ in range(runs):
-            started = time.perf_counter()
-            vec_result = run_fleet_scenario(
-                config, shards=shards, summary="aggregate"
+            wall, vec_result, split = _collected_run(
+                lambda: run_fleet_scenario(
+                    config, shards=shards, summary="aggregate"
+                )
             )
-            vec_wall = min(vec_wall, time.perf_counter() - started)
+            if wall < vec_wall:
+                vec_wall, phases = wall, split
         assert vec_result is not None
         entry: Dict[str, Any] = {
             "protocol": config.protocol,
@@ -542,6 +567,7 @@ def _bench_receivers_scaling(
             "intervals": config.intervals,
             "shards": shards,
             "vectorized_wall_seconds": round(vec_wall, 4),
+            "phase_seconds": phases,
             "peak_rss_kb": _peak_rss_kb(),
             "mean_authentication_rate": round(
                 vec_result.fleet.mean_authentication_rate, 6

@@ -6,12 +6,30 @@ laid out up front, per-slot channel decisions are drawn for *all*
 receivers at once (a block-wise vectorized Markov transition over a
 ``(receivers,)`` Gilbert–Elliott state array, or one Bernoulli mask,
 bit-packed so the full delivery matrix costs one bit per decision),
-and the per-receiver buffer/authentication state machines run as tight
-loops over the delivered-slot indices — no heapq, no per-delivery
-closures, and no per-record HMAC in the replay loops (all MAC and
-key-chain outcomes are decided up front by batched
+and the per-receiver buffer/authentication state machines run as
+receiver-block array kernels over that matrix — no heapq, no
+per-delivery callbacks, and no per-record HMAC at replay time (all MAC
+and key-chain outcomes are decided up front by batched
 :meth:`~repro.crypto.mac.MacScheme.verify_many` tables and record
-*identity*, with exact collision fallbacks).
+*identity*, with exact collision fallbacks). Each family has one
+kernel, and each kernel's precompute checks the structural facts its
+exactness rests on (a bucket is complete before any key can release
+it; disclosed indices never decrease), raising
+:class:`~repro.errors.SimulationError` rather than drifting:
+
+- two-phase: segmented-cumsum ranks fill every reservoir slot, and a
+  short reveal pass matches records against the frozen buckets;
+- single-level: keep-first ranks fill the buckets, the trusted anchor
+  is a running maximum over delivered disclosures, and a bucket is
+  flushed iff the final anchor reaches it;
+- multi-level: the high anchor fixes every CDM release and commitment
+  recovery time, a loop over high intervals (numpy across receivers)
+  settles EDRP pin acceptances, and each flat's data bucket is
+  released when both its chain's commitment and its first low
+  disclosure have arrived.
+
+Peak occupancy always comes from cumulative sums of fills and
+releases along the slot axis.
 
 All seven catalog protocols are covered — the canonical table lives in
 :mod:`repro.scenarios.families` (``VECTORIZED_PROTOCOLS``):
@@ -40,14 +58,14 @@ seed, for every family:
   blocks along the slot axis, carrying the per-lane channel state
   between blocks;
 - reservoir draws: per-receiver ``random.Random`` streams replay
-  Algorithm 2's ``m/k`` rule offer-for-offer. The two-phase replay
-  runs a one-pass numpy reservoir kernel: segmented-cumsum ranks
-  decide every free-slot fill for a whole slot flood at once, and
-  only the overflow offers (rank past capacity) reach a tight scalar
-  loop that consumes the acceptance ``random()`` and the inlined
-  ``randrange``/``getrandbits`` rejection draws in exactly the
-  per-offer order. Multi-level receivers share one stream between the
-  CDM and data pools in delivery order, as the DES receiver does;
+  Algorithm 2's ``m/k`` rule offer-for-offer. Ranks decide every
+  free-slot fill at once, and only the overflow offers (rank past
+  capacity) reach a tight scalar loop that consumes the acceptance
+  ``random()`` and the inlined ``randrange``/``getrandbits`` rejection
+  draws in exactly the per-offer order. Multi-level receivers share
+  one stream between the CDM and data pools, drawn in delivery order
+  as the DES receiver does; offers to an already-authenticated high
+  draw nothing. Single-level (keep-first) receivers never draw;
 - forged bytes are replayed from the attacker stream in injection
   order, which is what makes every collision fallback exact.
 
@@ -72,9 +90,12 @@ whole pool, closed and unlinked in ``finally`` paths).
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any, ContextManager, Dict, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -207,9 +228,9 @@ def shard_plan(receivers: int, shards: int) -> List[Tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # Replay plans: everything a shard needs, fully precomputed and picklable.
-# All cryptography (MAC verification, key-chain walks, hash pinning) is
-# folded into boolean tables here — the per-receiver replay loops do
-# list/dict work only.
+# MAC verification and hash pinning are folded into boolean tables
+# here; forged TESLA disclosures carry their candidate key, walked in
+# the shard replay only as far as the receivers' anchors require.
 
 
 @dataclass(frozen=True)
@@ -245,11 +266,13 @@ class _SingleLevelPlan:
     disclosure (``disc_index >= 1``), or both (classic TESLA
     piggybacks). ``forged_valid[k]`` is the batched-``verify_many``
     outcome of the ``k``-th forged record under its interval's true
-    chain key (record sources ``-1 - k`` index into it);
-    ``disc_anchors[b]`` is ``None`` for authentic disclosures and, for
-    forged ones, the exact set of trusted anchors from which the random
-    candidate would back-walk to the true chain (practically empty — a
-    non-empty hit is a 2^-80 collision the replay mirrors by raising).
+    chain key (record sources ``-1 - k`` index into it).
+    ``disc_forged[b]`` is ``-1`` for an authentic disclosure and ``f``
+    for the ``f``-th forged one, whose random candidate key is
+    ``forged_keys[f]``; ``chain_keys[i]`` is the true ``K_i``
+    (``K_0`` the commitment), so the replay can tell whether a forged
+    candidate back-walks onto a receiver's trusted anchor (a 2^-80
+    collision it mirrors by raising).
     """
 
     times: np.ndarray
@@ -258,7 +281,9 @@ class _SingleLevelPlan:
     forged_valid: List[bool]
     gate: List[bool]
     disc_index: List[int]
-    disc_anchors: List[Optional[FrozenSet[int]]]
+    disc_forged: List[int]
+    forged_keys: List[bytes]
+    chain_keys: List[bytes]
     legitimate_bits: int
     forged_bits: int
     sent_authentic: int
@@ -502,6 +527,12 @@ def _build_single_level_plan(
     # 2^-80 truncated-HMAC collision, which the replay then mirrors by
     # counting a forged acceptance exactly as the DES would).
     mac_scheme = MacScheme()
+    # K_0..K_n: the MAC keys here, and the anchors forged disclosures
+    # are checked against in the shard replay (which walks each
+    # candidate only down to the oldest anchor a receiver still holds).
+    chain_keys = [sender.chain.commitment] + [
+        sender.chain.key(i) for i in range(1, config.intervals + 1)
+    ]
     forged_valid = [False] * len(forged_records)
     reps_by_interval: Dict[int, List[Tuple[int, Tuple[bytes, bytes]]]] = {}
     for (iv, src), pair in authentic_reps.items():
@@ -510,7 +541,7 @@ def _build_single_level_plan(
     for k, (iv, _m, _mac) in enumerate(forged_records):
         forged_by_interval.setdefault(iv, []).append(k)
     for interval in range(1, config.intervals + 1):
-        key = sender.chain.key(interval)
+        key = chain_keys[interval]
         reps = reps_by_interval.get(interval, [])
         forged_ids = forged_by_interval.get(interval, [])
         pairs = [pair for _src, pair in reps] + [
@@ -528,29 +559,6 @@ def _build_single_level_plan(
         for k, ok in zip(forged_ids, outcomes[len(reps):]):
             forged_valid[k] = ok
 
-    # Forged disclosure back-walks, resolved against the true chain: the
-    # replay only needs "from which trusted anchors would this random
-    # candidate authenticate" — a set that is empty outside 2^-80
-    # collisions.
-    function = OneWayFunction("F")
-    true_key = [sender.chain.commitment] + [
-        sender.chain.key(i) for i in range(1, config.intervals + 1)
-    ]
-    anchor_sets: List[FrozenSet[int]] = []
-    for di, candidate in forged_disclosures:
-        anchors = set()
-        cursor = candidate
-        for gap in range(di + 1):
-            if cursor == true_key[di - gap]:
-                anchors.add(di - gap)
-            if gap < di:
-                cursor = function(cursor)
-        anchor_sets.append(frozenset(anchors))
-
-    disc_anchors: List[Optional[FrozenSet[int]]] = [
-        anchor_sets[fid] if fid >= 0 else None for fid in forged_disc_id
-    ]
-
     return _SingleLevelPlan(
         times=times,
         rec_interval=rec_interval,
@@ -558,7 +566,9 @@ def _build_single_level_plan(
         forged_valid=forged_valid,
         gate=gate,
         disc_index=disc_index,
-        disc_anchors=disc_anchors,
+        disc_forged=forged_disc_id,
+        forged_keys=[key for _di, key in forged_disclosures],
+        chain_keys=chain_keys,
         legitimate_bits=legitimate_bits,
         forged_bits=forged_bits,
         sent_authentic=config.packets_per_interval * (config.intervals - delay),
@@ -863,6 +873,47 @@ _Counts = Tuple[
 ]
 
 
+def _offer_runs(
+    offer_keys: np.ndarray, what: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group offer rows into one contiguous run per bucket key.
+
+    Returns ``(run_starts, run_ends, run_id, run_keys)`` (ends
+    inclusive, positions within the offer rows).
+
+    Raises:
+        SimulationError: if one bucket's offers are split across runs
+            or the runs' keys do not ascend.
+    """
+    if not offer_keys.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    changes = np.nonzero(np.diff(offer_keys))[0] + 1
+    run_starts = np.concatenate((np.zeros(1, dtype=np.int64), changes))
+    run_ends = np.append(changes, offer_keys.size) - 1
+    run_keys = offer_keys[run_starts]
+    if np.any(np.diff(run_keys) <= 0):
+        raise SimulationError(f"{what}: a bucket's offers split across runs")
+    run_id = np.zeros(offer_keys.size, dtype=np.int64)
+    run_id[changes] = 1
+    return run_starts, run_ends, np.cumsum(run_id), run_keys
+
+
+def _run_ranks(
+    d_off: np.ndarray, run_starts: np.ndarray, run_ends: np.ndarray,
+    run_id: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-receiver arrival rank of each offer within its run, and each
+    run's delivered-offer count (segmented cumulative sums)."""
+    cum = np.cumsum(d_off, axis=0, dtype=np.int32)
+    base = np.zeros((run_starts.size, d_off.shape[1]), dtype=np.int32)
+    if run_starts.size > 1:
+        base[1:] = cum[run_starts[1:] - 1]
+    if not run_starts.size:
+        return cum, base
+    return cum - base[run_id], cum[run_ends] - base
+
+
 @dataclass(frozen=True)
 class _TwoPhaseVecPlan:
     """Receiver-independent numpy views of a :class:`_TwoPhasePlan`.
@@ -908,29 +959,9 @@ def _two_phase_precompute(plan: _TwoPhasePlan) -> _TwoPhaseVecPlan:
     offer_rows = np.nonzero(is_offer & gate)[0]
     discard_rows = np.nonzero(is_offer & ~gate)[0]
     reveal_rows = np.nonzero(~is_offer)[0]
-    offer_intervals = intervals[offer_rows]
-    if offer_intervals.size:
-        changes = np.nonzero(np.diff(offer_intervals))[0] + 1
-        run_starts = np.concatenate((np.zeros(1, dtype=np.int64), changes))
-        run_ends = (
-            np.concatenate(
-                (changes, np.array([offer_intervals.size], dtype=np.int64))
-            )
-            - 1
-        )
-        run_intervals_arr = offer_intervals[run_starts]
-        if np.any(np.diff(run_intervals_arr) <= 0):
-            raise SimulationError(
-                "two-phase plan: an interval's offers split across runs"
-            )
-    else:
-        run_starts = np.zeros(0, dtype=np.int64)
-        run_ends = np.zeros(0, dtype=np.int64)
-        run_intervals_arr = np.zeros(0, dtype=np.int64)
-    run_id = np.zeros(offer_intervals.size, dtype=np.int64)
-    if run_starts.size > 1:
-        run_id[run_starts[1:]] = 1
-        run_id = np.cumsum(run_id)
+    run_starts, run_ends, run_id, run_intervals_arr = _offer_runs(
+        intervals[offer_rows], "two-phase plan"
+    )
     reveal_intervals = intervals[reveal_rows]
     if np.any(np.diff(reveal_intervals) < 0):
         raise SimulationError(
@@ -1036,20 +1067,8 @@ def _replay_two_phase_vectorized(
             n_disc_l = blk[pre.discard_rows].sum(axis=0, dtype=np.int64).tolist()
         else:
             n_disc_l = [0] * nb
-        if offer_rows.size:
-            d_off = blk[offer_rows]
-        else:
-            d_off = np.zeros((0, nb), dtype=bool)
-        cum = np.cumsum(d_off, axis=0, dtype=np.int32)
-        base = np.zeros((n_runs, nb), dtype=np.int32)
-        if n_runs > 1:
-            base[1:] = cum[run_starts[1:] - 1]
-        if n_runs:
-            rank = cum - base[run_id]
-            counts = cum[run_ends] - base
-        else:
-            rank = cum
-            counts = base
+        d_off = blk[offer_rows]
+        rank, counts = _run_ranks(d_off, run_starts, run_ends, run_id)
         held_len = np.minimum(counts, capacity)
         stored_m = d_off & (rank <= capacity)
         sc = np.cumsum(stored_m, axis=0, dtype=np.int32)
@@ -1243,309 +1262,762 @@ def _replay_two_phase_vectorized(
     return out  # type: ignore[return-value]
 
 
+def _duplicate_groups(
+    buckets: np.ndarray, sources: np.ndarray
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Offers grouped by ``(bucket, source)`` identity: a stable order
+    listing each group contiguously, and each group's start in it —
+    ``(None, None)`` when no identity repeats (every offer distinct)."""
+    low = int(sources.min(initial=0))
+    keys = buckets * (int(sources.max(initial=0)) - low + 1) + (sources - low)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    if not np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        return None, None
+    return order, np.concatenate(([0], np.nonzero(np.diff(sorted_keys))[0] + 1))
+
+
+def _group_first(d_off: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Whether each delivered offer is the first delivered copy of its
+    group (groups are contiguous in ``order``, beginning at ``starts``)."""
+    cum = np.cumsum(d_off[order], axis=0, dtype=np.int32)
+    base = np.zeros_like(cum)
+    base[starts[1:]] = cum[starts[1:] - 1]
+    base = np.maximum.accumulate(base, axis=0)
+    first = np.empty_like(d_off)
+    first[order] = d_off[order] & (cum - base == 1)
+    return first
+
+
+def _anchor_trajectory(
+    index: np.ndarray, delivered: np.ndarray, gap: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Trusted-anchor trajectory over authentic disclosure rows.
+
+    ``index`` (non-decreasing) is each row's disclosed chain index and
+    ``delivered`` the ``(rows, receivers)`` delivery block. A delivered
+    disclosure authenticates unless it lies more than ``gap`` past the
+    anchor; since indices never decrease, the first such rejection
+    freezes the receiver's anchor for the rest of the run. Returns the
+    anchor after each row and which rows authenticated.
+    """
+    values = np.where(delivered, index[:, None], 0)
+    after = np.maximum.accumulate(values, axis=0)
+    before = np.zeros_like(after)
+    before[1:] = after[:-1]
+    violation = delivered & (index[:, None] - before > gap)
+    if not violation.any():
+        return after, delivered
+    stuck = np.logical_or.accumulate(violation, axis=0)
+    frozen = before[np.argmax(violation, axis=0), np.arange(after.shape[1])]
+    return np.where(stuck, frozen[None, :], after), delivered & ~stuck
+
+
+@dataclass(frozen=True)
+class _SingleLevelVecPlan:
+    """Receiver-independent numpy views of a :class:`_SingleLevelPlan`.
+
+    Gated records (*offers*) form one contiguous run per interval;
+    ``group_order``/``group_starts`` list duplicate ``(interval,
+    source)`` copies together when any exist (``None`` otherwise).
+    """
+
+    offer_rows: np.ndarray
+    discard_rows: np.ndarray
+    run_starts: np.ndarray
+    run_ends: np.ndarray
+    run_id: np.ndarray
+    run_intervals: np.ndarray
+    offer_intervals: np.ndarray
+    offer_authentic: np.ndarray
+    offer_forged_valid: np.ndarray
+    group_order: Optional[np.ndarray]
+    group_starts: Optional[np.ndarray]
+    auth_rows: np.ndarray
+    auth_index: np.ndarray
+    fills_at_auth: np.ndarray
+    forged_rows: np.ndarray
+    forged_index: np.ndarray
+    forged_ids: List[int]
+    auth_before_forged: np.ndarray
+
+
+def _single_level_precompute(plan: _SingleLevelPlan) -> _SingleLevelVecPlan:
+    """Lay out a single-level plan for the array replay.
+
+    Verifies the facts the replay's exactness rests on: each
+    interval's gated records form one contiguous run, authentic
+    disclosure indices never decrease in slot order, and every gated
+    record of interval ``i`` arrives no later than the first authentic
+    disclosure of an index ``>= i`` (so a bucket is complete before any
+    key can flush it, and the trusted anchor is a running maximum).
+
+    Raises:
+        SimulationError: if the plan violates any of these facts.
+    """
+    rec = np.asarray(plan.rec_interval, dtype=np.int64)
+    src = np.asarray(plan.rec_source, dtype=np.int64)
+    gate = np.asarray(plan.gate, dtype=bool)
+    disc = np.asarray(plan.disc_index, dtype=np.int64)
+    forged = np.asarray(plan.disc_forged, dtype=np.int64)
+    offer_rows = np.nonzero((rec >= 1) & gate)[0]
+    offer_intervals = rec[offer_rows]
+    run_starts, run_ends, run_id, run_intervals = _offer_runs(
+        offer_intervals, "single-level plan"
+    )
+    auth_rows = np.nonzero((disc >= 1) & (forged < 0))[0]
+    auth_index = disc[auth_rows]
+    if np.any(np.diff(auth_index) < 0):
+        raise SimulationError(
+            "single-level plan: authentic disclosure indices decrease"
+        )
+    first_flush = np.searchsorted(auth_index, offer_intervals)
+    flushable = first_flush < auth_rows.size
+    late = offer_rows[flushable] > auth_rows[first_flush[flushable]]
+    if late.any():
+        row = int(offer_rows[flushable][late][0])
+        raise SimulationError(
+            f"single-level plan: gated record at slot {row} arrives after"
+            " its interval's key can be trusted"
+        )
+    offer_sources = src[offer_rows]
+    offer_authentic = offer_sources >= 0
+    forged_valid = np.asarray(plan.forged_valid + [False], dtype=bool)
+    offer_forged_valid = ~offer_authentic & forged_valid[
+        np.where(offer_authentic, -1, -1 - offer_sources)
+    ]
+    # Duplicate copies of one (interval, source) verify as one record.
+    group_order, group_starts = _duplicate_groups(
+        offer_intervals, offer_sources
+    )
+    forged_rows = np.nonzero(forged >= 0)[0]
+    return _SingleLevelVecPlan(
+        offer_rows=offer_rows,
+        discard_rows=np.nonzero((rec >= 1) & ~gate)[0],
+        run_starts=run_starts,
+        run_ends=run_ends,
+        run_id=run_id,
+        run_intervals=run_intervals,
+        offer_intervals=offer_intervals,
+        offer_authentic=offer_authentic,
+        offer_forged_valid=offer_forged_valid,
+        group_order=group_order,
+        group_starts=group_starts,
+        auth_rows=auth_rows,
+        auth_index=auth_index,
+        fills_at_auth=np.searchsorted(offer_rows, auth_rows, side="right"),
+        forged_rows=forged_rows,
+        forged_index=disc[forged_rows],
+        forged_ids=[int(f) for f in forged[forged_rows].tolist()],
+        auth_before_forged=np.searchsorted(auth_rows, forged_rows),
+    )
+
+
+def _forged_anchor_hits(
+    plan: _SingleLevelPlan, forged_id: int, index: int, lowest: int
+) -> Set[int]:
+    """Anchors ``a`` in ``[lowest, index]`` onto which the forged
+    disclosure's candidate back-walks (``F^(index-a)(candidate) ==
+    K_a``) — empty outside a 2^-80 collision."""
+    function = OneWayFunction("F")
+    chain_keys = plan.chain_keys
+    cursor = plan.forged_keys[forged_id]
+    hits: Set[int] = set()
+    for anchor in range(index, lowest - 1, -1):
+        if cursor == chain_keys[anchor]:
+            hits.add(anchor)
+        if anchor > lowest:
+            cursor = function(cursor)
+    return hits
+
+
 def _replay_single_level(
     plan: _SingleLevelPlan,
+    pre: _SingleLevelVecPlan,
     config: ScenarioConfig,
-    seeds: Sequence[int],
     delivered: np.ndarray,
 ) -> _Counts:
-    rec_interval = plan.rec_interval
-    rec_source = plan.rec_source
-    forged_valid = plan.forged_valid
-    gate = plan.gate
-    disc_index = plan.disc_index
-    disc_anchors = plan.disc_anchors
-    capacity = config.buffers
+    """Keep-first buffering, anchor trajectories and flushes as arrays.
 
+    Per receiver block, segmented cumulative sums rank each delivered
+    gated record within its interval (the first ``buffers`` are
+    stored; keep-first never draws, so the per-receiver RNG stays
+    untouched exactly as in the DES). The trusted anchor is a running
+    maximum over delivered authentic disclosures, and an interval's
+    bucket is flushed iff the final anchor reaches it (its records all
+    precede the first key that can). Peak occupancy is read at every
+    authentic disclosure slot and at the end: fills so far minus the
+    buckets the anchor has already released. Forged disclosures
+    back-walk from their candidate only to the lowest anchor a
+    receiver in the block holds when they arrive.
+    """
+    capacity = config.buffers
+    n_runs = int(pre.run_starts.size)
+    total = delivered.shape[1]
     out: Tuple[List[int], ...] = ([], [], [], [], [], [], [], [])
-    (auth_c, lost_c, rejf_c, weak_c, disc_c, facc_c, recv_c, peak_c) = out
-    for local in range(len(seeds)):
-        # keep_first buffering never draws, so the per-receiver RNG
-        # (already consumed from the master stream) goes untouched —
-        # exactly as in the DES.
-        delivered_slots = np.nonzero(delivered[:, local])[0].tolist()
-        # interval -> [record sources, in arrival order]
-        buckets: Dict[int, List[int]] = {}
-        trusted = 0
-        stored = 0
-        peak = 0
-        n_auth = n_rej = n_weak = n_discarded = n_facc = 0
-        for b in delivered_slots:
-            interval = rec_interval[b]
-            if interval >= 1:
-                if not gate[b]:
-                    n_discarded += 1
-                    # TESLA still processes the piggybacked disclosure
-                    # of a gated-out packet — fall through.
-                else:
-                    held = buckets.get(interval)
-                    if held is None:
-                        held = []
-                        buckets[interval] = held
-                    if len(held) < capacity:
-                        held.append(rec_source[b])
-                        stored += 1
-                        if stored > peak:
-                            peak = stored
-            di = disc_index[b]
-            if di < 1:
-                continue
-            anchors = disc_anchors[b]
-            if di < trusted or di - trusted > _MAX_KEY_GAP:
-                n_weak += 1
-                continue
-            if anchors is not None:
-                # Forged disclosure: authenticates only from an anchor
-                # in its (practically empty) back-walk collision set.
-                if trusted in anchors:
+    widest = max(int(pre.offer_rows.size), int(pre.auth_rows.size), 1)
+    block = min(_REPLAY_BLOCK, max(32, (8 << 20) // widest))
+    for b0 in range(0, total, block):
+        blk = delivered[:, b0 : b0 + block]
+        nb = blk.shape[1]
+        cols = np.arange(nb)
+        d_off = blk[pre.offer_rows]
+        rank, counts = _run_ranks(d_off, pre.run_starts, pre.run_ends, pre.run_id)
+        stored = d_off & (rank <= capacity)
+        held = np.minimum(counts, capacity)
+
+        d_auth = blk[pre.auth_rows]
+        after, accepted = _anchor_trajectory(pre.auth_index, d_auth, _MAX_KEY_GAP)
+        anchors = np.zeros((after.shape[0] + 1, nb), dtype=after.dtype)
+        anchors[1:] = after
+        final = anchors[-1]
+        d_forged = blk[pre.forged_rows]
+        weak = (d_auth & ~accepted).sum(axis=0) + d_forged.sum(axis=0)
+
+        # Forged disclosures: walk each candidate down to the lowest
+        # anchor any receiver here still holds (within the gap bound).
+        if pre.forged_rows.size:
+            held_at = anchors[pre.auth_before_forged]
+            lowest = held_at.min(axis=1).tolist()
+            for f, (index, forged_id) in enumerate(
+                zip(pre.forged_index.tolist(), pre.forged_ids)
+            ):
+                low = max(lowest[f], index - _MAX_KEY_GAP)
+                if low > index:
+                    continue
+                hits = _forged_anchor_hits(plan, forged_id, index, low)
+                if hits and any(
+                    d_forged[f, r] and low <= held_at[f, r] <= index
+                    and int(held_at[f, r]) in hits
+                    for r in range(nb)
+                ):
                     raise ConfigurationError(
                         "forged key disclosure back-walked to the trusted"
                         " chain (2^-80 collision) — replay cannot mirror a"
                         " corrupted trust anchor"
                     )
-                n_weak += 1
-                continue
-            trusted = di
-            # Flush every buffered interval at or below the new anchor,
-            # deduplicating identical (message, MAC) copies per batch —
-            # record identity (source id) is exactly that fingerprint.
-            flushable = [i for i in buckets if i <= trusted]
-            flushable.sort()
-            for i in flushable:
-                held = buckets.pop(i)
-                stored -= len(held)
-                seen: Set[int] = set()
-                for source in held:
-                    if source in seen:
-                        continue
-                    seen.add(source)
-                    if source >= 0:
-                        n_auth += 1
-                    elif forged_valid[-1 - source]:
-                        # 2^-80 truncated-HMAC collision: the DES would
-                        # authenticate the forged record; mirror it.
-                        n_auth += 1
-                        n_facc += 1
-                    else:
-                        n_rej += 1
-        auth_c.append(n_auth)
-        lost_c.append(0)
-        rejf_c.append(n_rej)
-        weak_c.append(n_weak)
-        disc_c.append(n_discarded)
-        facc_c.append(n_facc)
-        recv_c.append(len(delivered_slots))
-        peak_c.append(peak * _RECORD_BITS)
+
+        flushed = stored & (pre.offer_intervals[:, None] <= final[None, :])
+        first = flushed
+        if pre.group_order is not None:
+            first = flushed & _group_first(d_off, pre.group_order, pre.group_starts)
+        authentic = pre.offer_authentic[:, None]
+        valid = pre.offer_forged_valid[:, None]
+        facc = (flushed & valid).sum(axis=0)
+        auth = (first & authentic).sum(axis=0) + facc
+        rejected = (flushed & ~authentic & ~valid).sum(axis=0)
+
+        # Occupancy = fills so far - held records of released buckets.
+        fills = np.zeros((d_off.shape[0] + 1, nb), dtype=np.int32)
+        np.cumsum(stored, axis=0, dtype=np.int32, out=fills[1:])
+        released = np.zeros((n_runs + 1, nb), dtype=np.int32)
+        np.cumsum(held, axis=0, out=released[1:])
+        at_auth = fills[pre.fills_at_auth] - released[
+            np.searchsorted(pre.run_intervals, anchors[:-1], side="right"), cols
+        ]
+        at_end = fills[-1] - released[
+            np.searchsorted(pre.run_intervals, final, side="right"), cols
+        ]
+        peak = np.maximum(at_end, at_auth.max(axis=0, initial=0))
+
+        zeros = [0] * nb
+        for column, values in zip(out, (
+            auth.tolist(), zeros, rejected.tolist(), weak.tolist(),
+            blk[pre.discard_rows].sum(axis=0).tolist(), facc.tolist(),
+            blk.sum(axis=0).tolist(), (peak * _RECORD_BITS).tolist(),
+        )):
+            column.extend(values)
     return out  # type: ignore[return-value]
+
+
+@dataclass(frozen=True)
+class _MultiLevelVecPlan:
+    """Receiver-independent numpy views of a :class:`_MultiLevelPlan`.
+
+    CDM slots are grouped by high interval (``cdm_bounds[h]`` to
+    ``cdm_bounds[h + 1]``); ``hd_rows`` are the authentic CDM slots
+    that disclose a high key. Gated data records form one run per flat
+    sub-interval, and ``run_first_disc`` points each run at the first
+    low disclosure that can release it; ``repeated_sources`` says
+    whether any flat carries one source twice (only then do buckets
+    need deduplicating). ``seen_rows`` lists, per data chain, every
+    slot that makes a receiver aware of that chain.
+    """
+
+    slots: int
+    cdm_rows: np.ndarray
+    cdm_authentic: np.ndarray
+    cdm_gate: np.ndarray
+    cdm_entry: np.ndarray
+    cdm_bounds: List[int]
+    pin_suspect: Optional[np.ndarray]
+    mac_valid: Optional[np.ndarray]
+    hd_rows: np.ndarray
+    hd_index: np.ndarray
+    data_rows: np.ndarray
+    discard_rows: np.ndarray
+    run_starts: np.ndarray
+    run_ends: np.ndarray
+    run_id: np.ndarray
+    run_chain_pos: np.ndarray
+    repeated_sources: bool
+    disc_rows: np.ndarray
+    disc_chain: np.ndarray
+    run_first_disc: np.ndarray
+    chains: np.ndarray
+    chain_commit_high: np.ndarray
+    seen_rows: np.ndarray
+    seen_starts: np.ndarray
+    pinning: List[bool]
+
+
+def _multilevel_precompute(plan: _MultiLevelPlan) -> _MultiLevelVecPlan:
+    """Lay out a multi-level plan for the array replay.
+
+    Verifies the facts the replay's exactness rests on: CDM slots
+    arrive in non-decreasing high order, and disclosed high indices
+    and low disclosures in non-decreasing order; every CDM of high
+    ``h`` arrives before the first high disclosure of an index
+    ``>= h``; each flat's gated data records form one contiguous run,
+    all before the first low disclosure of that flat or a later one.
+    So every bucket is complete before any key can release it, and
+    trusted anchors are running maxima.
+
+    Raises:
+        SimulationError: if the plan violates any of these facts.
+    """
+    kinds = np.asarray(plan.kinds, dtype=np.int64)
+    index = np.asarray(plan.index, dtype=np.int64)
+    sources = np.asarray(plan.sources, dtype=np.int64)
+    gate = np.asarray(plan.gate, dtype=bool)
+    disc = np.asarray(plan.disc_index, dtype=np.int64)
+    lph = plan.low_per_high
+
+    cdm_rows = np.nonzero(kinds == _CDM)[0]
+    cdm_high = index[cdm_rows]
+    if np.any(np.diff(cdm_high) < 0):
+        raise SimulationError("multi-level plan: CDM highs decrease")
+    n_high = int(cdm_high.max(initial=0))
+    cdm_bounds = np.searchsorted(cdm_high, np.arange(n_high + 2)).tolist()
+    cdm_entry = sources[cdm_rows]
+    cdm_authentic = cdm_entry < 0
+    hd_mask = cdm_authentic & (disc[cdm_rows] >= 1)
+    hd_rows = cdm_rows[hd_mask]
+    hd_index = disc[hd_rows]
+    if np.any(np.diff(hd_index) < 0):
+        raise SimulationError("multi-level plan: disclosed high indices decrease")
+    first_release = np.searchsorted(hd_index, cdm_high)
+    releasable = first_release < hd_rows.size
+    if np.any(cdm_rows[releasable] > hd_rows[first_release[releasable]]):
+        raise SimulationError(
+            "multi-level plan: a CDM arrives after its high key is disclosed"
+        )
+    forged_ids = np.where(cdm_authentic, 0, cdm_entry)
+    pin_match = np.asarray(plan.forged_pin_match + [False], dtype=bool)
+    pin_suspect = ~cdm_authentic & pin_match[forged_ids]
+    mac_valid = np.asarray(plan.forged_mac_valid, dtype=bool)
+
+    disc_rows = np.nonzero(kinds == _DISC)[0]
+    disc_flat = index[disc_rows]
+    if np.any(np.diff(disc_flat) < 0):
+        raise SimulationError("multi-level plan: low disclosures decrease")
+    is_data = kinds == _DATA
+    data_rows = np.nonzero(is_data & gate)[0]
+    data_flat = index[data_rows]
+    run_starts, run_ends, run_id, run_flat = _offer_runs(
+        data_flat, "multi-level plan"
+    )
+    first_disc = np.searchsorted(disc_flat, data_flat)
+    releasable = first_disc < disc_rows.size
+    if np.any(data_rows[releasable] > disc_rows[first_disc[releasable]]):
+        raise SimulationError(
+            "multi-level plan: gated data record arrives after its"
+            " sub-interval key can be trusted"
+        )
+
+    run_chain = (run_flat - 1) // lph + 1
+    chains = np.unique(run_chain)
+    # Every slot that adds a chain to the receiver's chains_seen: its
+    # data records (gated or not), its low disclosures, and any CDM of
+    # the previous high.
+    all_data = np.nonzero(is_data)[0]
+    seen_chain = np.concatenate((
+        (index[all_data] - 1) // lph + 1,
+        (disc_flat - 1) // lph + 1,
+        cdm_high + 1,
+    ))
+    seen_row = np.concatenate((all_data, disc_rows, cdm_rows))
+    keep = np.isin(seen_chain, chains)
+    order = np.lexsort((seen_row[keep], seen_chain[keep]))
+    seen_rows = seen_row[keep][order]
+    seen_starts = np.searchsorted(seen_chain[keep][order], chains)
+    commit_high = chains - 1
+    present = np.array(
+        [plan.commitment_present.get(int(h), False) for h in commit_high],
+        dtype=bool,
+    )
+    return _MultiLevelVecPlan(
+        slots=len(plan.kinds),
+        cdm_rows=cdm_rows,
+        cdm_authentic=cdm_authentic,
+        cdm_gate=gate[cdm_rows],
+        cdm_entry=cdm_entry,
+        cdm_bounds=cdm_bounds,
+        pin_suspect=pin_suspect if pin_suspect.any() else None,
+        mac_valid=mac_valid if mac_valid.any() else None,
+        hd_rows=hd_rows,
+        hd_index=hd_index,
+        data_rows=data_rows,
+        discard_rows=np.nonzero(is_data & ~gate)[0],
+        run_starts=run_starts,
+        run_ends=run_ends,
+        run_id=run_id,
+        run_chain_pos=np.searchsorted(chains, run_chain),
+        repeated_sources=(
+            _duplicate_groups(data_flat, sources[data_rows])[0] is not None
+        ),
+        disc_rows=disc_rows,
+        disc_chain=(disc_flat - 1) // lph + 1,
+        run_first_disc=np.searchsorted(disc_flat, run_flat),
+        chains=chains,
+        chain_commit_high=np.where(present, commit_high, 0),
+        seen_rows=seen_rows,
+        seen_starts=seen_starts,
+        pinning=[
+            plan.has_next_hash.get(h, False) for h in range(n_high + 1)
+        ],
+    )
+
+
+def _first_at_or_after(
+    hit: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """``(len(starts), receivers)`` position of the first ``True`` row of
+    ``hit`` at or after each start (``len(hit)`` when there is none)."""
+    rows = hit.shape[0]
+    nxt = np.full((rows + 1, hit.shape[1]), rows, dtype=np.int64)
+    nxt[:rows] = np.where(hit, np.arange(rows)[:, None], rows)
+    nxt = np.minimum.accumulate(nxt[::-1], axis=0)[::-1]
+    return nxt[starts]
+
+
+def _peak_occupancy(
+    slots: int, fill_rows: np.ndarray, fills: np.ndarray,
+    release_rows: np.ndarray, releases: np.ndarray,
+) -> np.ndarray:
+    """Per-receiver peak of a pool's occupancy over the slot timeline.
+
+    ``fills`` (per ``fill_rows`` slot) land before ``releases`` (a
+    ``(buckets, receivers)`` matrix released at ``release_rows``, where
+    ``slots`` means never) within one slot, as in the DES receiver.
+    """
+    nb = fills.shape[1]
+    added = np.zeros((slots + 1, nb), dtype=np.int64)
+    added[fill_rows] = fills
+    removed = np.zeros(((slots + 1) * nb,), dtype=np.int64)
+    flat_index = (release_rows * nb + np.arange(nb)[None, :]).ravel()
+    removed += np.bincount(
+        flat_index, weights=releases.ravel(), minlength=removed.size
+    ).astype(np.int64)
+    removed = removed.reshape(slots + 1, nb)
+    level = np.cumsum(added, axis=0) - np.cumsum(removed, axis=0) + removed
+    return level.max(axis=0, initial=0)
 
 
 def _replay_multilevel(
     plan: _MultiLevelPlan,
+    pre: _MultiLevelVecPlan,
     config: ScenarioConfig,
     start: int,
     seeds: Sequence[int],
     delivered: np.ndarray,
 ) -> _Counts:
-    kinds = plan.kinds
-    index = plan.index
-    sources = plan.sources
-    gate = plan.gate
-    disc_index = plan.disc_index
-    commitment_present = plan.commitment_present
-    has_next_hash = plan.has_next_hash
-    forged_mac_valid = plan.forged_mac_valid
-    forged_pin_match = plan.forged_pin_match
-    lph = plan.low_per_high
-    gap_bound = plan.high_gap_bound
-    anchor_offset = plan.anchor_offset
+    """Two-level buffering, anchors and commitment recovery as arrays.
+
+    Per receiver block: the high anchor is a running maximum over
+    delivered high disclosures, which fixes when each CDM bucket is
+    released and when each chain's commitment can be recovered. A loop
+    over high intervals, with numpy across the block, decides the EDRP
+    pin acceptances (a pinned high accepts its first authentic copy
+    after the pin and buffers nothing more) and ranks every CDM offer.
+    Overflow offers of both pools — rank past capacity — replay the
+    shared per-receiver ``random()``/``randrange`` stream in delivery
+    order in a scalar loop; with hash pinning, the draws of a high are
+    settled before its acceptance feeds the next high's pin. A chain's
+    commitment time is the earlier of its CDM acceptance and its
+    recovery; a flat's data bucket is released when that commitment and
+    its first delivered low disclosure are both in, and counted unless
+    a CDM acceptance released it.
+    """
     cdm_capacity = config.buffers
     data_capacity = _LOW_BUFFER_CAPACITY
+    never = pre.slots
+    n_high = len(pre.cdm_bounds) - 2
+    n_runs = int(pre.run_starts.size)
+    offset = plan.anchor_offset
+    top_high = max(n_high, int(pre.chains.max(initial=0)) + offset)
+    hd_pad = np.append(pre.hd_rows, never)
+    disc_pad = np.append(pre.disc_rows, never)
+    disc_chain_pad = np.append(pre.disc_chain, -1)
+    # Overflow replacements are keyed per receiver: CDM buckets first,
+    # then data runs, one slot per buffered position.
+    data_key0 = (n_high + 1) * cdm_capacity
+    slot_cols = np.arange(cdm_capacity)
 
+    total = len(seeds)
     out: Tuple[List[int], ...] = ([], [], [], [], [], [], [], [])
-    (auth_c, lost_c, rejf_c, weak_c, disc_c, facc_c, recv_c, peak_c) = out
-    for local, seed in enumerate(seeds):
-        rng_r = traced_rng(random.Random(seed), f"receiver-{start + local}")
-        rand = rng_r.random
-        randrange = rng_r.randrange
-        delivered_slots = np.nonzero(delivered[:, local])[0].tolist()
+    # The occupancy timelines are (slots x block) int64, several at
+    # once: half the two-phase budget keeps them to a few dozen MiB.
+    widest = max(pre.slots, (n_high + 1) * cdm_capacity, n_runs * data_capacity, 1)
+    block = min(_REPLAY_BLOCK, max(32, (4 << 20) // widest))
+    for b0 in range(0, total, block):
+        blk = delivered[:, b0 : b0 + block]
+        nb = blk.shape[1]
+        cols = np.arange(nb)
+        rngs: Dict[int, random.Random] = {}
 
-        high_trusted = 0
-        cdm_auth: Set[int] = set()
-        pinned: Set[int] = set()
-        # Chain 1's commitment is installed at bootstrap, like the DES.
-        commitments: Set[int] = {1}
-        chains_seen: Set[int] = {1}
-        trusted_sub: Dict[int, int] = {1: 0}
-        pending: Dict[int, Set[int]] = {}
-        # high -> [seen, held entries]; entry is -1 (authentic CDM) or a
-        # forged id. flat -> [seen, held source ids] for data records.
-        cdm_buckets: Dict[int, List[Any]] = {}
-        data_buckets: Dict[int, List[Any]] = {}
-        cdm_stored = cdm_peak = 0
-        data_stored = data_peak = 0
-        n_auth = n_weak = n_discarded = 0
+        # --- high anchor and release times ---
+        ht_after, valid = _anchor_trajectory(
+            pre.hd_index, blk[pre.hd_rows], plan.high_gap_bound
+        )
+        n_hd = int(pre.hd_rows.size)
+        span = top_high + 2
+        keyed = (ht_after.T + (cols * span)[:, None]).ravel()
+        queries = np.arange(1, top_high + 1)[None, :] + (cols * span)[:, None]
+        # release[h - 1]: first high-disclosure position whose anchor
+        # reaches h (n_hd when none does).
+        release = (
+            np.searchsorted(keyed, queries.ravel()).reshape(nb, top_high)
+            - (cols * n_hd)[:, None]
+        ).T
+        release_row = hd_pad[release]
 
-        def flush_chain(chain: int, counted: bool) -> None:
-            """Mirror of ``_flush_chain_data``: release (always) and
-            count (only on emitted paths) verified records."""
-            nonlocal data_stored, n_auth
-            ts = trusted_sub.get(chain, 0)
-            if ts < 1:
+        # --- data pool ranks and overflow offers ---
+        d_data = blk[pre.data_rows]
+        d_rank, d_counts = _run_ranks(d_data, pre.run_starts, pre.run_ends, pre.run_id)
+        d_stored = d_data & (d_rank <= data_capacity)
+        d_held = np.minimum(d_counts, data_capacity)
+        ov_c, ov_r = np.nonzero(d_data & ~d_stored)
+        data_sources = np.asarray(plan.sources, dtype=np.int64)[pre.data_rows]
+        pending = [(
+            pre.data_rows[ov_c], ov_r, data_capacity / d_rank[ov_c, ov_r],
+            np.full(ov_c.size, data_capacity),
+            data_key0 + pre.run_id[ov_c] * data_capacity, data_sources[ov_c],
+        )]
+        # Final data buckets matter only for deduplicating repeated
+        # sources; otherwise every held record is distinct.
+        fin_data: Optional[np.ndarray] = None
+        if pre.repeated_sources:
+            fin_data = np.full((nb, n_runs, data_capacity), -1, dtype=np.int64)
+            st_c, st_r = np.nonzero(d_stored)
+            fin_data[st_r, pre.run_id[st_c], d_rank[st_c, st_r] - 1] = data_sources[st_c]
+
+        fin_cdm = np.full((nb, n_high + 1, cdm_capacity), -2, dtype=np.int64)
+        cdm_held = np.zeros((n_high + 1, nb), dtype=np.int64)
+        pinned_at = np.full((n_high + 2, nb), never, dtype=np.int64)
+        pin_accept = np.full((n_high + 2, nb), never, dtype=np.int64)
+        cdm_fill_rows: List[np.ndarray] = []
+        cdm_fills: List[np.ndarray] = []
+
+        def settle(upto: int) -> None:
+            """Replay the pending overflow draws at slots <= ``upto`` in
+            each receiver's delivery order; scatter the survivors."""
+            taken = []
+            kept = []
+            for group in pending:
+                due = group[0] <= upto
+                taken.append(tuple(part[due] for part in group))
+                if not due.all():
+                    kept.append(tuple(part[~due] for part in group))
+            pending[:] = kept
+            if not taken:
                 return
-            lo = (chain - 1) * lph + 1
-            hi = lo - 1 + ts
-            flushable = [f for f in data_buckets if lo <= f <= hi]
-            flushable.sort()
-            for flat in flushable:
-                bucket = data_buckets.pop(flat)
-                held = bucket[1]
-                data_stored -= len(held)
-                if not counted:
-                    continue
-                seen: Set[int] = set()
-                for source in held:
-                    if source in seen:
-                        continue
-                    seen.add(source)
-                    # Data records are all authentic (the multi-level
-                    # attacker forges CDMs); batched verify_many in the
-                    # plan build proved each verifies under its key.
-                    n_auth += 1
-
-        def set_commitment(chain: int, counted: bool) -> None:
-            """Mirror of ``_set_commitment`` with true commitment bytes:
-            replaying the pending (authentic) disclosures anchors the
-            chain at its highest pending sub-interval."""
-            if chain in commitments:
+            rows, recv, thr, cap, base, entry = (
+                np.concatenate(parts) for parts in zip(*taken)
+            )
+            if not rows.size:
                 return
-            commitments.add(chain)
-            subs = pending.pop(chain, None)
-            trusted_sub[chain] = max(subs) if subs else 0
-            flush_chain(chain, counted)
+            order = np.lexsort((rows, recv))
+            split = np.searchsorted(recv[order], np.arange(nb + 1)).tolist()
+            thr_l = thr[order].tolist()
+            cap_l = cap[order].tolist()
+            base_l = base[order].tolist()
+            entry_l = entry[order].tolist()
+            ev_r: List[int] = []
+            ev_k: List[int] = []
+            ev_e: List[int] = []
+            for local in np.unique(recv).tolist():
+                o0, o1 = split[local], split[local + 1]
+                rng_r = rngs.get(local)
+                if rng_r is None:
+                    rng_r = rngs[local] = traced_rng(
+                        random.Random(seeds[b0 + local]),
+                        f"receiver-{start + b0 + local}",
+                    )
+                rand = rng_r.random
+                getrandbits = rng_r.getrandbits
+                survivors: Dict[int, int] = {}
+                for t, c, k, e in zip(
+                    thr_l[o0:o1], cap_l[o0:o1], base_l[o0:o1], entry_l[o0:o1]
+                ):
+                    # Keep copy k with probability m/k; the victim draw
+                    # inlines CPython randrange's getrandbits rejection
+                    # loop (stream-identical to the DES reservoir).
+                    if rand() < t:
+                        bits = c.bit_length()
+                        victim = getrandbits(bits)
+                        while victim >= c:
+                            victim = getrandbits(bits)
+                        survivors[k + victim] = e
+                ev_r.extend([local] * len(survivors))
+                ev_k.extend(survivors.keys())
+                ev_e.extend(survivors.values())
+            keys = np.asarray(ev_k, dtype=np.int64)
+            r = np.asarray(ev_r, dtype=np.int64)
+            e = np.asarray(ev_e, dtype=np.int64)
+            is_cdm = keys < data_key0
+            fin_cdm[r[is_cdm], keys[is_cdm] // cdm_capacity,
+                    keys[is_cdm] % cdm_capacity] = e[is_cdm]
+            if fin_data is not None:
+                dk = keys[~is_cdm] - data_key0
+                fin_data[r[~is_cdm], dk // data_capacity,
+                         dk % data_capacity] = e[~is_cdm]
 
-        def accept_cdm(high: int) -> None:
-            """Mirror of ``_accept_cdm`` for authentic CDMs — the events
-            it returns are discarded at every DES call site, so the
-            downstream flush is state-only (counted=False)."""
-            if high in cdm_auth:
-                return
-            cdm_auth.add(high)
-            if has_next_hash.get(high, False):
-                pinned.add(high + 1)
-            if commitment_present.get(high, False):
-                set_commitment(high + 1, counted=False)
+        def accept_time(h: int) -> np.ndarray:
+            """When high ``h`` enters cdm_auth: its pin acceptance, else
+            the release of a bucket still holding an authentic copy."""
+            held = slot_cols[None, :] < cdm_held[h][:, None]
+            holds_auth = ((fin_cdm[:, h, :] == -1) & held).any(axis=1)
+            late = np.where(holds_auth, release_row[h - 1], never)
+            return np.where(pin_accept[h] < never, pin_accept[h], late)
 
-        def handle_high_disclosure(di: int) -> None:
-            """Mirror of ``_handle_high_disclosure`` for the authentic
-            high-key disclosures CDMs piggyback."""
-            nonlocal high_trusted, cdm_stored
-            if di < 1 or di < high_trusted or di - high_trusted > gap_bound:
-                return
-            high_trusted = di
-            releasable = [h for h in cdm_buckets if h <= high_trusted]
-            releasable.sort()
-            for high in releasable:
-                bucket = cdm_buckets.pop(high)
-                held = bucket[1]
-                cdm_stored -= len(held)
-                if high in cdm_auth:
-                    continue
-                for entry in held:
-                    if entry < 0:
-                        accept_cdm(high)
-                        break
-                    if forged_mac_valid[entry]:
-                        raise ConfigurationError(
-                            "forged CDM passed MAC verification (2^-80"
-                            " collision) — replay cannot mirror a"
-                            " corrupted commitment"
-                        )
-            # key_chain_recovery is unconditionally on for the catalog
-            # parameterisations (multilevel/eftp/edrp all keep the
-            # default True) — recovered commitments are the true ones.
-            for chain in sorted(chains_seen):
-                if chain in commitments:
-                    continue
-                if chain + anchor_offset > high_trusted:
-                    continue
-                set_commitment(chain, counted=True)
+        # --- CDM pool: one pass per high interval ---
+        for h in range(1, n_high + 1):
+            c0, c1 = pre.cdm_bounds[h], pre.cdm_bounds[h + 1]
+            if c0 == c1:
+                continue
+            rows = pre.cdm_rows[c0:c1]
+            d = blk[rows]
+            offers = d & pre.cdm_gate[c0:c1, None]
+            if pre.pinning[h - 1]:
+                pin = pinned_at[h]
+                after_pin = rows[:, None] > pin[None, :]
+                first = d & pre.cdm_authentic[c0:c1, None] & after_pin
+                found = first.any(axis=0)
+                pin_accept[h] = np.where(
+                    found, rows[np.argmax(first, axis=0)], never
+                )
+                before = rows[:, None] < pin_accept[h][None, :]
+                if pre.pin_suspect is not None and (
+                    d & pre.pin_suspect[c0:c1, None] & after_pin & before
+                ).any():
+                    raise ConfigurationError(
+                        "forged CDM matched the EDRP hash pin"
+                        " (2^-80 collision) — replay cannot mirror"
+                        " a corrupted commitment"
+                    )
+                offers &= before
+            rank = np.cumsum(offers, axis=0, dtype=np.int32)
+            stored = offers & (rank <= cdm_capacity)
+            cdm_held[h] = np.minimum(rank[-1], cdm_capacity)
+            st_c, st_r = np.nonzero(stored)
+            fin_cdm[st_r, h, rank[st_c, st_r] - 1] = pre.cdm_entry[c0 + st_c]
+            cdm_fill_rows.append(rows)
+            cdm_fills.append(stored)
+            ov_c, ov_r = np.nonzero(offers & ~stored)
+            if ov_c.size:
+                pending.append((
+                    rows[ov_c], ov_r, cdm_capacity / rank[ov_c, ov_r],
+                    np.full(ov_c.size, cdm_capacity),
+                    np.full(ov_c.size, h * cdm_capacity),
+                    pre.cdm_entry[c0 + ov_c],
+                ))
+            if pre.pinning[h]:
+                # The next high's pin lands when this one is accepted.
+                settle(int(rows[-1]))
+                pinned_at[h + 1] = accept_time(h)
+        settle(never)
 
-        for b in delivered_slots:
-            kind = kinds[b]
-            if kind == _CDM:
-                high = index[b]
-                forged_id = sources[b]
-                chains_seen.add(high + 1)
-                if high not in cdm_auth:
-                    accepted = False
-                    if high in pinned:
-                        if forged_id < 0:
-                            accept_cdm(high)
-                            accepted = True
-                        elif forged_pin_match[forged_id]:
-                            raise ConfigurationError(
-                                "forged CDM matched the EDRP hash pin"
-                                " (2^-80 collision) — replay cannot mirror"
-                                " a corrupted commitment"
-                            )
-                    if not accepted and gate[b]:
-                        bucket = cdm_buckets.get(high)
-                        if bucket is None:
-                            bucket = [0, []]
-                            cdm_buckets[high] = bucket
-                        bucket[0] += 1
-                        held = bucket[1]
-                        entry = -1 if forged_id < 0 else forged_id
-                        if len(held) < cdm_capacity:
-                            held.append(entry)
-                            cdm_stored += 1
-                            if cdm_stored > cdm_peak:
-                                cdm_peak = cdm_stored
-                        elif rand() < cdm_capacity / bucket[0]:
-                            held[randrange(cdm_capacity)] = entry
-                if forged_id < 0 and disc_index[b] >= 1:
-                    handle_high_disclosure(disc_index[b])
-            elif kind == _DATA:
-                flat = index[b]
-                chain = (flat - 1) // lph + 1
-                chains_seen.add(chain)
-                if not gate[b]:
-                    n_discarded += 1
-                    continue
-                bucket = data_buckets.get(flat)
-                if bucket is None:
-                    bucket = [0, []]
-                    data_buckets[flat] = bucket
-                bucket[0] += 1
-                held = bucket[1]
-                if len(held) < data_capacity:
-                    held.append(sources[b])
-                    data_stored += 1
-                    if data_stored > data_peak:
-                        data_peak = data_stored
-                elif rand() < data_capacity / bucket[0]:
-                    held[randrange(data_capacity)] = sources[b]
-                flush_chain(chain, counted=True)
-            else:  # _DISC
-                flat = index[b]
-                chain = (flat - 1) // lph + 1
-                sub = (flat - 1) % lph + 1
-                chains_seen.add(chain)
-                if chain not in commitments:
-                    pending.setdefault(chain, set()).add(sub)
-                elif sub < trusted_sub.get(chain, 0):
-                    n_weak += 1
-                else:
-                    trusted_sub[chain] = sub
-                    flush_chain(chain, counted=True)
-        auth_c.append(n_auth)
-        lost_c.append(0)
-        rejf_c.append(0)
-        weak_c.append(n_weak)
-        disc_c.append(n_discarded)
-        facc_c.append(0)
-        recv_c.append(len(delivered_slots))
-        peak_c.append(cdm_peak * _CDM_BITS + data_peak * _RECORD_BITS)
+        # --- CDM acceptance, release and the collision fallback ---
+        cdm_release = release_row[:n_high]
+        accepted = np.full((n_high + 1, nb), never, dtype=np.int64)
+        for h in range(1, n_high + 1):
+            accepted[h] = accept_time(h)
+        if pre.mac_valid is not None:
+            # A buffered forged copy ahead of the first authentic one
+            # would be verified first: a 2^-80 MAC collision.
+            entries = fin_cdm[:, 1:, :]
+            held = slot_cols[None, None, :] < cdm_held[1:].T[:, :, None]
+            authentic = (entries == -1) & held
+            first_auth = np.where(
+                authentic.any(axis=2), np.argmax(authentic, axis=2), cdm_capacity
+            )
+            forged_ok = (entries >= 0) & held & pre.mac_valid[np.maximum(entries, 0)]
+            ahead = (forged_ok & (slot_cols[None, None, :] < first_auth[:, :, None])).any(axis=2)
+            unpinned = pin_accept[1 : n_high + 1].T >= never
+            if (ahead & unpinned & (cdm_release.T < never)).any():
+                raise ConfigurationError(
+                    "forged CDM passed MAC verification (2^-80"
+                    " collision) — replay cannot mirror a"
+                    " corrupted commitment"
+                )
+
+        # --- commitments: CDM acceptance vs recovery from the anchor ---
+        seen = np.minimum.reduceat(
+            np.where(blk[pre.seen_rows], pre.seen_rows[:, None], never),
+            pre.seen_starts, axis=0,
+        ) if pre.seen_rows.size else np.full((pre.chains.size, nb), never)
+        next_valid = _first_at_or_after(valid, np.arange(n_hd + 1))
+        reach = release[pre.chains + offset - 1]
+        recovered_at = hd_pad[
+            next_valid[np.maximum(np.searchsorted(pre.hd_rows, seen), reach), cols]
+        ]
+        by_cdm = accepted[pre.chain_commit_high]
+        committed = np.minimum(by_cdm, recovered_at)
+        recovered = recovered_at < by_cdm
+        bootstrap = pre.chains == 1
+        committed[bootstrap] = -1
+        recovered[bootstrap] = True
+
+        # --- data buckets: released by commitment + low disclosure ---
+        first_disc = _first_at_or_after(blk[pre.disc_rows], pre.run_first_disc)
+        run_chain = pre.chains[pre.run_chain_pos]
+        disclosed = np.where(
+            disc_chain_pad[first_disc] == run_chain[:, None],
+            disc_pad[first_disc], never,
+        )
+        commit = committed[pre.run_chain_pos]
+        released = (disclosed < never) & (commit < never)
+        counted = released & ((disclosed > commit) | recovered[pre.run_chain_pos])
+        if fin_data is None:
+            distinct = d_held
+        else:
+            ordered = np.sort(fin_data, axis=2)
+            fresh = ordered >= 0
+            fresh[:, :, 1:] &= ordered[:, :, 1:] != ordered[:, :, :-1]
+            distinct = fresh.sum(axis=2).T
+        auth = (distinct * counted).sum(axis=0)
+
+        # --- peaks: fills before releases within a slot ---
+        data_peak = _peak_occupancy(
+            never, pre.data_rows, d_stored,
+            np.where(released, np.maximum(disclosed, commit), never), d_held,
+        )
+        cdm_peak = _peak_occupancy(
+            never,
+            np.concatenate(cdm_fill_rows) if cdm_fill_rows else np.zeros(0, dtype=np.int64),
+            np.concatenate(cdm_fills) if cdm_fills else np.zeros((0, nb), dtype=bool),
+            cdm_release, cdm_held[1:],
+        )
+
+        zeros = [0] * nb
+        for column, values in zip(out, (
+            auth.tolist(), zeros, zeros, zeros,
+            blk[pre.discard_rows].sum(axis=0).tolist(), zeros,
+            blk.sum(axis=0).tolist(),
+            (cdm_peak * _CDM_BITS + data_peak * _RECORD_BITS).tolist(),
+        )):
+            column.extend(values)
     return out  # type: ignore[return-value]
 
 
@@ -1563,8 +2035,12 @@ def _replay_span(
             plan, _two_phase_precompute(plan), config, start, seeds, delivered
         )
     if isinstance(plan, _SingleLevelPlan):
-        return _replay_single_level(plan, config, seeds, delivered)
-    return _replay_multilevel(plan, config, start, seeds, delivered)
+        return _replay_single_level(
+            plan, _single_level_precompute(plan), config, delivered
+        )
+    return _replay_multilevel(
+        plan, _multilevel_precompute(plan), config, start, seeds, delivered
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1650,6 +2126,73 @@ class _CountAccumulator:
         return self._aggregate
 
 
+def _phase(name: str) -> ContextManager[None]:
+    """Time a run phase into the active perf registry (free when no
+    registry is collecting)."""
+    active = perf.ACTIVE
+    return active.timer(name) if active is not None else nullcontext()
+
+
+def _replay_shards(
+    plan: _Plan,
+    config: ScenarioConfig,
+    spans: List[Tuple[int, int]],
+    receiver_seeds: List[int],
+    packed: np.ndarray,
+    accumulator: _CountAccumulator,
+    executor: Optional[Executor],
+) -> None:
+    """Replay every shard and fold it, in-process or (given a parallel
+    ``executor``) over shared memory."""
+    slots = packed.shape[0]
+    if executor is not None:
+        block = shared_memory.SharedMemory(create=True, size=packed.nbytes)
+        track_resource(
+            "shm", block.name, f"fleet delivery mask ({packed.nbytes} bytes)"
+        )
+        try:
+            shared_view = np.ndarray(
+                packed.shape, dtype=np.uint8, buffer=block.buf
+            )
+            shared_view[:] = packed
+            row_bytes = packed.shape[1]
+            tasks = tuple(
+                (
+                    plan,
+                    config,
+                    start,
+                    stop,
+                    receiver_seeds[start:stop],
+                    block.name,
+                    slots,
+                    row_bytes,
+                )
+                for start, stop in spans
+            )
+            spec = ExperimentSpec.over(
+                _run_shard,
+                tasks,
+                label=f"fleet[{config.protocol}]",
+                task_labels=[f"shard[{a}:{b}]" for a, b in spans],
+            )
+            for _index, result in executor.stream(spec):
+                start, stop, counts = result
+                accumulator.fold(start, stop, counts)
+        finally:
+            # Create-side hygiene: the block must disappear even when a
+            # shard fails mid-stream.
+            block.close()
+            block.unlink()
+            release_resource("shm", block.name)
+    else:
+        for start, stop in spans:
+            delivered = _shard_delivered(packed, start, stop)
+            counts = _replay_span(
+                plan, config, start, receiver_seeds[start:stop], delivered
+            )
+            accumulator.fold(start, stop, counts)
+
+
 def run_fleet_scenario(
     config: ScenarioConfig,
     *,
@@ -1713,64 +2256,24 @@ def run_fleet_scenario(
         else random.Random()
     )
 
-    plan = _build_plan(config, schedule, sync, workload, attacker_rng)
+    with _phase("fleet.plan"):
+        plan = _build_plan(config, schedule, sync, workload, attacker_rng)
     slots = len(plan.times)
-    packed, delivered_any, delivered_total = _packed_delivery_mask(
-        config, slots, medium_rng
-    )
+    with _phase("fleet.mask"):
+        packed, delivered_any, delivered_total = _packed_delivery_mask(
+            config, slots, medium_rng
+        )
 
     accumulator = _CountAccumulator(
         config.receivers, plan.sent_authentic, summary
     )
     spans = shard_plan(config.receivers, shards)
     parallel = executor is not None and executor.jobs > 1 and len(spans) > 1
-    if parallel:
-        block = shared_memory.SharedMemory(create=True, size=packed.nbytes)
-        track_resource(
-            "shm", block.name, f"fleet delivery mask ({packed.nbytes} bytes)"
+    with _phase(f"fleet.replay.{config.protocol}"):
+        _replay_shards(
+            plan, config, spans, receiver_seeds, packed, accumulator,
+            executor if parallel else None,
         )
-        try:
-            shared_view = np.ndarray(
-                packed.shape, dtype=np.uint8, buffer=block.buf
-            )
-            shared_view[:] = packed
-            row_bytes = packed.shape[1]
-            tasks = tuple(
-                (
-                    plan,
-                    config,
-                    start,
-                    stop,
-                    receiver_seeds[start:stop],
-                    block.name,
-                    slots,
-                    row_bytes,
-                )
-                for start, stop in spans
-            )
-            spec = ExperimentSpec.over(
-                _run_shard,
-                tasks,
-                label=f"fleet[{config.protocol}]",
-                task_labels=[f"shard[{a}:{b}]" for a, b in spans],
-            )
-            assert executor is not None
-            for _index, result in executor.stream(spec):
-                start, stop, counts = result
-                accumulator.fold(start, stop, counts)
-        finally:
-            # Create-side hygiene: the block must disappear even when a
-            # shard fails mid-stream.
-            block.close()
-            block.unlink()
-            release_resource("shm", block.name)
-    else:
-        for start, stop in spans:
-            delivered = _shard_delivered(packed, start, stop)
-            counts = _replay_span(
-                plan, config, start, receiver_seeds[start:stop], delivered
-            )
-            accumulator.fold(start, stop, counts)
     fleet = accumulator.result(config.receivers)
 
     total_bits = plan.legitimate_bits + plan.forged_bits

@@ -146,10 +146,25 @@ class TestSimBenchReceiversScaling:
             assert entry["receivers"] <= DES_PARITY_MAX_RECEIVERS
             assert entry["identical_summaries"] is True
             assert entry["speedup"] > 0
+            assert set(entry["phase_seconds"]) == {
+                "fleet.plan", "fleet.mask", "fleet.replay.dap",
+            }
+            # The wall is rounded to 0.1 ms, the phases to 1 us.
+            assert sum(entry["phase_seconds"].values()) <= (
+                entry["vectorized_wall_seconds"] + 1e-4
+            )
 
     def test_no_scaling_section_without_receivers(self):
         document = run_sim_bench(preset="smoke", repeat=1)
         assert "receivers_scaling" not in document
+        # Every section carries its fleet run's phase split.
+        for section in document["results"].values():
+            phases = section["phase_seconds"]
+            assert set(phases) == {
+                "fleet.plan", "fleet.mask",
+                f"fleet.replay.{section['protocol']}",
+            }
+            assert all(seconds >= 0 for seconds in phases.values())
 
     def test_rejects_non_positive_receiver_counts(self):
         with pytest.raises(ConfigurationError):

@@ -5,14 +5,19 @@ from __future__ import annotations
 
 import dataclasses
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.engine import stable_key
 from repro.engine.executors import ParallelExecutor
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.net.harness import shard_sizes
-from repro.scenarios.families import ALL_PROTOCOLS
+from repro.scenarios import tier
+from repro.scenarios.families import ALL_PROTOCOLS, MULTI_LEVEL, SINGLE_LEVEL
 from repro.sim import fleet
 from repro import perf
 from repro.sim.fleet import run_fleet_scenario, shard_plan, supports
@@ -340,6 +345,277 @@ class TestBatchedReplay:
         macs = registry.counter("crypto.mac")
         assert batches > 0
         assert macs / batches >= 2.0
+
+
+class TestArrayReplays:
+    """The single-level (tesla, mu_tesla) and multi-level (multilevel,
+    eftp, edrp) array kernels against the DES at their edge cases."""
+
+    @pytest.mark.parametrize("protocol", ["tesla", "mu_tesla"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_receivers_missing_disclosures_never_flush(self, protocol, seed):
+        """At 60% loss some receivers miss whole runs of disclosures
+        (their buckets stay buffered to the end)."""
+        _assert_identical(
+            ScenarioConfig(
+                protocol=protocol,
+                intervals=20,
+                receivers=8,
+                buffers=3,
+                attack_fraction=0.5,
+                loss_probability=0.6,
+                seed=seed,
+                engine="vectorized",
+            )
+        )
+
+    def test_forged_disclosures_across_missed_runs(self):
+        """Forged TESLA disclosures walk down to the lowest anchor a
+        receiver holds; at loss 0.5 anchors lag by several intervals."""
+        _assert_identical(
+            ScenarioConfig(
+                protocol="tesla",
+                intervals=40,
+                receivers=6,
+                buffers=2,
+                attack_fraction=0.5,
+                loss_probability=0.5,
+                seed=17,
+                engine="vectorized",
+            )
+        )
+
+    @pytest.mark.parametrize("protocol", MULTI_LEVEL)
+    def test_every_cdm_pool_overflows(self, protocol):
+        _assert_identical(
+            ScenarioConfig(
+                protocol=protocol,
+                intervals=20,
+                receivers=5,
+                buffers=1,
+                cdm_copies=8,
+                attack_fraction=0.5,
+                loss_probability=0.1,
+                seed=5,
+                engine="vectorized",
+            )
+        )
+
+    @pytest.mark.parametrize("protocol", MULTI_LEVEL)
+    def test_data_pool_overflow_interleaves_draws(self, protocol):
+        """Ten records per sub-interval overflow the 8-record data pool,
+        so CDM and data draws interleave on one receiver stream."""
+        _assert_identical(
+            ScenarioConfig(
+                protocol=protocol,
+                intervals=15,
+                receivers=4,
+                buffers=2,
+                packets_per_interval=10,
+                attack_fraction=0.5,
+                loss_probability=0.2,
+                seed=9,
+                engine="vectorized",
+            )
+        )
+
+    def test_edrp_t3_one_sub_interval_per_high(self):
+        config = tier("T3").apply(
+            ScenarioConfig(
+                protocol="edrp",
+                intervals=30,
+                receivers=6,
+                buffers=4,
+                low_per_high=1,
+                seed=7,
+                engine="vectorized",
+            )
+        )
+        result = _assert_identical(config)
+        assert result.fleet.total_forged_accepted == 0
+
+    @pytest.mark.parametrize("protocol", SINGLE_LEVEL + MULTI_LEVEL)
+    def test_shard_invariance_across_partial_blocks(self, protocol, monkeypatch):
+        """Ten receivers in blocks of four: every shard count cuts the
+        blocks differently, and each must equal the DES."""
+        monkeypatch.setattr(fleet, "_REPLAY_BLOCK", 4)
+        config = ScenarioConfig(
+            protocol=protocol,
+            intervals=15,
+            receivers=10,
+            buffers=2,
+            attack_fraction=0.5,
+            loss_probability=0.3,
+            seed=12,
+            engine="vectorized",
+        )
+        des = run_scenario(dataclasses.replace(config, engine="des"))
+        for shards in (1, 3, 7):
+            assert run_fleet_scenario(config, shards=shards).fleet == des.fleet
+
+    @seed(20160627)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        protocol=st.sampled_from(SINGLE_LEVEL + MULTI_LEVEL),
+        intervals=st.integers(3, 30),
+        buffers=st.integers(1, 6),
+        low_per_high=st.integers(1, 5),
+        cdm_copies=st.integers(1, 8),
+        attack=st.sampled_from([0.0, 0.3, 0.5, 0.8]),
+        loss=st.sampled_from([0.0, 0.1, 0.4, 0.7]),
+        burst=st.sampled_from([None, 3.0]),
+        run_seed=st.integers(1, 10_000),
+    )
+    def test_property_matches_des(
+        self, protocol, intervals, buffers, low_per_high, cdm_copies,
+        attack, loss, burst, run_seed,
+    ):
+        _assert_identical(
+            ScenarioConfig(
+                protocol=protocol,
+                intervals=intervals,
+                receivers=4,
+                buffers=buffers,
+                low_per_high=low_per_high,
+                cdm_copies=cdm_copies,
+                attack_fraction=attack,
+                loss_probability=loss,
+                loss_mean_burst=burst,
+                seed=run_seed,
+                engine="vectorized",
+            )
+        )
+
+    def test_single_level_precompute_rejects_late_record(self):
+        """A gated record arriving after its interval's key was
+        disclosed breaks the frozen-bucket fact the kernel rests on."""
+        plan = fleet._SingleLevelPlan(
+            times=np.arange(2, dtype=float),
+            rec_interval=[-1, 2],
+            rec_source=[0, 0],
+            forged_valid=[],
+            gate=[True, True],
+            disc_index=[2, -1],
+            disc_forged=[-1, -1],
+            forged_keys=[],
+            chain_keys=[b"\x00" * 10] * 3,
+            legitimate_bits=0,
+            forged_bits=0,
+            sent_authentic=1,
+        )
+        with pytest.raises(SimulationError, match="can be trusted"):
+            fleet._single_level_precompute(plan)
+
+    def test_multilevel_precompute_rejects_cdm_after_its_key(self):
+        C = fleet._CDM
+        plan = fleet._MultiLevelPlan(
+            times=np.arange(2, dtype=float),
+            kinds=[C, C],
+            index=[1, 1],
+            sources=[-1, 0],
+            gate=[True, True],
+            disc_index=[1, -1],
+            commitment_present={1: True},
+            has_next_hash={1: False},
+            forged_mac_valid=[False],
+            forged_pin_match=[False],
+            low_per_high=1,
+            high_gap_bound=16,
+            anchor_offset=1,
+            legitimate_bits=0,
+            forged_bits=0,
+            sent_authentic=0,
+        )
+        with pytest.raises(SimulationError, match="after its high key"):
+            fleet._multilevel_precompute(plan)
+
+    @pytest.mark.parametrize("protocol, collide", [
+        ("tesla", "disclosure"),
+        ("multilevel", "cdm_mac"),
+        ("edrp", "edrp_pin"),
+    ])
+    def test_collision_fallbacks_raise(self, protocol, collide, monkeypatch):
+        """Plans forced into each 2^-80 collision (a forged disclosure
+        candidate equal to the true key, a forged CDM whose MAC or EDRP
+        pin matches) must raise rather than replay a corrupted anchor."""
+
+        def colliding(*args):
+            plan = build(*args)
+            if collide == "disclosure":
+                keys = [
+                    plan.chain_keys[plan.disc_index[plan.disc_forged.index(f)]]
+                    for f in range(len(plan.forged_keys))
+                ]
+                return dataclasses.replace(plan, forged_keys=keys)
+            field = (
+                "forged_mac_valid" if collide == "cdm_mac" else "forged_pin_match"
+            )
+            flags = [True] * len(getattr(plan, field))
+            return dataclasses.replace(plan, **{field: flags})
+
+        build = fleet._build_plan
+        monkeypatch.setattr(fleet, "_build_plan", colliding)
+        config = ScenarioConfig(
+            protocol=protocol,
+            intervals=12,
+            receivers=4,
+            buffers=2,
+            attack_fraction=0.5,
+            seed=3,
+            engine="vectorized",
+        )
+        with pytest.raises(ConfigurationError, match="2\\^-80"):
+            run_fleet_scenario(config)
+
+    def test_duplicate_groups_never_alias_forged_sources(self):
+        """Forged record sources are negative; an (interval, source)
+        identity must not collide with another interval's record."""
+        assert fleet._duplicate_groups(
+            np.array([2, 3]), np.array([0, -1])
+        ) == (None, None)
+        order, starts = fleet._duplicate_groups(
+            np.array([2, 3, 2]), np.array([0, -1, 0])
+        )
+        assert order.tolist() == [0, 2, 1]
+        assert starts.tolist() == [0, 2]
+
+    def test_tesla_plan_hashing_is_linear_in_intervals(self):
+        """Forged disclosures walk only to the lowest held anchor, not
+        to index 0: 4x the intervals costs about 4x the hashes."""
+        base = ScenarioConfig(
+            protocol="tesla",
+            receivers=4,
+            buffers=4,
+            attack_fraction=0.5,
+            loss_probability=0.1,
+            seed=7,
+            engine="vectorized",
+        )
+        hashes = []
+        for intervals in (256, 1024):
+            with perf.collecting() as registry:
+                run_fleet_scenario(dataclasses.replace(base, intervals=intervals))
+            hashes.append(registry.counter("crypto.hash"))
+        assert hashes[1] <= 5 * hashes[0]
+
+    def test_collected_run_records_phase_timers(self):
+        config = ScenarioConfig(
+            protocol="multilevel",
+            intervals=15,
+            receivers=20,
+            attack_fraction=0.5,
+            loss_probability=0.1,
+            seed=7,
+            engine="vectorized",
+        )
+        with perf.collecting() as registry:
+            started = time.perf_counter()
+            run_fleet_scenario(config, shards=2)
+            wall = time.perf_counter() - started
+        phases = ("fleet.plan", "fleet.mask", "fleet.replay.multilevel")
+        assert set(registry.timers) == set(phases)
+        assert all(registry.timers[name] > 0 for name in phases)
+        assert sum(registry.timers.values()) <= wall
 
 
 class TestCacheKeys:
