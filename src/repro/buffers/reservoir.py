@@ -22,6 +22,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Generic, Iterable, Iterator, List, Optional, TypeVar
 
 from repro.errors import ConfigurationError
@@ -162,51 +163,34 @@ class ReservoirBuffer(PacketBuffer[T]):
     def offer_many(self, items: Iterable[T]) -> int:
         """Draw-identical batched :meth:`offer` (Algorithm 2 per item).
 
-        The ``m/k`` acceptance draw and the uniform victim draw are
-        consumed from the same RNG stream, in the same order, as the
-        per-item path — offering ``[a, b, c]`` here leaves the buffer,
-        the seen counter *and the RNG* in the state three ``offer``
-        calls would. For a plain :class:`random.Random` the victim draw
-        inlines ``randrange``'s ``getrandbits`` rejection loop, which
-        is where the scalar path spends most of its time under a flood.
+        Free buffers are filled in order; the offers past capacity go
+        through :func:`repro.sim.draws.reservoir_overflow`, which
+        consumes the ``m/k`` acceptance and victim draws from the same
+        stream, in the same order, as the per-item path — offering
+        ``[a, b, c]`` here leaves the buffer, the seen counter *and the
+        RNG* in the state three ``offer`` calls would.
         """
+        # Deferred: repro.sim imports this module (protocol receivers).
+        from repro.sim.draws import reservoir_overflow
+
         capacity = self._capacity
         held = self._items
-        seen = self._seen
-        stored = 0
-        rng = self._rng
-        rand = rng.random
-        if type(rng) is random.Random:
-            # CPython's randrange(n) is _randbelow_with_getrandbits:
-            # k = n.bit_length(); draw getrandbits(k) until < n. Inlined
-            # it consumes the identical stream without the Python-level
-            # argument plumbing of the randrange wrapper.
-            getrandbits = rng.getrandbits
-            k = capacity.bit_length()
-            for item in items:
-                seen += 1
-                if len(held) < capacity:
-                    held.append(item)
-                    stored += 1
-                elif rand() < capacity / seen:
-                    victim = getrandbits(k)
-                    while victim >= capacity:
-                        victim = getrandbits(k)
-                    held[victim] = item
-                    stored += 1
-            self._seen = seen
-            return stored
-        randrange = rng.randrange
-        for item in items:
-            seen += 1
-            if len(held) < capacity:
-                held.append(item)
-                stored += 1
-            elif rand() < capacity / seen:
-                held[randrange(capacity)] = item
-                stored += 1
-        self._seen = seen
-        return stored
+        batch = list(items)
+        free = capacity - len(held)
+        held.extend(batch[:free])
+        overflow = batch[free:]
+        stored = len(batch) - len(overflow)
+        seen = self._seen + stored
+        thresholds = map(
+            capacity.__truediv__, range(seen + 1, seen + len(overflow) + 1)
+        )
+        survivors, accepted = reservoir_overflow(
+            self._rng, thresholds, capacity, repeat(0), overflow
+        )
+        for slot, item in survivors.items():
+            held[slot] = item
+        self._seen = seen + len(overflow)
+        return stored + accepted
 
 
 class KeepFirstBuffer(PacketBuffer[T]):

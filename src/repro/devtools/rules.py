@@ -16,8 +16,6 @@ RPL005    cache-key hygiene: content-addressed config dataclasses keep
           every knob visible to ``stable_key``
 RPL006    no bare/broad ``except`` that swallows (fault boundaries that
           re-raise are fine)
-RPL007    every ``register_scenario`` call declares its ``tier=`` and
-          ``seeds=`` explicitly (catalog entries are replayable facts)
 RPL008    every ``SharedMemory`` block is ``close()``d — and
           ``unlink()``ed when created — in a ``finally`` path (shared
           segments outlive the process; leaks accumulate in /dev/shm)
@@ -47,7 +45,6 @@ __all__ = [
     "ForkSafetyRule",
     "CacheKeyHygieneRule",
     "ExceptionHygieneRule",
-    "ScenarioRegistrationRule",
     "SharedMemoryHygieneRule",
     "BatchedMacRoutingRule",
     "rule_catalog",
@@ -727,57 +724,6 @@ class ExceptionHygieneRule(Rule):
         return False
 
 
-class ScenarioRegistrationRule(Rule):
-    """RPL007 — scenario registrations spell out tier and seeds.
-
-    A catalog entry is a replayable fact: ``repro scenarios validate``
-    and the CI contract job re-run it at its *declared* seeds on its
-    *declared* tier. ``register_scenario`` enforces both keywords at
-    runtime, but only for code paths that import; this rule catches a
-    registration missing ``tier=`` or ``seeds=`` (or sneaking them in
-    positionally / via ``**kwargs``) at lint time, across the whole
-    tree including modules the test run never loads.
-    """
-
-    code = "RPL007"
-    name = "scenario-registration"
-    description = (
-        "register_scenario call without explicit tier= and seeds="
-        " keywords"
-    )
-
-    SCOPE = ("repro/", "benchmarks/")
-    _REQUIRED = ("tier", "seeds")
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        if not ctx.in_dir(*self.SCOPE):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not self._is_register_call(node.func):
-                continue
-            given = {kw.arg for kw in node.keywords if kw.arg is not None}
-            missing = [name for name in self._REQUIRED if name not in given]
-            if missing:
-                yield self.violation(
-                    ctx,
-                    node,
-                    "register_scenario without explicit"
-                    f" {' and '.join(f'{name}=' for name in missing)}:"
-                    " catalog entries must pin their difficulty tier and"
-                    " canonical seeds at the registration site",
-                )
-
-    @staticmethod
-    def _is_register_call(func: ast.expr) -> bool:
-        if isinstance(func, ast.Name):
-            return func.id == "register_scenario"
-        if isinstance(func, ast.Attribute):
-            return func.attr == "register_scenario"
-        return False
-
-
 class SharedMemoryHygieneRule(Rule):
     """RPL008 — SharedMemory blocks are released on every path.
 
@@ -1017,7 +963,6 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     ForkSafetyRule,
     CacheKeyHygieneRule,
     ExceptionHygieneRule,
-    ScenarioRegistrationRule,
     SharedMemoryHygieneRule,
     BatchedMacRoutingRule,
 )

@@ -19,10 +19,11 @@ the DES and the fleet engine legitimately consume streams in different
 orders; what must match is each stream's own draw sequence.
 
 The wrapper is a genuine :class:`random.Random` *subclass* so
-``isinstance`` checks pass, while ``type(rng) is random.Random`` fast
-paths (e.g. ``ReservoirBuffer.offer_many``) deliberately fail and fall
-back to their draw-for-draw-identical scalar routes — tracing slows
-runs down but never changes the bytes drawn.
+``isinstance`` checks pass and every consumer — including the inlined
+``getrandbits`` victim draw of :func:`repro.sim.draws.
+reservoir_overflow` — runs its one path unchanged: tracing slows runs
+down but never changes the bytes drawn. The seed ladder in
+:mod:`repro.sim.draws` is the only caller of :func:`traced_rng`.
 
 Testing hook: ``DeterminismSanitizer(corrupt_draw=k)`` flips the k-th
 recorded draw (0-based, global across streams) and *returns the

@@ -6,8 +6,10 @@ Two entry points:
     One deterministic end-to-end run over the loopback transport. The
     world is assembled from a plain :class:`~repro.sim.scenario.
     ScenarioConfig` through the *same* protocol builder and the same
-    RNG-derivation order as :func:`~repro.sim.scenario.run_scenario`,
-    and the loopback network shares the simulator's FIFO tie-breaking —
+    :class:`~repro.sim.draws.SeedLadder` as
+    :func:`~repro.sim.scenario.run_scenario`, the fault proxy draws its
+    delivery decisions from the ladder's ``medium`` stream, and the
+    loopback network shares the simulator's FIFO tie-breaking —
     so at equal seeds the over-the-wire soak reproduces the in-memory
     simulation's per-node outcome tallies exactly. That parity is the
     subsystem's correctness anchor (asserted in ``tests/net``).
@@ -25,19 +27,18 @@ Two entry points:
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import perf
-from repro.devtools.sanitizers.determinism import traced_rng
 from repro.engine import Executor, run_tasks
 from repro.errors import ConfigurationError
 from repro.net.daemons import Broadcaster, ReceiverDaemon
 from repro.net.flood import FloodAttacker, ProvenanceRegistry
 from repro.net.proxy import FaultInjectionProxy, ProxyConfig
 from repro.net.transport import LoopbackNetwork
+from repro.sim.draws import SeedLadder
 from repro.sim.metrics import FleetSummary
 from repro.scenarios.families import NET_PROTOCOLS
 from repro.sim.scenario import ScenarioConfig, build_two_phase_protocol
@@ -75,10 +76,11 @@ _NET_PROTOCOLS = NET_PROTOCOLS
 class SoakWorld:
     """The protocol half of a soak, transport-agnostic.
 
-    Both transports build through :func:`derive_soak_world` so the
-    seed-derivation order — master → channel/proxy RNG → per-receiver
-    RNGs → attacker RNG, exactly :func:`run_scenario`'s — is shared
-    code rather than a convention.
+    Both transports build through :func:`derive_soak_world`, and
+    ``seeds`` is the same :class:`~repro.sim.draws.SeedLadder`
+    :func:`run_scenario` uses: the fault proxy takes ``seeds.medium``,
+    and an attacker, when one is built, takes ``seeds.attacker()``
+    (which draws the attacker seed only then, as the DES does).
     """
 
     schedule: IntervalSchedule
@@ -87,12 +89,11 @@ class SoakWorld:
     factory: Any
     authentic_copies: int
     sent_authentic: int
-    proxy_rng: random.Random
-    attacker_rng: random.Random
+    seeds: SeedLadder
 
 
 def derive_soak_world(config: ScenarioConfig) -> SoakWorld:
-    """Derive every protocol object and RNG a soak needs from ``config``.
+    """Derive every protocol object and seeded stream a soak needs.
 
     Only the two-phase protocols (``dap``, ``tesla_pp``) speak the
     testbed today; the codec covers the rest of the family, their
@@ -103,16 +104,14 @@ def derive_soak_world(config: ScenarioConfig) -> SoakWorld:
             f"live testbed supports protocols {_NET_PROTOCOLS},"
             f" got {config.protocol!r}"
         )
-    rng = traced_rng(random.Random(config.seed), "master")
-    proxy_rng = traced_rng(random.Random(rng.getrandbits(64)), "proxy")
+    seeds = SeedLadder(config.seed)
     schedule = IntervalSchedule(0.0, config.interval_duration)
     sync = LooseTimeSync(config.max_offset)
     workload = workload_for(config)
     condition = SecurityCondition(schedule, sync, config.disclosure_delay)
     sender, receivers, factory, authentic_copies, sent_authentic = (
-        build_two_phase_protocol(config, condition, workload, rng)
+        build_two_phase_protocol(config, condition, workload, seeds)
     )
-    attacker_rng = traced_rng(random.Random(rng.getrandbits(64)), "attacker")
     return SoakWorld(
         schedule=schedule,
         sender=sender,
@@ -120,8 +119,7 @@ def derive_soak_world(config: ScenarioConfig) -> SoakWorld:
         factory=factory,
         authentic_copies=authentic_copies,
         sent_authentic=sent_authentic,
-        proxy_rng=proxy_rng,
-        attacker_rng=attacker_rng,
+        seeds=seeds,
     )
 
 
@@ -241,7 +239,7 @@ def run_loopback_soak(
         proxy_ep,
         [daemon.name for daemon in daemons],
         proxy_config or _soak_proxy_config(config),
-        rng=world.proxy_rng,
+        rng=world.seeds.medium,
     )
     broadcaster = Broadcaster(
         sender_ep, [proxy_ep.address], world.sender, schedule, config.intervals
@@ -255,7 +253,7 @@ def run_loopback_soak(
             [proxy_ep.address],
             registry=registry,
             factory=world.factory,
-            rng=world.attacker_rng,
+            rng=world.seeds.attacker(),
         )
         if attack_rate is not None:
             attacker.schedule_rate(

@@ -88,7 +88,7 @@ async def _soak_world(
                 proxy_ep,
                 [daemon.address for daemon in daemons],
                 config.proxy_config(),
-                rng=world.proxy_rng,
+                rng=world.seeds.medium,
             )
             ingress = proxy_ep.address
             destinations = [ingress]
@@ -114,7 +114,7 @@ async def _soak_world(
                 [ingress],
                 registry=registry,
                 factory=world.factory,
-                rng=world.attacker_rng,
+                rng=world.seeds.attacker(),
             )
             if config.attack_rate > 0:
                 attacker.schedule_rate(

@@ -22,9 +22,9 @@ Builders register through the :func:`register_scenario` decorator::
 
 Registration is validated eagerly (name shape, tier, seeds, engine
 declarations, workload/protocol consistency) so a bad catalog entry
-fails at import, not at lookup. The reprolint rule RPL007 additionally
-enforces — statically — that every ``register_scenario`` call spells
-its ``tier=`` and ``seeds=`` explicitly.
+fails at import, not at lookup. ``tier`` and ``seeds`` are keyword-only
+parameters with no default, so a registration that omits either raises
+``TypeError`` when its module is imported.
 
 The built-in catalog (:mod:`repro.scenarios.catalog`) is loaded
 lazily on first lookup, keeping ``import repro.scenarios`` cheap and
@@ -195,8 +195,8 @@ def register_scenario(
     :class:`~repro.sim.scenario.ScenarioConfig` is frozen into an
     immutable :class:`ScenarioDescriptor`. The workload family is
     derived from ``config.workload`` so descriptor and config can never
-    disagree. ``tier`` and ``seeds`` are mandatory keywords — enforced
-    here and, statically, by reprolint rule RPL007.
+    disagree. ``tier`` and ``seeds`` are keyword-only with no default,
+    so Python itself rejects a registration missing either.
     """
 
     def decorate(

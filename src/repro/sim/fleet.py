@@ -43,31 +43,15 @@ All seven catalog protocols are covered — the canonical table lives in
 Exactness contract
 ------------------
 
-The engine mirrors the discrete-event simulator's RNG draw order — the
-same technique the fault-injection proxy uses to reproduce
-``BroadcastMedium`` node-for-node — so ``run_fleet_scenario(config)``
-returns the *identical* summary ``run_scenario`` produces at the same
-seed, for every family:
-
-- master draws: medium seed, per-receiver seeds (receiver order),
-  attacker seed — exactly as ``run_scenario`` + the family builders;
-- medium draws: one shared stream, consumed broadcast-by-broadcast in
-  attachment order, one uniform per Bernoulli decision and two per
-  Gilbert–Elliott decision (transition, then loss). The stream is
-  replayed through a mirrored ``numpy`` Mersenne state in bounded
-  blocks along the slot axis, carrying the per-lane channel state
-  between blocks;
-- reservoir draws: per-receiver ``random.Random`` streams replay
-  Algorithm 2's ``m/k`` rule offer-for-offer. Ranks decide every
-  free-slot fill at once, and only the overflow offers (rank past
-  capacity) reach a tight scalar loop that consumes the acceptance
-  ``random()`` and the inlined ``randrange``/``getrandbits`` rejection
-  draws in exactly the per-offer order. Multi-level receivers share
-  one stream between the CDM and data pools, drawn in delivery order
-  as the DES receiver does; offers to an already-authenticated high
-  draw nothing. Single-level (keep-first) receivers never draw;
-- forged bytes are replayed from the attacker stream in injection
-  order, which is what makes every collision fallback exact.
+``run_fleet_scenario(config)`` returns the *identical* summary
+``run_scenario`` produces at the same seed, for every family, because
+both take their seeded streams and draws from :mod:`repro.sim.draws`
+and consume each stream in the same order: the medium per broadcast in
+attachment order (one uniform per Bernoulli decision, two per
+Gilbert–Elliott one); each reservoir receiver only for overflow offers
+(rank past capacity), in its delivery order, with multi-level CDM and
+data pools sharing one stream; the attacker in injection order, which
+makes every collision fallback exact.
 
 Sharding
 --------
@@ -102,7 +86,6 @@ import numpy as np
 from repro import perf
 from repro.crypto.mac import INDEX_BITS, MacScheme, MicroMacScheme
 from repro.crypto.onewayfn import OneWayFunction, standard_functions
-from repro.devtools.sanitizers.determinism import traced_rng
 from repro.devtools.sanitizers.resources import release_resource, track_resource
 from repro.engine.executors import Executor
 from repro.engine.spec import ExperimentSpec
@@ -133,6 +116,9 @@ from repro.sim.channel import (
     GilbertElliottLoss,
     bernoulli_drop_mask,
     gilbert_elliott_drop_mask,
+)
+from repro.sim.draws import (
+    SeedLadder, medium_blocks, receiver_rng, reservoir_overflow,
 )
 from repro.sim.metrics import (
     FleetAggregate,
@@ -194,11 +180,6 @@ _DISC = 2
 #: Per-buffered-item bit sizes, matching the DES receivers' pools.
 _RECORD_BITS = StoredPacketRecord(0, b"\x00" * 25, b"\x00" * 10).stored_bits
 _CDM_BITS = CdmPacket(1, _NO_COMMITMENT, b"\x00" * 10, 0, None).wire_bits
-
-#: Uniform draws generated per block when materialising the delivery
-#: mask (~256 MB of float64 temporaries) — the knob that keeps peak RSS
-#: flat as ``slots x receivers`` grows.
-_DELIVERY_BLOCK_FLOATS = 32 * 1024 * 1024
 
 
 def supports(config: ScenarioConfig) -> bool:
@@ -329,7 +310,7 @@ def _build_two_phase_plan(
     schedule: IntervalSchedule,
     sync: LooseTimeSync,
     workload: _Workload,
-    attacker_rng: random.Random,
+    seeds: SeedLadder,
 ) -> _TwoPhasePlan:
     """Lay out every two-phase broadcast in DES event order.
 
@@ -375,6 +356,7 @@ def _build_two_phase_plan(
     forged_bits = 0
     forged_macs: List[bytes] = []
     if config.attack_fraction > 0.0:
+        attacker_rng = seeds.attacker()
         copies = forged_copies_for_fraction(announce_block, config.attack_fraction)
         window = duration * config.attack_burst_fraction
         forged_wire_bits = MacAnnouncePacket(
@@ -427,7 +409,7 @@ def _build_single_level_plan(
     schedule: IntervalSchedule,
     sync: LooseTimeSync,
     workload: _Workload,
-    attacker_rng: random.Random,
+    seeds: SeedLadder,
 ) -> _SingleLevelPlan:
     """Timeline + outcome tables for classic TESLA / μTESLA."""
     delay = max(config.disclosure_delay, 2)
@@ -476,6 +458,7 @@ def _build_single_level_plan(
     forged_records: List[Tuple[int, bytes, bytes]] = []
     forged_disclosures: List[Tuple[int, bytes]] = []
     if config.attack_fraction > 0.0:
+        attacker_rng = seeds.attacker()
         copies = forged_copies_for_fraction(
             config.packets_per_interval, config.attack_fraction
         )
@@ -597,7 +580,7 @@ def _build_multilevel_plan(
     schedule: IntervalSchedule,
     sync: LooseTimeSync,
     workload: _Workload,
-    attacker_rng: random.Random,
+    seeds: SeedLadder,
 ) -> _MultiLevelPlan:
     """Timeline + outcome tables for multi-level μTESLA / EFTP / EDRP."""
     params = _multilevel_params(config)
@@ -651,6 +634,7 @@ def _build_multilevel_plan(
     # forged CDM k: (high, low_commitment, mac)
     forged_cdms: List[Tuple[int, bytes, bytes]] = []
     if config.attack_fraction > 0.0:
+        attacker_rng = seeds.attacker()
         authentic_copies = max(config.cdm_copies // lph, 1)
         copies = forged_copies_for_fraction(
             authentic_copies, config.attack_fraction
@@ -777,15 +761,13 @@ def _build_plan(
     schedule: IntervalSchedule,
     sync: LooseTimeSync,
     workload: _Workload,
-    attacker_rng: random.Random,
+    seeds: SeedLadder,
 ) -> _Plan:
     if config.protocol in TWO_PHASE:
-        return _build_two_phase_plan(config, schedule, sync, workload, attacker_rng)
+        return _build_two_phase_plan(config, schedule, sync, workload, seeds)
     if config.protocol in SINGLE_LEVEL:
-        return _build_single_level_plan(
-            config, schedule, sync, workload, attacker_rng
-        )
-    return _build_multilevel_plan(config, schedule, sync, workload, attacker_rng)
+        return _build_single_level_plan(config, schedule, sync, workload, seeds)
+    return _build_multilevel_plan(config, schedule, sync, workload, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -800,38 +782,28 @@ def _packed_delivery_mask(
     Consumes the medium RNG stream in the exact order
     ``BroadcastMedium.broadcast`` does — per broadcast, one decision per
     attached receiver, in attachment order — but through a mirrored
-    NumPy Mersenne state so the draws vectorize, generated in bounded
-    blocks along the slot axis (Gilbert–Elliott channel state carries
-    across blocks). Returns ``(packed, delivered_any, delivered_total)``.
+    NumPy Mersenne state (:func:`repro.sim.draws.medium_blocks`) so the
+    draws vectorize, generated in bounded blocks along the slot axis
+    (Gilbert–Elliott channel state carries across blocks). Returns
+    ``(packed, delivered_any, delivered_total)``.
     """
     receivers = config.receivers
     bursty = config.loss_mean_burst is not None and config.loss_probability > 0.0
-    draws = 2 if bursty else 1
-    # A CPython Random and a NumPy RandomState share the MT19937 core:
-    # transplanting the 624-word state makes random_sample() emit the
-    # same doubles random() would, draw for draw.
-    _version, internal, _gauss = medium_rng.getstate()
-    mirror = np.random.RandomState()
-    mirror.set_state(
-        ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
-    )
+    per_decision = 2 if bursty else 1
     row_bytes = (receivers + 7) // 8
     packed = np.empty((slots, row_bytes), dtype=np.uint8)
     delivered_any = np.zeros(slots, dtype=bool)
     delivered_total = 0
-    per_slot = receivers * draws
-    block = max(1, _DELIVERY_BLOCK_FLOATS // max(per_slot, 1))
     reference = None
     if bursty:
         reference = GilbertElliottLoss.from_average(
             config.loss_probability, config.loss_mean_burst
         )
     channel_state: Optional[np.ndarray] = None
-    for begin in range(0, slots, block):
-        end = min(begin + block, slots)
-        uniforms = mirror.random_sample((end - begin) * per_slot).reshape(
-            end - begin, receivers, draws
-        )
+    for begin, end, flat in medium_blocks(
+        medium_rng, slots, receivers * per_decision
+    ):
+        uniforms = flat.reshape(end - begin, receivers, per_decision)
         if reference is not None:
             drops, channel_state = gilbert_elliott_drop_mask(
                 uniforms,
@@ -1015,10 +987,10 @@ def _replay_two_phase_vectorized(
     unconditionally), so the fill trajectory, bucket seen-counters,
     stale-pop totals and peak-occupancy candidates all come out of
     numpy at once. Only overflow offers — rank past capacity — touch
-    the per-receiver RNG: a tight scalar loop replays the ``m/k``
-    acceptance ``random()`` and the inlined ``randrange`` /
-    ``getrandbits`` victim draws for exactly those offers, in delivery
-    order, leaving every bucket byte-identical to the DES receiver's.
+    the per-receiver RNG: :func:`~repro.sim.draws.reservoir_overflow`
+    replays the ``m/k`` acceptance and victim draws for exactly those
+    offers, in delivery order, leaving every bucket byte-identical to
+    the DES receiver's.
     The short reveal pass then replays weak authentication, pops and
     matching per receiver, batching μMAC collision fallbacks through
     :meth:`~repro.crypto.mac.MicroMacScheme.compute_many`.
@@ -1029,7 +1001,6 @@ def _replay_two_phase_vectorized(
     item_bits = plan.item_bits
     micro = MicroMacScheme(item_bits - INDEX_BITS)
     capacity = config.buffers
-    kbits = capacity.bit_length()
 
     offer_rows = pre.offer_rows
     run_starts = pre.run_starts
@@ -1094,32 +1065,16 @@ def _replay_two_phase_vectorized(
         ev_key: List[int] = []
         ev_src: List[int] = []
         for local in range(nb):
-            o0 = ov_split[local]
-            o1 = ov_split[local + 1]
+            o0, o1 = ov_split[local], ov_split[local + 1]
             if o0 == o1:
                 continue
-            rng_r = traced_rng(
-                random.Random(seeds[b0 + local]),
-                f"receiver-{start + b0 + local}",
+            evmap, _accepted = reservoir_overflow(
+                receiver_rng(start + b0 + local, seeds[b0 + local]),
+                thr_all[o0:o1], capacity, rkb_all[o0:o1], src_all[o0:o1],
             )
-            rand = rng_r.random
-            getrandbits = rng_r.getrandbits
-            evmap: Dict[int, int] = {}
-            for thr, rkb, src in zip(
-                thr_all[o0:o1], rkb_all[o0:o1], src_all[o0:o1]
-            ):
-                # Keep copy k with probability m/k; the victim draw
-                # inlines CPython randrange's getrandbits rejection
-                # loop (stream-identical to the DES reservoir).
-                if rand() < thr:
-                    victim = getrandbits(kbits)
-                    while victim >= capacity:
-                        victim = getrandbits(kbits)
-                    evmap[rkb + victim] = src
-            if evmap:
-                ev_rcv.extend([local] * len(evmap))
-                ev_key.extend(evmap.keys())
-                ev_src.extend(evmap.values())
+            ev_rcv.extend([local] * len(evmap))
+            ev_key.extend(evmap.keys())
+            ev_src.extend(evmap.values())
 
         # --- final buckets: one scatter of fills + one of survivors ---
         fin = np.zeros((nb, n_runs, capacity), dtype=np.int64)
@@ -1741,9 +1696,10 @@ def _replay_multilevel(
     pin acceptances (a pinned high accepts its first authentic copy
     after the pin and buffers nothing more) and ranks every CDM offer.
     Overflow offers of both pools — rank past capacity — replay the
-    shared per-receiver ``random()``/``randrange`` stream in delivery
-    order in a scalar loop; with hash pinning, the draws of a high are
-    settled before its acceptance feeds the next high's pin. A chain's
+    shared per-receiver stream in delivery order through
+    :func:`~repro.sim.draws.reservoir_overflow`; with hash pinning, the
+    draws of a high are settled before its acceptance feeds the next
+    high's pin. A chain's
     commitment time is the earlier of its CDM acceptance and its
     recovery; a flat's data bucket is released when that commitment and
     its first delivered low disclosure are both in, and counted unless
@@ -1848,27 +1804,12 @@ def _replay_multilevel(
             ev_e: List[int] = []
             for local in np.unique(recv).tolist():
                 o0, o1 = split[local], split[local + 1]
-                rng_r = rngs.get(local)
-                if rng_r is None:
-                    rng_r = rngs[local] = traced_rng(
-                        random.Random(seeds[b0 + local]),
-                        f"receiver-{start + b0 + local}",
-                    )
-                rand = rng_r.random
-                getrandbits = rng_r.getrandbits
-                survivors: Dict[int, int] = {}
-                for t, c, k, e in zip(
-                    thr_l[o0:o1], cap_l[o0:o1], base_l[o0:o1], entry_l[o0:o1]
-                ):
-                    # Keep copy k with probability m/k; the victim draw
-                    # inlines CPython randrange's getrandbits rejection
-                    # loop (stream-identical to the DES reservoir).
-                    if rand() < t:
-                        bits = c.bit_length()
-                        victim = getrandbits(bits)
-                        while victim >= c:
-                            victim = getrandbits(bits)
-                        survivors[k + victim] = e
+                if local not in rngs:
+                    rngs[local] = receiver_rng(start + b0 + local, seeds[b0 + local])
+                survivors, _accepted = reservoir_overflow(
+                    rngs[local], thr_l[o0:o1], cap_l[o0:o1], base_l[o0:o1],
+                    entry_l[o0:o1],
+                )
                 ev_r.extend([local] * len(survivors))
                 ev_k.extend(survivors.keys())
                 ev_e.extend(survivors.values())
@@ -2238,30 +2179,18 @@ def run_fleet_scenario(
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
     shards = min(shards, config.receivers)
 
-    # Master draw order mirrors run_scenario + the family builders.
-    # medium_rng stays unwrapped: _packed_delivery_mask consumes its
-    # getstate() to seed the numpy mirror, which a tracing wrapper
-    # would intercept without seeing the numpy-side draws.
-    rng = traced_rng(random.Random(config.seed), "master")
-    medium_rng = random.Random(rng.getrandbits(64))
+    seeds = SeedLadder(config.seed)
     schedule = IntervalSchedule(0.0, config.interval_duration)
     sync = LooseTimeSync(config.max_offset)
     workload = workload_for(config)
-    receiver_seeds = [rng.getrandbits(64) for _ in range(config.receivers)]
-    # run_scenario draws the attacker seed only when the attack is on.
-    attacker_rng = (
-        traced_rng(random.Random(rng.getrandbits(64)), "attacker")
-        if config.attack_fraction > 0.0
-        # reprolint: disable=RPL002 -- never drawn from: attack is off, and taking a master-seed draw here would break DES draw-order parity
-        else random.Random()
-    )
+    receiver_seeds = seeds.receiver_seeds(config.receivers)
 
     with _phase("fleet.plan"):
-        plan = _build_plan(config, schedule, sync, workload, attacker_rng)
+        plan = _build_plan(config, schedule, sync, workload, seeds)
     slots = len(plan.times)
     with _phase("fleet.mask"):
         packed, delivered_any, delivered_total = _packed_delivery_mask(
-            config, slots, medium_rng
+            config, slots, seeds.medium
         )
 
     accumulator = _CountAccumulator(

@@ -22,13 +22,11 @@ edrp        multi-level    EDRP CDM hash chaining
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from repro.crypto.kernels import ChainWalkCache
 from repro.crypto.onewayfn import OneWayFunction
-from repro.devtools.sanitizers.determinism import traced_rng
 from repro.errors import ConfigurationError
 from repro.protocols.dap import DapReceiver, DapSender
 from repro.protocols.edrp import edrp_params
@@ -50,6 +48,7 @@ from repro.sim.attacker import (
     tesla_forgery_factory,
 )
 from repro.sim.channel import GilbertElliottLoss
+from repro.sim.draws import SeedLadder
 from repro.sim.events import Simulator
 from repro.sim.medium import BroadcastMedium, LinkQuality
 from repro.sim.metrics import FleetSummary, summarise_nodes
@@ -233,7 +232,7 @@ def build_two_phase_protocol(
     config: ScenarioConfig,
     condition: SecurityCondition,
     workload: Workload,
-    rng: random.Random,
+    seeds: SeedLadder,
 ) -> Tuple[
     Union[DapSender, TeslaPlusPlusSender],
     List[Union[DapReceiver, TeslaPlusPlusReceiver]],
@@ -245,11 +244,11 @@ def build_two_phase_protocol(
 
     Returns ``(sender, receivers, factory, authentic_copies,
     sent_authentic)`` with bare protocol receivers (not yet bound to any
-    medium). The per-receiver RNG seeds are drawn from ``rng`` in
-    receiver order — both the discrete-event simulator and the live
-    testbed (:mod:`repro.net.harness`) build through here, which is what
-    makes a loopback soak reproduce an in-memory run decision-for-
-    decision at the same seed.
+    medium), each on its own :class:`~repro.sim.draws.SeedLadder`
+    stream. Both the discrete-event simulator and the live testbed
+    (:mod:`repro.net.harness`) build through here, which is what makes
+    a loopback soak reproduce an in-memory run decision-for-decision at
+    the same seed.
     """
     sender_cls = DapSender if config.protocol == "dap" else TeslaPlusPlusSender
     sender = sender_cls(
@@ -266,21 +265,18 @@ def build_two_phase_protocol(
     # (memoized walks are bit-exact — sharing changes no outcome).
     function = OneWayFunction("F")
     walk_cache = ChainWalkCache(function)
-    receivers = []
-    for i in range(config.receivers):
-        receivers.append(
-            receiver_cls(
-                commitment=sender.chain.commitment,
-                condition=condition,
-                local_key=_seed_bytes(config, f"local-{i}"),
-                buffers=config.buffers,
-                function=function,
-                walk_cache=walk_cache,
-                rng=traced_rng(
-                    random.Random(rng.getrandbits(64)), f"receiver-{i}"
-                ),
-            )
+    receivers = [
+        receiver_cls(
+            commitment=sender.chain.commitment,
+            condition=condition,
+            local_key=_seed_bytes(config, f"local-{i}"),
+            buffers=config.buffers,
+            function=function,
+            walk_cache=walk_cache,
+            rng=rng,
         )
+        for i, rng in enumerate(seeds.receiver_rngs(config.receivers))
+    ]
     factory = announce_forgery_factory()
     authentic_copies = config.packets_per_interval * config.announce_copies
     sent_authentic = config.packets_per_interval * (
@@ -296,7 +292,7 @@ def _build_two_phase(
     schedule: IntervalSchedule,
     condition: SecurityCondition,
     workload: Workload,
-    rng: random.Random,
+    seeds: SeedLadder,
 ) -> Tuple[
     Union[DapSender, TeslaPlusPlusSender],
     List[ReceiverNode],
@@ -305,7 +301,7 @@ def _build_two_phase(
     int,
 ]:
     sender, receivers, factory, authentic_copies, sent_authentic = (
-        build_two_phase_protocol(config, condition, workload, rng)
+        build_two_phase_protocol(config, condition, workload, seeds)
     )
     nodes = []
     for i, receiver in enumerate(receivers):
@@ -322,7 +318,7 @@ def _build_single_level(
     schedule: IntervalSchedule,
     condition: SecurityCondition,
     workload: Workload,
-    rng: random.Random,
+    seeds: SeedLadder,
 ) -> Tuple[
     Union[TeslaSender, MuTeslaSender],
     List[ReceiverNode],
@@ -351,16 +347,16 @@ def _build_single_level(
         factory = data_forgery_factory()
     function = OneWayFunction("F")
     walk_cache = ChainWalkCache(function)
+    receiver_cls = TeslaReceiver if config.protocol == "tesla" else MuTeslaReceiver
     nodes = []
-    for i in range(config.receivers):
-        receiver_cls = TeslaReceiver if config.protocol == "tesla" else MuTeslaReceiver
+    for i, rng in enumerate(seeds.receiver_rngs(config.receivers)):
         receiver = receiver_cls(
             commitment=sender.chain.commitment,
             condition=condition,
             buffer_capacity=config.buffers,
             function=function,
             walk_cache=walk_cache,
-            rng=traced_rng(random.Random(rng.getrandbits(64)), f"receiver-{i}"),
+            rng=rng,
         )
         node = ReceiverNode(f"recv-{i}", simulator, receiver)
         node.attach(medium, _link_for(config))
@@ -377,7 +373,7 @@ def _build_multilevel(
     two_level: TwoLevelSchedule,
     sync: LooseTimeSync,
     workload: Workload,
-    rng: random.Random,
+    seeds: SeedLadder,
 ) -> Tuple[MultiLevelSender, List[ReceiverNode], ForgeryFactory, int, int]:
     high_length = (config.intervals - 1) // config.low_per_high + 3
     params = MultiLevelParams(
@@ -397,14 +393,14 @@ def _build_multilevel(
         message_for=workload.report_for,
     )
     nodes = []
-    for i in range(config.receivers):
+    for i, rng in enumerate(seeds.receiver_rngs(config.receivers)):
         receiver = MultiLevelReceiver(
             high_commitment=sender.chain.high_chain.commitment,
             schedule=two_level,
             sync=sync,
             params=params,
             cdm_buffers=config.buffers,
-            rng=traced_rng(random.Random(rng.getrandbits(64)), f"receiver-{i}"),
+            rng=rng,
         )
         receiver.bootstrap_commitment(1, sender.chain.low_commitment(1))
         node = ReceiverNode(f"recv-{i}", simulator, receiver)
@@ -430,11 +426,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             return fleet.run_fleet_scenario(config)
         # Unsupported family: fall back to the DES without behaviour
         # change (same summaries a plain engine="des" run produces).
-    rng = traced_rng(random.Random(config.seed), "master")
+    seeds = SeedLadder(config.seed)
     simulator = Simulator()
-    medium = BroadcastMedium(
-        simulator, rng=traced_rng(random.Random(rng.getrandbits(64)), "medium")
-    )
+    medium = BroadcastMedium(simulator, rng=seeds.medium)
     schedule = IntervalSchedule(0.0, config.interval_duration)
     sync = LooseTimeSync(config.max_offset)
     workload = workload_for(config)
@@ -442,19 +436,19 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     if config.protocol in _TWO_PHASE:
         condition = SecurityCondition(schedule, sync, config.disclosure_delay)
         sender, nodes, factory, authentic_copies, sent_authentic = _build_two_phase(
-            config, simulator, medium, schedule, condition, workload, rng
+            config, simulator, medium, schedule, condition, workload, seeds
         )
     elif config.protocol in _SINGLE_LEVEL:
         condition = SecurityCondition(schedule, sync, max(config.disclosure_delay, 2))
         sender, nodes, factory, authentic_copies, sent_authentic = _build_single_level(
-            config, simulator, medium, schedule, condition, workload, rng
+            config, simulator, medium, schedule, condition, workload, seeds
         )
     else:
         two_level = TwoLevelSchedule(
             0.0, config.interval_duration, config.low_per_high
         )
         sender, nodes, factory, authentic_copies, sent_authentic = _build_multilevel(
-            config, simulator, medium, two_level, sync, workload, rng
+            config, simulator, medium, two_level, sync, workload, seeds
         )
 
     sender_node = SenderNode(
@@ -472,7 +466,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             authentic_copies_per_interval=authentic_copies,
             intervals=config.intervals,
             burst_fraction=config.attack_burst_fraction,
-            rng=traced_rng(random.Random(rng.getrandbits(64)), "attacker"),
+            rng=seeds.attacker(),
         )
         attacker.start()
 

@@ -186,11 +186,12 @@ class TestKeepFirstBuffer:
 
 
 class _SubclassedRandom(random.Random):
-    """Forces offer_many onto its generic (randrange-based) branch."""
+    """A Random subclass, like the determinism sanitizer's tracer."""
 
 
 class TestOfferMany:
-    """offer_many must be state- and draw-identical to per-item offer."""
+    """offer_many (free fills, then repro.sim.draws.reservoir_overflow)
+    must be state- and draw-identical to per-item offer."""
 
     @given(
         capacity=st.integers(min_value=1, max_value=8),
@@ -213,16 +214,18 @@ class TestOfferMany:
         assert batched._rng.random() == sequential._rng.random()
 
     def test_generic_rng_branch_is_also_draw_identical(self):
-        """A Random subclass skips the inlined getrandbits fast path;
-        the randrange fallback must consume the identical stream."""
+        """offer_many has one path for every Random: on a subclass it
+        still consumes the stream per-item offer calls (randrange)
+        consume."""
         for seed in (7, 11, 23):
-            fast = ReservoirBuffer(3, rng=random.Random(seed))
+            sequential = ReservoirBuffer(3, rng=random.Random(seed))
+            for item in range(100):
+                sequential.offer(item)
             generic = ReservoirBuffer(3, rng=_SubclassedRandom(seed))
-            fast.offer_many(range(100))
             generic.offer_many(range(100))
-            assert fast.items == generic.items
-            assert fast.seen_count == generic.seen_count
-            assert fast._rng.random() == generic._rng.random()
+            assert sequential.items == generic.items
+            assert sequential.seen_count == generic.seen_count
+            assert sequential._rng.random() == generic._rng.random()
 
     def test_resumes_mid_stream(self):
         """Mixing offer and offer_many on one buffer stays identical to

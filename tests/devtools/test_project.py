@@ -155,13 +155,10 @@ def test_project_rule_catalog():
 
 
 def _write_fixture_tree(tmp_path: Path) -> Path:
-    """A src-like tree holding the RPL007/RPL009 bad fixtures at their
-    scoped paths, to prove the per-file corpus still fires when the
+    """A src-like tree holding the RPL009 bad fixture at its scoped
+    path, to prove the per-file corpus still fires when the
     whole-program pass is on."""
-    for code, rel in (
-        ("rpl007", "repro/scenarios/fixture_mod.py"),
-        ("rpl009", "repro/protocols/fixture_mod.py"),
-    ):
+    for code, rel in (("rpl009", "repro/protocols/fixture_mod.py"),):
         target = tmp_path / "src" / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(
@@ -177,7 +174,6 @@ def test_file_rules_still_fire_under_project_pass(tmp_path):
     for violation in report.violations:
         per_rule.setdefault(violation.rule, 0)
         per_rule[violation.rule] += 1
-    assert per_rule.get("RPL007") == 4, per_rule
     assert per_rule.get("RPL009") == 2, per_rule
     assert "RPL010" in report.rules and "RPL012" in report.rules
 
@@ -198,5 +194,5 @@ def test_src_and_benchmarks_are_project_clean():
         [ROOT / "src", ROOT / "benchmarks"], project=True
     )
     assert report.files_checked > 80
-    assert len(report.rules) == 12
+    assert len(report.rules) == 11
     assert report.violations == (), "\n" + report.format_text()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.devtools.sanitizers.determinism import tracing
 from repro.net import LoadTestConfig, run_loadtest, run_loopback_soak
 from repro.sim.scenario import ScenarioConfig, run_scenario
 
@@ -72,6 +73,32 @@ class TestSimulationParity:
         net = run_loopback_soak(config)
         assert net.fleet.nodes == run_scenario(config).fleet.nodes
         assert net.packets_injected == 0
+
+
+class TestDrawParity:
+    @pytest.mark.parametrize("protocol", ["dap", "tesla_pp"])
+    @pytest.mark.parametrize("attack", [0.0, 0.5])
+    def test_soak_draws_match_simulation(self, protocol, attack):
+        """Every stream, the master one included, makes the same draws
+        over the wire as in memory; with the attack off neither side
+        draws an attacker seed."""
+        config = ScenarioConfig(
+            protocol=protocol,
+            intervals=12,
+            interval_duration=0.5,
+            receivers=3,
+            buffers=3,
+            attack_fraction=attack,
+            loss_probability=0.1,
+            seed=3,
+        )
+        with tracing() as sim:
+            run_scenario(config)
+        with tracing() as net:
+            run_loopback_soak(config)
+        assert "medium" in sim.trace.streams
+        assert ("attacker" in sim.trace.streams) == (attack > 0.0)
+        assert sim.trace.diff(net.trace) == ()
 
 
 class TestFloodDefence:

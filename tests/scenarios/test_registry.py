@@ -49,6 +49,17 @@ class TestRegistration:
         with pytest.raises(dataclasses.FrozenInstanceError):
             descriptor.tier = "T3"
 
+    @pytest.mark.parametrize(
+        "declared", [{"seeds": (7,)}, {"tier": "T1"}, {}]
+    )
+    def test_tier_and_seeds_are_required_keywords(self, scratch_name, declared):
+        """A registration that omits ``tier`` or ``seeds`` fails at
+        import time: both are keyword-only with no default."""
+        with pytest.raises(TypeError):
+            register_scenario(name=scratch_name, **declared)
+        with pytest.raises(TypeError):
+            register_scenario(scratch_name, "T1", (7,))
+
     def test_reregistration_identical_is_idempotent(self, scratch_name):
         def build():
             return ScenarioConfig()

@@ -12,6 +12,7 @@ from repro.errors import ConfigurationError
 from repro.protocols.packets import MacAnnouncePacket
 from repro.scenarios import get_scenario
 from repro.sim import channel as channel_module
+from repro.sim import draws
 from repro.sim.channel import (
     BernoulliLoss,
     GilbertElliottLoss,
@@ -262,20 +263,44 @@ class TestVectorizedMasks:
         assert np.array_equal(state, whole_state)
 
     @pytest.mark.parametrize(
-        "scenario",
+        "scenario, overrides, block_slots",
         [
-            "vehicular-beacon-storm-t3",
-            "remote-id-storm-t3",
-            "crowdsensing-edrp-storm-t3",
+            pytest.param(name, {}, None, id=name)
+            for name in (
+                "vehicular-beacon-storm-t3",
+                "remote-id-storm-t3",
+                "crowdsensing-edrp-storm-t3",
+            )
+        ]
+        + [
+            pytest.param(
+                "remote-id-storm-t3",
+                {"loss_mean_burst": None, "loss_probability": 0.3},
+                None,
+                id="bernoulli",
+            ),
+            pytest.param("remote-id-storm-t3", {}, 7, id="block-boundary"),
         ],
     )
-    def test_fleet_delivery_mask_matches_scalar_medium(self, scenario):
-        """The fleet engine's packed mask for each storm catalog config is,
-        per receiver, a scalar ``should_drop`` replay of the medium
-        stream (one transition and one loss draw per receiver per slot,
-        in attachment order)."""
-        config = replace(get_scenario(scenario).config, receivers=9)
-        assert config.loss_mean_burst is not None
+    def test_fleet_delivery_mask_matches_scalar_medium(
+        self, monkeypatch, scenario, overrides, block_slots
+    ):
+        """The fleet engine's packed mask, drawn through the
+        :mod:`repro.sim.draws` medium mirror, is per receiver a scalar
+        ``should_drop`` replay of the medium stream (one draw per
+        Bernoulli decision, one transition and one loss draw per
+        Gilbert–Elliott decision, in attachment order). With
+        ``block_slots`` the mirror yields that many slots per block, so
+        the channel state must carry across block seams."""
+        config = replace(
+            get_scenario(scenario).config, receivers=9, **overrides
+        )
+        bursty = config.loss_mean_burst is not None
+        if block_slots is not None:
+            per_slot = config.receivers * (2 if bursty else 1)
+            monkeypatch.setattr(
+                draws, "MEDIUM_BLOCK_FLOATS", block_slots * per_slot + 1
+            )
         slots = 3001
         packed, delivered_any, delivered_total = _packed_delivery_mask(
             config, slots, random.Random(config.seed)
@@ -285,6 +310,8 @@ class TestVectorizedMasks:
             GilbertElliottLoss.from_average(
                 config.loss_probability, config.loss_mean_burst
             )
+            if bursty
+            else BernoulliLoss(config.loss_probability)
             for _ in range(config.receivers)
         ]
         expected = np.array(

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.devtools.sanitizers.determinism import tracing
 from repro.engine import stable_key
 from repro.engine.executors import ParallelExecutor
 from repro.errors import ConfigurationError, ReproError, SimulationError
@@ -171,6 +172,38 @@ class TestExactParity:
         assert via_dispatch.fleet == direct.fleet
         # The DES path returns live nodes; the fleet path has none.
         assert via_dispatch.nodes == ()
+
+
+class TestDrawParity:
+    """The engines agree draw for draw, not only in their summaries.
+
+    ``medium`` is left out: the fleet engine consumes it through the
+    NumPy mirror, which the tracer does not see.
+    """
+
+    @pytest.mark.parametrize("protocol", fleet.SUPPORTED_PROTOCOLS)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_streams_match_the_des(self, protocol, seed):
+        config = ScenarioConfig(
+            protocol=protocol,
+            intervals=12,
+            receivers=3,
+            buffers=3,
+            attack_fraction=0.5,
+            loss_probability=0.1,
+            seed=seed,
+        )
+        with tracing() as des:
+            run_scenario(config)
+        with tracing() as vectorized:
+            run_fleet_scenario(config)
+        streams = sorted(set(des.trace.streams) - {"medium"})
+        assert "master" in streams and "attacker" in streams
+        if protocol == "dap" or protocol in MULTI_LEVEL:
+            # Reservoir receivers (keep-first ones never draw).
+            assert any(label.startswith("receiver-") for label in streams)
+        assert des.trace.diff(vectorized.trace, streams=streams) == ()
+        assert set(vectorized.trace.streams) <= set(des.trace.streams)
 
 
 class TestSupport:
