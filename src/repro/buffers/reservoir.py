@@ -23,7 +23,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Generic, Iterable, Iterator, List, Optional, TypeVar
+from typing import (
+    Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union,
+)
 
 from repro.errors import ConfigurationError
 
@@ -33,6 +35,7 @@ __all__ = [
     "PacketBuffer",
     "ReservoirBuffer",
     "KeepFirstBuffer",
+    "reservoir_overflow",
 ]
 
 T = TypeVar("T")
@@ -129,6 +132,44 @@ class PacketBuffer(ABC, Generic[T]):
         return stored
 
 
+def reservoir_overflow(
+    rng: random.Random,
+    thresholds: Iterable[float],
+    capacities: Union[int, Iterable[int]],
+    bases: Iterable[int],
+    entries: Iterable[T],
+) -> Tuple[Dict[int, T], int]:
+    """Algorithm 2's draws for one receiver's offers to full buffers.
+
+    Offer ``i`` is kept when ``rng.random() < thresholds[i]``, and then
+    overwrites slot ``bases[i] + victim``, ``victim`` uniform below its
+    capacity (one int for all offers, or one per offer). The victim
+    draw inlines CPython's ``randrange`` (``getrandbits`` redrawn until
+    in range), so the stream is consumed exactly as
+    ``ReservoirBuffer.offer`` consumes it. Returns ``(survivors,
+    accepted)``: the last entry written per slot, and the keep count.
+    """
+    rand = rng.random
+    getrandbits = rng.getrandbits
+    caps: Iterable[int] = (
+        repeat(capacities) if isinstance(capacities, int) else capacities
+    )
+    survivors: Dict[int, T] = {}
+    accepted = 0
+    capacity = bits = 0
+    for threshold, cap, base, entry in zip(thresholds, caps, bases, entries):
+        if rand() < threshold:
+            if cap != capacity:
+                capacity = cap
+                bits = cap.bit_length()
+            victim = getrandbits(bits)
+            while victim >= capacity:
+                victim = getrandbits(bits)
+            survivors[base + victim] = entry
+            accepted += 1
+    return survivors, accepted
+
+
 class ReservoirBuffer(PacketBuffer[T]):
     """Algorithm 2's storage rule: keep copy ``k`` with probability ``m/k``.
 
@@ -164,15 +205,12 @@ class ReservoirBuffer(PacketBuffer[T]):
         """Draw-identical batched :meth:`offer` (Algorithm 2 per item).
 
         Free buffers are filled in order; the offers past capacity go
-        through :func:`repro.sim.draws.reservoir_overflow`, which
-        consumes the ``m/k`` acceptance and victim draws from the same
-        stream, in the same order, as the per-item path — offering
-        ``[a, b, c]`` here leaves the buffer, the seen counter *and the
-        RNG* in the state three ``offer`` calls would.
+        through :func:`reservoir_overflow`, which consumes the ``m/k``
+        acceptance and victim draws from the same stream, in the same
+        order, as the per-item path — offering ``[a, b, c]`` here
+        leaves the buffer, the seen counter *and the RNG* in the state
+        three ``offer`` calls would.
         """
-        # Deferred: repro.sim imports this module (protocol receivers).
-        from repro.sim.draws import reservoir_overflow
-
         capacity = self._capacity
         held = self._items
         batch = list(items)

@@ -20,7 +20,7 @@ orders; what must match is each stream's own draw sequence.
 
 The wrapper is a genuine :class:`random.Random` *subclass* so
 ``isinstance`` checks pass and every consumer — including the inlined
-``getrandbits`` victim draw of :func:`repro.sim.draws.
+``getrandbits`` victim draw of :func:`repro.buffers.reservoir.
 reservoir_overflow` — runs its one path unchanged: tracing slows runs
 down but never changes the bytes drawn. The seed ladder in
 :mod:`repro.sim.draws` is the only caller of :func:`traced_rng`.

@@ -12,16 +12,17 @@ draws in the same order. This module owns that order:
 - :func:`medium_blocks`: the medium stream replayed through a NumPy
   ``RandomState`` that shares its MT19937 state, so the fleet engine
   draws whole slot blocks at once, double for double.
-- :func:`reservoir_overflow`: Algorithm 2's draws for offers to a full
-  buffer (keep copy ``k`` with probability ``m/k``, overwrite a uniform
-  victim), batched over one receiver's offers.
+
+Algorithm 2's overflow draws (:func:`repro.buffers.reservoir.
+reservoir_overflow`) live next to their oracle,
+:meth:`~repro.buffers.reservoir.ReservoirBuffer.offer`; every engine
+feeds them a stream built here (:func:`receiver_rng`).
 """
 
 from __future__ import annotations
 
 import random
-from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -34,10 +35,7 @@ __all__ = [
     "SeedLadder",
     "medium_blocks",
     "receiver_rng",
-    "reservoir_overflow",
 ]
-
-T = TypeVar("T")
 
 #: Uniforms per NumPy call when the medium stream is mirrored (~256 MB
 #: of float64 temporaries): keeps peak RSS flat as slots x receivers grows.
@@ -107,41 +105,3 @@ def medium_blocks(
         end = min(begin + block, slots)
         uniforms = mirror.random_sample((end - begin) * per_slot)
         yield begin, end, uniforms.reshape(end - begin, per_slot)
-
-
-def reservoir_overflow(
-    rng: random.Random,
-    thresholds: Iterable[float],
-    capacities: Union[int, Iterable[int]],
-    bases: Iterable[int],
-    entries: Iterable[T],
-) -> Tuple[Dict[int, T], int]:
-    """Algorithm 2's draws for one receiver's offers to full buffers.
-
-    Offer ``i`` is kept when ``rng.random() < thresholds[i]``, and then
-    overwrites slot ``bases[i] + victim``, ``victim`` uniform below its
-    capacity (one int for all offers, or one per offer). The victim
-    draw inlines CPython's ``randrange`` (``getrandbits`` redrawn until
-    in range), so the stream is consumed exactly as
-    ``ReservoirBuffer.offer`` consumes it. Returns ``(survivors,
-    accepted)``: the last entry written per slot, and the keep count.
-    """
-    rand = rng.random
-    getrandbits = rng.getrandbits
-    caps: Iterable[int] = (
-        repeat(capacities) if isinstance(capacities, int) else capacities
-    )
-    survivors: Dict[int, T] = {}
-    accepted = 0
-    capacity = bits = 0
-    for threshold, cap, base, entry in zip(thresholds, caps, bases, entries):
-        if rand() < threshold:
-            if cap != capacity:
-                capacity = cap
-                bits = cap.bit_length()
-            victim = getrandbits(bits)
-            while victim >= capacity:
-                victim = getrandbits(bits)
-            survivors[base + victim] = entry
-            accepted += 1
-    return survivors, accepted

@@ -17,8 +17,11 @@ exactness rests on (a bucket is complete before any key can release
 it; disclosed indices never decrease), raising
 :class:`~repro.errors.SimulationError` rather than drifting:
 
-- two-phase: segmented-cumsum ranks fill every reservoir slot, and a
-  short reveal pass matches records against the frozen buckets;
+- two-phase: segmented-cumsum ranks fill every reservoir slot, the
+  trusted anchor is a running maximum over delivered reveals (frozen
+  by the first one past the key-gap bound), and the first delivered
+  copy of each reveal key is matched against its frozen bucket by
+  record identity, with exact μMAC recomputation only on a miss;
 - single-level: keep-first ranks fill the buckets, the trusted anchor
   is a running maximum over delivered disclosures, and a bucket is
   flushed iff the final anchor reaches it;
@@ -45,13 +48,14 @@ Exactness contract
 
 ``run_fleet_scenario(config)`` returns the *identical* summary
 ``run_scenario`` produces at the same seed, for every family, because
-both take their seeded streams and draws from :mod:`repro.sim.draws`
-and consume each stream in the same order: the medium per broadcast in
-attachment order (one uniform per Bernoulli decision, two per
-Gilbert–Elliott one); each reservoir receiver only for overflow offers
-(rank past capacity), in its delivery order, with multi-level CDM and
-data pools sharing one stream; the attacker in injection order, which
-makes every collision fallback exact.
+both take their seeded streams from :mod:`repro.sim.draws` and consume
+each stream in the same order: the medium per broadcast in attachment
+order (one uniform per Bernoulli decision, two per Gilbert–Elliott
+one); each reservoir receiver only for overflow offers (rank past
+capacity), through :func:`~repro.buffers.reservoir.reservoir_overflow`
+in its delivery order, with multi-level CDM and data pools sharing one
+stream; the attacker in injection order, which makes every collision
+fallback exact.
 
 Sharding
 --------
@@ -84,6 +88,7 @@ from typing import (
 import numpy as np
 
 from repro import perf
+from repro.buffers.reservoir import reservoir_overflow
 from repro.crypto.mac import INDEX_BITS, MacScheme, MicroMacScheme
 from repro.crypto.onewayfn import OneWayFunction, standard_functions
 from repro.devtools.sanitizers.resources import release_resource, track_resource
@@ -117,9 +122,7 @@ from repro.sim.channel import (
     bernoulli_drop_mask,
     gilbert_elliott_drop_mask,
 )
-from repro.sim.draws import (
-    SeedLadder, medium_blocks, receiver_rng, reservoir_overflow,
-)
+from repro.sim.draws import SeedLadder, medium_blocks, receiver_rng
 from repro.sim.metrics import (
     FleetAggregate,
     FleetSummary,
@@ -891,8 +894,12 @@ class _TwoPhaseVecPlan:
     """Receiver-independent numpy views of a :class:`_TwoPhasePlan`.
 
     Offers (gated announce/forged slots) are grouped into contiguous
-    per-interval *runs*; reveals carry their position within the offer
-    sequence so fills-before-reveal falls out of one cumulative sum.
+    per-interval *runs*. Reveals carry their position within the offer
+    sequence, so fills-before-reveal falls out of one cumulative sum,
+    and the run of their interval (``-1`` when it had no gated offer);
+    ``group_order``/``group_starts`` list reveals that share an
+    ``(interval, source)`` key together when any key repeats (``None``
+    otherwise).
     """
 
     offer_rows: np.ndarray
@@ -901,12 +908,14 @@ class _TwoPhaseVecPlan:
     run_starts: np.ndarray
     run_ends: np.ndarray
     run_id: np.ndarray
-    run_intervals: List[int]
-    run_of_interval: Dict[int, int]
+    run_intervals: np.ndarray
     offer_sources: np.ndarray
-    reveal_intervals: List[int]
-    reveal_sources: List[int]
+    reveal_intervals: np.ndarray
+    reveal_sources: np.ndarray
+    reveal_run: np.ndarray
     pos_in_offers: np.ndarray
+    group_order: Optional[np.ndarray]
+    group_starts: Optional[np.ndarray]
 
 
 def _two_phase_precompute(plan: _TwoPhasePlan) -> _TwoPhaseVecPlan:
@@ -931,7 +940,7 @@ def _two_phase_precompute(plan: _TwoPhasePlan) -> _TwoPhaseVecPlan:
     offer_rows = np.nonzero(is_offer & gate)[0]
     discard_rows = np.nonzero(is_offer & ~gate)[0]
     reveal_rows = np.nonzero(~is_offer)[0]
-    run_starts, run_ends, run_id, run_intervals_arr = _offer_runs(
+    run_starts, run_ends, run_id, run_intervals = _offer_runs(
         intervals[offer_rows], "two-phase plan"
     )
     reveal_intervals = intervals[reveal_rows]
@@ -939,17 +948,22 @@ def _two_phase_precompute(plan: _TwoPhasePlan) -> _TwoPhaseVecPlan:
         raise SimulationError(
             "two-phase plan: reveals arrive out of interval order"
         )
-    run_of_interval = {
-        int(v): idx for idx, v in enumerate(run_intervals_arr.tolist())
-    }
-    last_offer_row = offer_rows[run_ends] if run_ends.size else run_ends
-    for row, interval in zip(reveal_rows.tolist(), reveal_intervals.tolist()):
-        run = run_of_interval.get(interval)
-        if run is not None and row < int(last_offer_row[run]):
+    reveal_sources = sources[reveal_rows]
+    reveal_run = np.full(reveal_rows.size, -1, dtype=np.int64)
+    if run_ends.size:
+        at = np.minimum(
+            np.searchsorted(run_intervals, reveal_intervals), run_ends.size - 1
+        )
+        hit = run_intervals[at] == reveal_intervals
+        reveal_run[hit] = at[hit]
+        late = np.flatnonzero(hit & (reveal_rows < offer_rows[run_ends][at]))
+        if late.size:
             raise SimulationError(
-                f"two-phase plan: reveal at slot {row} precedes the last "
-                f"offer of interval {interval}"
+                f"two-phase plan: reveal at slot {int(reveal_rows[late[0]])} "
+                f"precedes the last offer of interval "
+                f"{int(reveal_intervals[late[0]])}"
             )
+    group_order, group_starts = _duplicate_groups(reveal_intervals, reveal_sources)
     return _TwoPhaseVecPlan(
         offer_rows=offer_rows,
         discard_rows=discard_rows,
@@ -957,18 +971,23 @@ def _two_phase_precompute(plan: _TwoPhasePlan) -> _TwoPhaseVecPlan:
         run_starts=run_starts,
         run_ends=run_ends,
         run_id=run_id,
-        run_intervals=[int(v) for v in run_intervals_arr.tolist()],
-        run_of_interval=run_of_interval,
+        run_intervals=run_intervals,
         offer_sources=sources[offer_rows],
-        reveal_intervals=[int(v) for v in reveal_intervals.tolist()],
-        reveal_sources=[int(v) for v in sources[reveal_rows].tolist()],
-        pos_in_offers=np.searchsorted(offer_rows, reveal_rows).astype(np.int64),
+        reveal_intervals=reveal_intervals,
+        reveal_sources=reveal_sources,
+        reveal_run=reveal_run,
+        pos_in_offers=np.searchsorted(offer_rows, reveal_rows),
+        group_order=group_order,
+        group_starts=group_starts,
     )
 
 
 #: Receiver-block width for the vectorized replay — bounds the
 #: (offer-slots x receivers) rank/cumsum temporaries to a few MiB.
 _REPLAY_BLOCK = 8192
+
+#: Final-bucket value of a slot no offer filled (never a source id).
+_NO_RECORD = np.iinfo(np.int64).max
 
 
 def _replay_two_phase_vectorized(
@@ -984,72 +1003,76 @@ def _replay_two_phase_vectorized(
     Per receiver block, a segmented cumulative sum ranks every
     delivered offer within its interval run. Ranks up to the buffer
     capacity are free-slot fills (Algorithm 2 stores those
-    unconditionally), so the fill trajectory, bucket seen-counters,
-    stale-pop totals and peak-occupancy candidates all come out of
-    numpy at once. Only overflow offers — rank past capacity — touch
-    the per-receiver RNG: :func:`~repro.sim.draws.reservoir_overflow`
-    replays the ``m/k`` acceptance and victim draws for exactly those
-    offers, in delivery order, leaving every bucket byte-identical to
-    the DES receiver's.
-    The short reveal pass then replays weak authentication, pops and
-    matching per receiver, batching μMAC collision fallbacks through
-    :meth:`~repro.crypto.mac.MicroMacScheme.compute_many`.
+    unconditionally), so the fill trajectory, bucket seen-counters and
+    stale-pop totals all come out of numpy at once. Only overflow
+    offers — rank past capacity — touch the per-receiver RNG:
+    :func:`~repro.buffers.reservoir.reservoir_overflow` replays the
+    ``m/k`` acceptance and victim draws for exactly those offers, in
+    delivery order, leaving every bucket byte-identical to the DES
+    receiver's.
+
+    The reveal pass is array code over the ``(reveals, receivers)``
+    block too. The trusted anchor is a running maximum over delivered
+    reveals, frozen by the first one past the key-gap bound
+    (:func:`_anchor_trajectory`; that reveal and every later one is a
+    weak-authentication reject). Only the first delivered copy of an
+    ``(interval, source)`` key is decided: authenticated when its
+    bucket holds a record re-hashed from the same MAC bytes, lost
+    otherwise; later copies are skipped after a match and lost after a
+    miss. Peak occupancy is the fills so far minus the buckets already
+    popped (those more than one interval behind the anchor), read
+    before every reveal and at the end. The only Python loop is over
+    first copies that miss a non-empty bucket: they are decided by
+    actual μMAC equality, one
+    :meth:`~repro.crypto.mac.MicroMacScheme.compute_many` batch per
+    miss, so 24-bit collisions authenticate exactly as in the DES.
     """
     announce_macs = plan.announce_macs
     forged_macs = plan.forged_macs
-    reservoir = plan.reservoir
     item_bits = plan.item_bits
     micro = MicroMacScheme(item_bits - INDEX_BITS)
     capacity = config.buffers
 
     offer_rows = pre.offer_rows
-    run_starts = pre.run_starts
-    run_ends = pre.run_ends
     run_id = pre.run_id
-    run_intervals = pre.run_intervals
     offer_sources = pre.offer_sources
-    reveal_intervals = pre.reveal_intervals
-    reveal_sources = pre.reveal_sources
-    n_runs = int(run_starts.size)
+    n_runs = int(pre.run_starts.size)
     #: overflow events dedup to one surviving write per (run, victim);
     #: packing both into one int keys the per-receiver dict cheaply.
     rk_base = run_id * capacity
-    reveal_run = np.array(
-        [pre.run_of_interval.get(i, -1) for i in reveal_intervals],
-        dtype=np.int64,
-    )
-    reveal_src_arr = np.asarray(reveal_sources, dtype=np.int64)
-    slot_cols = np.arange(capacity)
+    # Reveals whose interval has a bucket to match against.
+    matchable = np.flatnonzero(pre.reveal_run >= 0)
+    matchable_runs = pre.reveal_run[matchable]
+    matchable_sources = pre.reveal_sources[matchable, None]
+    reveal_intervals = pre.reveal_intervals.tolist()
+    reveal_sources = pre.reveal_sources.tolist()
+    reveal_run = pre.reveal_run.tolist()
 
     total = len(seeds)
     out: Tuple[List[int], ...] = ([], [], [], [], [], [], [], [])
-    (auth_c, lost_c, rejf_c, weak_c, disc_c, facc_c, recv_c, peak_c) = out
     # Bound the largest per-block temporaries (the rank cumsums over
-    # offer slots and the bucket tensor over runs x capacity) to a few
-    # dozen MiB regardless of how long the scenario runs.
-    widest = max(int(offer_rows.size), n_runs * capacity, 1)
+    # offer slots, the bucket tensor over runs x capacity and the
+    # reveal matrices) to a few dozen MiB regardless of how long the
+    # scenario runs.
+    widest = max(
+        int(offer_rows.size), n_runs * capacity, int(pre.reveal_rows.size), 1
+    )
     block = min(_REPLAY_BLOCK, max(32, (8 << 20) // widest))
     for b0 in range(0, total, block):
         b1 = min(b0 + block, total)
         nb = b1 - b0
         blk = delivered[:, b0:b1]
-        n_recv_l = blk.sum(axis=0, dtype=np.int64).tolist()
-        if pre.discard_rows.size:
-            n_disc_l = blk[pre.discard_rows].sum(axis=0, dtype=np.int64).tolist()
-        else:
-            n_disc_l = [0] * nb
+        cols = np.arange(nb)
         d_off = blk[offer_rows]
-        rank, counts = _run_ranks(d_off, run_starts, run_ends, run_id)
-        held_len = np.minimum(counts, capacity)
+        rank, counts = _run_ranks(d_off, pre.run_starts, pre.run_ends, run_id)
         stored_m = d_off & (rank <= capacity)
-        sc = np.cumsum(stored_m, axis=0, dtype=np.int32)
-        sc_pad = np.vstack((np.zeros((1, nb), dtype=np.int32), sc))
-        total_fills_l = sc_pad[-1].tolist()
+        fills = np.zeros((offer_rows.size + 1, nb), dtype=np.int32)
+        np.cumsum(stored_m, axis=0, dtype=np.int32, out=fills[1:])
 
         # --- overflow offers, receiver-major: the only RNG draws ---
         # (transposing first makes np.nonzero group by receiver, in
         # offer order — exactly the DES receiver's draw order)
-        if reservoir and offer_rows.size:
+        if plan.reservoir and offer_rows.size:
             over_t = np.ascontiguousarray((d_off & ~stored_m).T)
             ov_r, ov_c = np.nonzero(over_t)
             ov_split = np.searchsorted(ov_r, np.arange(nb + 1)).tolist()
@@ -1058,6 +1081,7 @@ def _replay_two_phase_vectorized(
             thr_all = (capacity / rank[ov_c, ov_r]).tolist()
             rkb_all = rk_base[ov_c].tolist()
             src_all = offer_sources[ov_c].tolist()
+            del over_t, ov_r, ov_c
         else:
             ov_split = [0] * (nb + 1)
             thr_all = rkb_all = src_all = []
@@ -1075,16 +1099,13 @@ def _replay_two_phase_vectorized(
             ev_rcv.extend([local] * len(evmap))
             ev_key.extend(evmap.keys())
             ev_src.extend(evmap.values())
+        del thr_all, rkb_all, src_all
 
         # --- final buckets: one scatter of fills + one of survivors ---
-        fin = np.zeros((nb, n_runs, capacity), dtype=np.int64)
-        if offer_rows.size:
-            stored_t = np.ascontiguousarray(stored_m.T)
-            st_r, st_c = np.nonzero(stored_t)
-            if st_r.size:
-                fin[st_r, run_id[st_c], rank[st_c, st_r] - 1] = offer_sources[
-                    st_c
-                ]
+        fin = np.full((nb, n_runs, capacity), _NO_RECORD, dtype=np.int64)
+        st_c, st_r = np.nonzero(stored_m)
+        fin[st_r, run_id[st_c], rank[st_c, st_r] - 1] = offer_sources[st_c]
+        del st_c, st_r, rank, stored_m, d_off
         if ev_key:
             keys = np.asarray(ev_key, dtype=np.int64)
             fin[
@@ -1093,127 +1114,79 @@ def _replay_two_phase_vectorized(
                 keys % capacity,
             ] = np.asarray(ev_src, dtype=np.int64)
 
-        # --- reveal occurrences, vectorized containment test ---
-        if pre.reveal_rows.size:
-            d_rev_t = np.ascontiguousarray(blk[pre.reveal_rows].T)
-            rv_r, rv_c = np.nonzero(d_rev_t)
-            rv_split = np.searchsorted(rv_r, np.arange(nb + 1)).tolist()
-            rv_cols = rv_c.tolist()
-            fb_l = sc_pad[pre.pos_in_offers[rv_c], rv_r].tolist()
-            if n_runs and rv_r.size:
-                rfo = reveal_run[rv_c]
-                valid = rfo >= 0
-                rfo0 = np.where(valid, rfo, 0)
-                has_b = valid & (counts[rfo0, rv_r] > 0)
-                hl_occ = held_len[rfo0, rv_r]
-                contains = (
-                    (fin[rv_r, rfo0, :] == reveal_src_arr[rv_c, None])
-                    & (slot_cols[None, :] < hl_occ[:, None])
-                ).any(axis=1) & has_b
-                cont_l = contains.tolist()
-                hasb_l = has_b.tolist()
-                run_l = rfo.tolist()
-                hl_l = hl_occ.tolist()
-            else:
-                cont_l = hasb_l = [False] * len(rv_cols)
-                run_l = [-1] * len(rv_cols)
-                hl_l = [0] * len(rv_cols)
-        else:
-            rv_split = [0] * (nb + 1)
-            rv_cols = fb_l = run_l = hl_l = []
-            cont_l = hasb_l = []
-        hl_cum_t = (
-            np.ascontiguousarray(np.cumsum(held_len, axis=0, dtype=np.int32).T)
-            if n_runs
-            else np.zeros((nb, 0), dtype=np.int32)
+        # --- reveal pass: weak auth, first copies, record matching ---
+        d_rev = blk[pre.reveal_rows]
+        after, live = _anchor_trajectory(
+            pre.reveal_intervals, d_rev, _MAX_KEY_GAP
         )
+        first = live
+        if pre.group_order is not None:
+            first = live & _group_first(live, pre.group_order, pre.group_starts)
+        contains = np.zeros_like(first)
+        nonempty = np.zeros_like(first)
+        if matchable.size:
+            contains[matchable] = (
+                fin[:, matchable_runs, :] == matchable_sources
+            ).any(axis=2).T
+            nonempty[matchable] = counts[matchable_runs] > 0
+        matched = first & contains
+        held_len = np.minimum(counts, capacity)
+        # No surviving record shares these reveals' MAC bytes — decide
+        # by actual μMAC equality so 24-bit collisions authenticate
+        # exactly as in the DES, one batch per miss.
+        miss_r, miss_j = np.nonzero((first & nonempty & ~contains).T)
+        owner = -1
+        local_key = b""
+        for r, j in zip(miss_r.tolist(), miss_j.tolist()):
+            if r != owner:
+                owner = r
+                local_key = _seed_bytes(config, f"local-{start + b0 + r}")
+            interval = reveal_intervals[j]
+            run = reveal_run[j]
+            batch = [announce_macs[(interval, reveal_sources[j])]]
+            for slot in fin[r, run, : held_len[run, r]].tolist():
+                batch.append(
+                    announce_macs[(interval, slot)]
+                    if slot >= 0
+                    else forged_macs[-1 - slot]
+                )
+            digests = micro.compute_many(local_key, batch)
+            if digests[0] in digests[1:]:
+                matched[j, r] = True
 
-        # --- reveal pass: weak auth, stale pops, record matching ---
-        for local in range(nb):
-            n_auth = n_lost = n_weak = 0
-            trusted = 0
-            peak = 0
-            popped = 0
-            ptr = 0
-            decided: Dict[Tuple[int, int], bool] = {}
-            local_key = b""
-            hl_cum_row = hl_cum_t[local]
-            v0 = rv_split[local]
-            v1 = rv_split[local + 1]
-            for j, fb, cont, hasb, run, hl in zip(
-                rv_cols[v0:v1],
-                fb_l[v0:v1],
-                cont_l[v0:v1],
-                hasb_l[v0:v1],
-                run_l[v0:v1],
-                hl_l[v0:v1],
-            ):
-                interval = reveal_intervals[j]
-                source = reveal_sources[j]
-                key = (interval, source)
-                prior = decided.get(key)
-                if prior is True:
-                    continue
-                if interval > trusted:
-                    if interval - trusted > _MAX_KEY_GAP:
-                        n_weak += 1
-                        continue
-                    trusted = interval
-                # Buffer occupancy right now — evaluated before the
-                # pops below, so together with the end-of-run candidate
-                # it covers every point where the DES receiver's
-                # append-time peak can land.
-                stored_now = fb - popped
-                if stored_now > peak:
-                    peak = stored_now
-                cutoff = interval - 1
-                if ptr < n_runs and run_intervals[ptr] < cutoff:
-                    while ptr < n_runs and run_intervals[ptr] < cutoff:
-                        ptr += 1
-                    popped = int(hl_cum_row[ptr - 1])
-                if prior is None:
-                    if cont:
-                        matched = True
-                    elif hasb:
-                        # No surviving record shares this reveal's MAC
-                        # bytes — decide by actual μMAC equality so
-                        # 24-bit collisions authenticate exactly as in
-                        # the DES, one batch per miss.
-                        if not local_key:
-                            local_key = _seed_bytes(
-                                config, f"local-{start + b0 + local}"
-                            )
-                        held = fin[local, run, :hl].tolist()
-                        batch = [announce_macs[key]]
-                        for slot in held:
-                            batch.append(
-                                announce_macs[(interval, slot)]
-                                if slot >= 0
-                                else forged_macs[-1 - slot]
-                            )
-                        digests = micro.compute_many(local_key, batch)
-                        expected = digests[0]
-                        matched = any(d == expected for d in digests[1:])
-                    else:
-                        matched = False
-                    decided[key] = matched
-                else:
-                    matched = False
-                if matched:
-                    n_auth += 1
-                else:
-                    n_lost += 1
-            end_stored = total_fills_l[local] - popped
-            if end_stored > peak:
-                peak = end_stored
-            auth_c.append(n_auth)
-            lost_c.append(n_lost)
-            rejf_c.append(0)
-            weak_c.append(n_weak)
-            disc_c.append(n_disc_l[local])
-            facc_c.append(0)
-            recv_c.append(n_recv_l[local])
-            peak_c.append(peak * item_bits)
+        n_live = live.sum(axis=0)
+        auth = matched.sum(axis=0)
+        lost = n_live - auth
+        if pre.group_order is not None:
+            # Later copies of a matched key are skipped, not lost.
+            copies = np.add.reduceat(
+                live[pre.group_order], pre.group_starts, axis=0, dtype=np.int32
+            )
+            won = np.logical_or.reduceat(
+                matched[pre.group_order], pre.group_starts, axis=0
+            )
+            lost -= ((copies - 1) * won).sum(axis=0)
+
+        # Occupancy = fills so far - buckets more than one interval
+        # behind the anchor (popped), read before each reveal and at
+        # the end: together these cover every point where the DES
+        # receiver's append-time peak can land.
+        popped = np.zeros((n_runs + 1, nb), dtype=np.int32)
+        np.cumsum(held_len, axis=0, out=popped[1:])
+        anchors = np.zeros((after.shape[0] + 1, nb), dtype=after.dtype)
+        anchors[1:] = after
+        gone = popped[np.searchsorted(pre.run_intervals, anchors - 1), cols]
+        at_reveal = fills[pre.pos_in_offers] - gone[:-1]
+        peak = np.maximum(fills[-1] - gone[-1], at_reveal.max(axis=0, initial=0))
+
+        zeros = [0] * nb
+        for column, values in zip(out, (
+            auth.tolist(), lost.tolist(), zeros,
+            (d_rev.sum(axis=0) - n_live).tolist(),
+            blk[pre.discard_rows].sum(axis=0).tolist(), zeros,
+            blk.sum(axis=0).tolist(), (peak * item_bits).tolist(),
+        )):
+            column.extend(values)
     return out  # type: ignore[return-value]
 
 
@@ -1247,7 +1220,8 @@ def _group_first(d_off: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np
 def _anchor_trajectory(
     index: np.ndarray, delivered: np.ndarray, gap: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Trusted-anchor trajectory over authentic disclosure rows.
+    """Trusted-anchor trajectory over key-disclosing rows (authentic
+    single-level disclosures, two-phase reveals).
 
     ``index`` (non-decreasing) is each row's disclosed chain index and
     ``delivered`` the ``(rows, receivers)`` delivery block. A delivered
@@ -1403,8 +1377,8 @@ def _replay_single_level(
     precede the first key that can). Peak occupancy is read at every
     authentic disclosure slot and at the end: fills so far minus the
     buckets the anchor has already released. Forged disclosures
-    back-walk from their candidate only to the lowest anchor a
-    receiver in the block holds when they arrive.
+    back-walk from their candidate only to the lowest anchor held,
+    when they arrive, by a receiver in the block that got them.
     """
     capacity = config.buffers
     n_runs = int(pre.run_starts.size)
@@ -1430,10 +1404,13 @@ def _replay_single_level(
         weak = (d_auth & ~accepted).sum(axis=0) + d_forged.sum(axis=0)
 
         # Forged disclosures: walk each candidate down to the lowest
-        # anchor any receiver here still holds (within the gap bound).
+        # anchor held by a receiver here that got it (within the gap
+        # bound); one nobody got is not walked at all.
         if pre.forged_rows.size:
             held_at = anchors[pre.auth_before_forged]
-            lowest = held_at.min(axis=1).tolist()
+            lowest = np.where(
+                d_forged, held_at, np.iinfo(held_at.dtype).max
+            ).min(axis=1).tolist()
             for f, (index, forged_id) in enumerate(
                 zip(pre.forged_index.tolist(), pre.forged_ids)
             ):
@@ -1697,7 +1674,7 @@ def _replay_multilevel(
     after the pin and buffers nothing more) and ranks every CDM offer.
     Overflow offers of both pools — rank past capacity — replay the
     shared per-receiver stream in delivery order through
-    :func:`~repro.sim.draws.reservoir_overflow`; with hash pinning, the
+    :func:`~repro.buffers.reservoir.reservoir_overflow`; with hash pinning, the
     draws of a high are settled before its acceptance feeds the next
     high's pin. A chain's
     commitment time is the earlier of its CDM acceptance and its

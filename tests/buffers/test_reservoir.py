@@ -190,7 +190,7 @@ class _SubclassedRandom(random.Random):
 
 
 class TestOfferMany:
-    """offer_many (free fills, then repro.sim.draws.reservoir_overflow)
+    """offer_many (free fills, then reservoir_overflow)
     must be state- and draw-identical to per-item offer."""
 
     @given(

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.buffers.reservoir import OfferOutcome, ReservoirBuffer
+from repro.buffers.reservoir import (
+    OfferOutcome, ReservoirBuffer, reservoir_overflow,
+)
 from repro.devtools.sanitizers.determinism import tracing
 from repro.errors import SimulationError
 from repro.sim import draws
-from repro.sim.draws import SeedLadder, medium_blocks, reservoir_overflow
+from repro.sim.draws import SeedLadder, medium_blocks
 
 
 class TestSeedLadder:

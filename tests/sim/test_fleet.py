@@ -17,8 +17,10 @@ from repro.engine import stable_key
 from repro.engine.executors import ParallelExecutor
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.net.harness import shard_sizes
-from repro.scenarios import tier
-from repro.scenarios.families import ALL_PROTOCOLS, MULTI_LEVEL, SINGLE_LEVEL
+from repro.scenarios import get_scenario, tier
+from repro.scenarios.families import (
+    ALL_PROTOCOLS, MULTI_LEVEL, SINGLE_LEVEL, TWO_PHASE,
+)
 from repro.sim import fleet
 from repro import perf
 from repro.sim.fleet import run_fleet_scenario, shard_plan, supports
@@ -29,10 +31,10 @@ from repro.sim.scenario import ScenarioConfig, run_scenario
 CATALOG_SEEDS = (7, 11)
 
 
-def _assert_identical(config: ScenarioConfig):
+def _assert_identical(config: ScenarioConfig, shards: int = 1):
     """Both engines at the same seed must agree on every metric."""
     des = run_scenario(dataclasses.replace(config, engine="des"))
-    fast = run_fleet_scenario(config)
+    fast = run_fleet_scenario(config, shards=shards)
     assert fast.fleet == des.fleet
     assert fast.sent_authentic == des.sent_authentic
     assert fast.forged_bandwidth_fraction == des.forged_bandwidth_fraction
@@ -381,8 +383,9 @@ class TestBatchedReplay:
 
 
 class TestArrayReplays:
-    """The single-level (tesla, mu_tesla) and multi-level (multilevel,
-    eftp, edrp) array kernels against the DES at their edge cases."""
+    """The two-phase (dap, tesla_pp), single-level (tesla, mu_tesla) and
+    multi-level (multilevel, eftp, edrp) array kernels against the DES
+    at their edge cases."""
 
     @pytest.mark.parametrize("protocol", ["tesla", "mu_tesla"])
     @pytest.mark.parametrize("seed", [3, 8])
@@ -487,22 +490,29 @@ class TestArrayReplays:
             assert run_fleet_scenario(config, shards=shards).fleet == des.fleet
 
     @seed(20160627)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
-        protocol=st.sampled_from(SINGLE_LEVEL + MULTI_LEVEL),
+        protocol=st.sampled_from(ALL_PROTOCOLS),
         intervals=st.integers(3, 30),
         buffers=st.integers(1, 6),
         low_per_high=st.integers(1, 5),
         cdm_copies=st.integers(1, 8),
+        packets=st.integers(1, 6),
+        tasks=st.integers(1, 3),
+        copies=st.integers(1, 5),
         attack=st.sampled_from([0.0, 0.3, 0.5, 0.8]),
         loss=st.sampled_from([0.0, 0.1, 0.4, 0.7]),
         burst=st.sampled_from([None, 3.0]),
+        shards=st.integers(1, 2),
         run_seed=st.integers(1, 10_000),
     )
     def test_property_matches_des(
         self, protocol, intervals, buffers, low_per_high, cdm_copies,
-        attack, loss, burst, run_seed,
+        packets, tasks, copies, attack, loss, burst, shards, run_seed,
     ):
+        """More packets per interval than sensing tasks repeats two-phase
+        ``(interval, source)`` reveal keys, so later copies are both
+        skipped after a match and lost after a miss."""
         _assert_identical(
             ScenarioConfig(
                 protocol=protocol,
@@ -511,13 +521,35 @@ class TestArrayReplays:
                 buffers=buffers,
                 low_per_high=low_per_high,
                 cdm_copies=cdm_copies,
+                packets_per_interval=packets,
+                sensing_tasks=tasks,
+                announce_copies=copies,
                 attack_fraction=attack,
                 loss_probability=loss,
                 loss_mean_burst=burst,
                 seed=run_seed,
                 engine="vectorized",
-            )
+            ),
+            shards=shards,
         )
+
+    @pytest.mark.parametrize("protocol", TWO_PHASE + SINGLE_LEVEL)
+    def test_key_gap_bound_freezes_the_anchor(self, protocol):
+        """At 99.98% loss over 8300 intervals some receivers go more
+        than 4096 intervals without a key: that key and every later one
+        is a weak-authentication reject, in both engines."""
+        config = dataclasses.replace(
+            get_scenario("fig5-t2").config,
+            protocol=protocol,
+            intervals=8300,
+            receivers=6,
+            loss_probability=0.9998,
+            seed=5,
+            engine="vectorized",
+        )
+        des = run_scenario(dataclasses.replace(config, engine="des"))
+        assert sum(node.rejected_weak_auth for node in des.fleet.nodes) > 0
+        assert run_fleet_scenario(config, shards=2).fleet == des.fleet
 
     def test_single_level_precompute_rejects_late_record(self):
         """A gated record arriving after its interval's key was
