@@ -41,7 +41,8 @@ class IndexedBufferPool(Generic[T]):
             message+MAC pair).
         strategy: ``"reservoir"`` (Algorithm 2) or ``"keep_first"``
             (naive baseline).
-        rng: optional shared RNG for reproducibility.
+        rng: optional shared RNG for reproducibility (reservoir pools
+            only; a keep-first pool never draws and builds none).
     """
 
     def __init__(
@@ -70,7 +71,9 @@ class IndexedBufferPool(Generic[T]):
         self._max_indices = max_indices
         self._item_bits = item_bits
         self._strategy = strategy
-        self._rng = rng or random.Random()
+        self._rng = rng
+        if rng is None and strategy == "reservoir":
+            self._rng = random.Random()
         self._buffers: Dict[int, PacketBuffer[T]] = {}
         self._peak_bits = 0
         self._offers = 0

@@ -148,6 +148,8 @@ def reservoir_overflow(
     in range), so the stream is consumed exactly as
     ``ReservoirBuffer.offer`` consumes it. Returns ``(survivors,
     accepted)``: the last entry written per slot, and the keep count.
+    It is also the oracle, and the tail path, of the fleet engine's
+    lane-parallel :meth:`repro.sim.draws.ReceiverStreams.overflow`.
     """
     rand = rng.random
     getrandbits = rng.getrandbits

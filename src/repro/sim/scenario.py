@@ -22,8 +22,9 @@ edrp        multi-level    EDRP CDM hash chaining
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.kernels import ChainWalkCache
 from repro.crypto.onewayfn import OneWayFunction
@@ -260,6 +261,13 @@ def build_two_phase_protocol(
         message_for=workload.report_for,
     )
     receiver_cls = DapReceiver if config.protocol == "dap" else TeslaPlusPlusReceiver
+    # TESLA++ keeps the first copies and never draws: its receivers
+    # spend their ladder seeds but get no stream.
+    rngs: Sequence[Optional[random.Random]] = (
+        seeds.receiver_rngs(config.receivers)
+        if config.protocol == "dap"
+        else [None] * len(seeds.receiver_seeds(config.receivers))
+    )
     # One walk cache for the whole fleet: every receiver back-walks the
     # same disclosed keys, so cross-receiver hits answer from the memo
     # (memoized walks are bit-exact — sharing changes no outcome).
@@ -275,7 +283,7 @@ def build_two_phase_protocol(
             walk_cache=walk_cache,
             rng=rng,
         )
-        for i, rng in enumerate(seeds.receiver_rngs(config.receivers))
+        for i, rng in enumerate(rngs)
     ]
     factory = announce_forgery_factory()
     authentic_copies = config.packets_per_interval * config.announce_copies
@@ -349,14 +357,15 @@ def _build_single_level(
     walk_cache = ChainWalkCache(function)
     receiver_cls = TeslaReceiver if config.protocol == "tesla" else MuTeslaReceiver
     nodes = []
-    for i, rng in enumerate(seeds.receiver_rngs(config.receivers)):
+    # Keep-first receivers never draw: they spend their ladder seeds
+    # (the master stream's order needs them) but get no stream.
+    for i, _seed in enumerate(seeds.receiver_seeds(config.receivers)):
         receiver = receiver_cls(
             commitment=sender.chain.commitment,
             condition=condition,
             buffer_capacity=config.buffers,
             function=function,
             walk_cache=walk_cache,
-            rng=rng,
         )
         node = ReceiverNode(f"recv-{i}", simulator, receiver)
         node.attach(medium, _link_for(config))
