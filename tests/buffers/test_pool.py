@@ -119,6 +119,14 @@ class TestStrategies:
             pool.offer(1, i)
         assert pool.items(1) != [0]
 
+    def test_only_reservoir_pools_build_a_stream(self):
+        """A keep-first pool never draws, so it seeds no generator."""
+        keep_first = IndexedBufferPool(2, item_bits=1, strategy="keep_first")
+        for i in range(10):
+            keep_first.offer(1, i)
+        assert keep_first._rng is None
+        assert IndexedBufferPool(2, item_bits=1)._rng is not None
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigurationError):
             IndexedBufferPool(1, item_bits=1, strategy="lifo")
