@@ -183,12 +183,13 @@ def numeric_band_mismatches(
     Cross-validates :func:`regime_boundaries` against the paper's own
     Euler iteration: the whole ``m`` grid integrates as one
     :class:`~repro.game.replicator.BatchedReplicator` batch and each
-    endpoint's §V-E label is compared with :meth:`RegimeBoundaries.band_of`.
+    endpoint's §V-E label, from one :func:`~repro.game.ess.rest_points`
+    sweep, is compared with :meth:`RegimeBoundaries.band_of`.
     An empty list means the closed forms and the simulation agree
     everywhere; the known Euler clipping artifact (EXPERIMENTS.md F-6)
     shows up as one or two ``m`` hugging the ``(1,Y')``/interior edge.
     """
-    from repro.game.ess import label_point
+    from repro.game.ess import rest_points
     from repro.game.replicator import BatchedReplicator
 
     if not m_values:
@@ -198,10 +199,11 @@ def numeric_band_mismatches(
     batch = BatchedReplicator(cells).integrate(
         x0=x0, y0=y0, dt=dt, max_steps=max_steps
     )
+    points = rest_points(params, m_values)
     mismatches: List[int] = []
-    for index, (m, cell) in enumerate(zip(m_values, cells)):
+    for index, m in enumerate(m_values):
         fx, fy = batch.final(index)
-        label = label_point(cell, fx, fy, tol=5e-2)
+        label = points.label(index, fx, fy, tol=5e-2)
         realized = label.value if label is not None else None
         if realized != bands.band_of(m):
             mismatches.append(m)

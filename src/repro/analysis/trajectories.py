@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.game.ess import EssType, label_point
+from repro.game.ess import EssType, label_point, rest_points
 from repro.game.parameters import GameParameters
 from repro.game.replicator import BatchedReplicator, ReplicatorDynamics, Trajectory
 
@@ -111,10 +111,11 @@ def regime_bands(
     batch = BatchedReplicator(cells).integrate(
         x0=x0, y0=y0, dt=dt, max_steps=max_steps
     )
+    points = rest_points(base, m_values)
     labels: Dict[int, Optional[EssType]] = {}
-    for index, (m, params) in enumerate(zip(m_values, cells)):
+    for index, m in enumerate(m_values):
         fx, fy = batch.final(index)
-        labels[m] = label_point(params, fx, fy, tol=5e-2)
+        labels[m] = points.label(index, fx, fy, tol=5e-2)
     bands: List[RegimeBand] = []
     start = m_values[0]
     current = labels[start]

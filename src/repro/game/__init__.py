@@ -10,8 +10,10 @@ built on top.
 from repro.game.adaptive import AdaptiveDefense, AttackEstimator
 from repro.game.bestresponse import BestResponseDynamics, BestResponseTrajectory
 from repro.game.ess import (
+    CANDIDATES,
     EssType,
     FixedPoint,
+    RestPoints,
     Stability,
     edge_x_prime,
     edge_y_prime,
@@ -19,6 +21,7 @@ from repro.game.ess import (
     interior_fixed_point,
     label_point,
     realized_ess,
+    rest_points,
     stable_points,
 )
 from repro.game.optimizer import (
@@ -50,6 +53,7 @@ from repro.game.replicator import (
     BatchTrajectories,
     ReplicatorDynamics,
     Trajectory,
+    jacobian_terms,
 )
 from repro.game.population import (
     PopulationGame,
@@ -70,6 +74,7 @@ __all__ = [
     "BestResponseDynamics",
     "BestResponseTrajectory",
     "BufferOptimizer",
+    "CANDIDATES",
     "EquilibriumSolver",
     "EssType",
     "ExpectedUtilities",
@@ -89,6 +94,7 @@ __all__ = [
     "PopulationState",
     "PopulationTrajectory",
     "ReplicatorDynamics",
+    "RestPoints",
     "SensitivityPoint",
     "Stability",
     "Trajectory",
@@ -100,9 +106,11 @@ __all__ = [
     "expected_utilities",
     "fixed_points",
     "interior_fixed_point",
+    "jacobian_terms",
     "label_point",
     "naive_defense_cost",
     "paper_parameters",
     "realized_ess",
+    "rest_points",
     "stable_points",
 ]

@@ -16,14 +16,19 @@ Setting ``dX/dt = dY/dt = 0`` yields the candidate rest points
 The paper enumerates which of these "can be ESS"; here every candidate
 is classified rigorously through the Jacobian of the replicator field
 (asymptotically stable = all eigenvalue real parts negative). The
-Jacobian is ``2 × 2``, so its eigenvalues are taken in closed form with
-plain floats: exactly the diagonal when an off-diagonal entry is zero
-(every corner and both edge families), otherwise
-``tr/2 ± sqrt(tr²/4 - det)``. :func:`realized_ess` reports which
-candidate the paper's own Euler dynamics actually reach from
-``(0.5, 0.5)``. For the §VI-B constants this reproduces the paper's
-four regimes in ``m``: ``(1,1)`` for small ``m``, then ``(1, Y')``,
-then the interior spiral, then ``(X', 1)``.
+Jacobian is ``2 × 2``, so its eigenvalues are taken in closed form:
+exactly the diagonal when an off-diagonal entry is zero (every corner
+and both edge families), otherwise ``tr/2 ± sqrt(tr²/4 - det)``.
+
+Algorithm 3 and the Fig. 6-8 sweeps classify every ``m`` of a sweep at
+one attack level, so :func:`rest_points` does exactly that as array
+code: one :class:`RestPoints` grid of ``(candidate, m)`` cells. It is
+the only classifier; :func:`fixed_points`, :func:`stable_points`,
+:func:`label_point` and the candidate formulas are one-cell views of
+it. :func:`realized_ess` reports which candidate the paper's own Euler
+dynamics actually reach from ``(0.5, 0.5)``. For the §VI-B constants
+this reproduces the paper's four regimes in ``m``: ``(1,1)`` for small
+``m``, then ``(1, Y')``, then the interior spiral, then ``(X', 1)``.
 """
 
 from __future__ import annotations
@@ -31,16 +36,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.game.parameters import GameParameters
-from repro.game.replicator import ReplicatorDynamics, Trajectory
+from repro.game.replicator import ReplicatorDynamics, Trajectory, jacobian_terms
 
 __all__ = [
     "EssType",
     "Stability",
     "FixedPoint",
+    "CANDIDATES",
+    "RestPoints",
+    "rest_points",
     "interior_fixed_point",
     "edge_x_prime",
     "edge_y_prime",
@@ -75,6 +85,31 @@ class Stability(Enum):
     MARGINAL = "marginal"
 
 
+#: The §V-E candidates in the order every view lists them: row ``r``
+#: of a :class:`RestPoints` grid is candidate ``CANDIDATES[r]``.
+CANDIDATES: Tuple[EssType, ...] = (
+    EssType.CORNER_00,
+    EssType.CORNER_01,
+    EssType.CORNER_10,
+    EssType.CORNER_11,
+    EssType.EDGE_X1,
+    EssType.EDGE_1Y,
+    EssType.INTERIOR,
+)
+_X1, _1Y, _INTERIOR = 4, 5, 6
+#: Corner coordinates, rows ``CANDIDATES[:4]``.
+_CORNER_X = np.array([[0.0], [0.0], [1.0], [1.0]])
+_CORNER_Y = np.array([[0.0], [1.0], [0.0], [1.0]])
+
+#: :attr:`RestPoints.stability` codes, by index.
+_STABILITIES: Tuple[Stability, ...] = (
+    Stability.STABLE,
+    Stability.UNSTABLE,
+    Stability.SADDLE,
+    Stability.MARGINAL,
+)
+
+
 @dataclass(frozen=True)
 class FixedPoint:
     """A rest point of the replicator dynamics, classified.
@@ -102,108 +137,221 @@ class FixedPoint:
         return math.hypot(self.x - x, self.y - y)
 
 
-def interior_fixed_point(params: GameParameters) -> Optional[Tuple[float, float]]:
-    """The §V-E interior candidate ``(X̄, Ȳ)``; ``None`` if it leaves
-    the open unit square (then one of the edge/corner points takes over)."""
-    q = 1.0 - params.attack_success_probability
-    denom = params.k1 * params.k2 * params.m * params.xa + q * q * params.ra ** 2
-    if denom <= 0:
-        return None
-    x = q * params.ra ** 2 / denom
-    y = params.k2 * params.m * params.ra / denom
-    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
-        return None
-    return (x, y)
+@dataclass(frozen=True, eq=False)
+class RestPoints:
+    """Every §V-E candidate of one ``m`` sweep at a fixed ``p``, classified.
+
+    The arrays are ``(candidates, cells)``: row ``r`` is
+    ``CANDIDATES[r]`` and column ``i`` is ``m[i]``. Where ``present`` is
+    ``False`` the candidate left the open unit square and the other
+    entries are meaningless.
+
+    Attributes:
+        m: the swept buffer counts.
+        x, y: candidate coordinates.
+        present: whether the candidate exists in that cell.
+        stability: index into ``(STABLE, UNSTABLE, SADDLE, MARGINAL)``.
+        eigenvalues: the Jacobian's two eigenvalues, on a last axis.
+    """
+
+    m: Tuple[int, ...]
+    x: np.ndarray
+    y: np.ndarray
+    present: np.ndarray
+    stability: np.ndarray
+    eigenvalues: np.ndarray
+
+    @property
+    def stable(self) -> np.ndarray:
+        """Which candidates are asymptotically stable (the ESS set)."""
+        return self.present & (self.stability == 0)
+
+    def fixed_points(self, index: int) -> List[FixedPoint]:
+        """Cell ``index``'s candidates, in candidate order."""
+        return self._points(index, self.present[:, index])
+
+    def stable_points(self, index: int) -> List[FixedPoint]:
+        """Cell ``index``'s stable candidates, in candidate order."""
+        return self._points(index, self.stable[:, index])
+
+    def label(
+        self, index: int, x: float, y: float, tol: float = 1e-2
+    ) -> Optional[EssType]:
+        """Cell ``index``'s candidate nearest ``(x, y)`` within ``tol``
+        (a tie goes to the later candidate); ``None`` when none is."""
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            raise ConfigurationError(f"point ({x}, {y}) outside the unit square")
+        best = _nearest_point(self.fixed_points(index), x, y, tol)
+        return best.ess_type if best is not None else None
+
+    def _points(self, index: int, keep: np.ndarray) -> List[FixedPoint]:
+        xs = self.x[:, index].tolist()
+        ys = self.y[:, index].tolist()
+        codes = self.stability[:, index].tolist()
+        eigs = self.eigenvalues[:, index].tolist()
+        return [
+            FixedPoint(
+                xs[row],
+                ys[row],
+                CANDIDATES[row],
+                _STABILITIES[codes[row]],
+                (eigs[row][0], eigs[row][1]),
+            )
+            for row in np.flatnonzero(keep).tolist()
+        ]
 
 
-def edge_x_prime(params: GameParameters) -> Optional[float]:
-    """``X' = (1-p^m) Ra / (k2 m)`` on the ``Y = 1`` edge, if interior."""
-    q = 1.0 - params.attack_success_probability
-    x = q * params.ra / (params.k2 * params.m)
-    return x if 0.0 < x < 1.0 else None
+def _candidates(
+    base: GameParameters, m_values: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(p^m, m, x, y, present)`` for every candidate of a sweep.
 
-
-def edge_y_prime(params: GameParameters) -> Optional[float]:
-    """``Y' = p^m Ra / (k1 xa)`` on the ``X = 1`` edge, if interior."""
-    if params.xa == 0:
-        return None
-    y = params.attack_success_probability * params.ra / (params.k1 * params.xa)
-    return y if 0.0 < y < 1.0 else None
+    Each element is computed with the operations, in the order, of the
+    one-cell formulas in the module docstring, so it equals the float
+    evaluation bit for bit; ``p^m`` is Python's ``**`` per cell.
+    """
+    if not m_values:
+        raise ConfigurationError("m_values must be non-empty")
+    if min(m_values) < 1:
+        raise ConfigurationError(f"m must be >= 1, got {min(m_values)}")
+    p = base.p
+    attack = np.array([p ** m for m in m_values], dtype=float)
+    m = np.array(m_values, dtype=float)
+    q = 1.0 - attack
+    ra, k1, k2, xa = base.ra, base.k1, base.k2, base.xa
+    x = np.empty((len(CANDIDATES), m.size))
+    y = np.empty_like(x)
+    present = np.ones(x.shape, dtype=bool)
+    x[:_X1] = _CORNER_X
+    y[:_X1] = _CORNER_Y
+    # Candidates outside the square may divide by zero; they are masked.
+    with np.errstate(all="ignore"):
+        x[_X1] = q * ra / (k2 * m)
+        y[_X1] = 1.0
+        x[_1Y] = 1.0
+        y[_1Y] = attack * ra / (k1 * xa) if xa != 0 else 0.0
+        denom = k1 * k2 * m * xa + q * q * ra ** 2
+        x[_INTERIOR] = q * ra ** 2 / denom
+        y[_INTERIOR] = k2 * m * ra / denom
+    present[_X1] = (0.0 < x[_X1]) & (x[_X1] < 1.0)
+    present[_1Y] = (0.0 < y[_1Y]) & (y[_1Y] < 1.0) & (xa != 0)
+    present[_INTERIOR] = (
+        (denom > 0)
+        & (0.0 < x[_INTERIOR]) & (x[_INTERIOR] < 1.0)
+        & (0.0 < y[_INTERIOR]) & (y[_INTERIOR] < 1.0)
+    )
+    return attack, m, x, y, present
 
 
 def _eigenvalues(
-    a: float, b: float, c: float, d: float
-) -> Tuple[complex, complex]:
-    """Eigenvalues of ``[[a, b], [c, d]]`` in closed form.
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    """Eigenvalues of ``[[a, b], [c, d]]`` elementwise, in closed form,
+    stacked on a new last axis.
 
     A zero off-diagonal entry makes the matrix triangular, and the
     diagonal is returned exactly. Otherwise the roots are
     ``tr/2 ± sqrt(disc)`` with ``disc = tr²/4 - det``, written as
     ``((a - d)/2)² + bc`` so equal diagonals do not cancel; distinct real
     roots are split the way LAPACK's ``dlanv2`` splits them, so the
-    smaller one keeps its relative accuracy.
+    smaller one keeps its relative accuracy, and a negative ``disc``
+    gives the complex pair ``tr/2 ± i·sqrt(-disc)``.
     """
-    if b == 0.0 or c == 0.0:
-        return (complex(a), complex(d))
+    triangular = (b == 0.0) | (c == 0.0)
     half_gap = 0.5 * (a - d)
     bc = b * c
     disc = half_gap * half_gap + bc
-    if disc > 0.0:
-        z = half_gap + math.copysign(math.sqrt(disc), half_gap)
-        return (complex(d + z), complex(d - bc / z))
+    split = ~triangular & (disc > 0.0)
+    pair = ~triangular & ~(disc > 0.0)
+    z = half_gap + np.copysign(np.sqrt(disc), half_gap)
     half_trace = 0.5 * (a + d)
-    imag = math.sqrt(-disc)
-    return (complex(half_trace, imag), complex(half_trace, -imag))
+    imag = np.sqrt(-disc)
+    first = np.where(triangular, a, np.where(split, d + z, half_trace))
+    second = np.where(triangular, d, np.where(split, d - bc / z, half_trace))
+    out = np.empty(a.shape + (2,), dtype=complex)
+    out.real[..., 0] = first
+    out.real[..., 1] = second
+    out.imag[..., 0] = np.where(pair, imag, 0.0)
+    out.imag[..., 1] = np.where(pair, -imag, 0.0)
+    return out
 
 
-def _classify(dynamics: ReplicatorDynamics, x: float, y: float) -> Tuple[
-    Stability, Tuple[complex, complex]
-]:
-    (a, b), (c, d) = dynamics.jacobian_entries(x, y)
-    eigs = _eigenvalues(a, b, c, d)
-    r1 = eigs[0].real
-    r2 = eigs[1].real
-    if r1 < -_STABILITY_TOL and r2 < -_STABILITY_TOL:
-        stability = Stability.STABLE
-    elif r1 > _STABILITY_TOL and r2 > _STABILITY_TOL:
-        stability = Stability.UNSTABLE
-    elif (r1 > _STABILITY_TOL and r2 < -_STABILITY_TOL) or (
-        r1 < -_STABILITY_TOL and r2 > _STABILITY_TOL
-    ):
-        stability = Stability.SADDLE
-    else:
-        stability = Stability.MARGINAL
-    return stability, eigs
+def _stability_codes(eigenvalues: np.ndarray) -> np.ndarray:
+    """:attr:`RestPoints.stability` code per eigenvalue pair, from the
+    real parts: both below ``-tol`` stable, else both above ``tol``
+    unstable, else one each way a saddle, else (a real part within
+    ``tol`` of zero) marginal."""
+    real = eigenvalues.real
+    neg = real < -_STABILITY_TOL
+    pos = real > _STABILITY_TOL
+    neg1, neg2 = neg[..., 0], neg[..., 1]
+    pos1, pos2 = pos[..., 0], pos[..., 1]
+    return np.where(
+        neg1 & neg2, 0,
+        np.where(pos1 & pos2, 1, np.where(pos1 & neg2 | neg1 & pos2, 2, 3)),
+    ).astype(np.int8)
+
+
+def rest_points(base: GameParameters, m_values: Sequence[int]) -> RestPoints:
+    """Every §V-E candidate of ``base`` at each ``m`` in ``m_values``
+    (``base.m`` is ignored), classified in one array pass.
+
+    Each cell equals the one-cell classification of
+    ``base.with_m(m)`` bit for bit: coordinates, eigenvalues and
+    stability.
+    """
+    attack, m, x, y, present = _candidates(base, m_values)
+    # Every cell is evaluated, absent candidates too (their NaNs and
+    # infinities are masked by ``present``), so silence their warnings.
+    with np.errstate(all="ignore"):
+        (a, b), (c, d) = jacobian_terms(
+            base.ra, base.k1 * base.xa, base.k2 * m, 1.0 - attack, x, y
+        )
+        eigenvalues = _eigenvalues(a, b, c, d)
+    return RestPoints(
+        m=tuple(m_values),
+        x=x,
+        y=y,
+        present=present,
+        stability=_stability_codes(eigenvalues),
+        eigenvalues=eigenvalues,
+    )
+
+
+def _one_cell(params: GameParameters, row: int) -> Optional[Tuple[float, float]]:
+    """Candidate ``row`` of ``params`` alone; ``None`` when absent."""
+    _, _, x, y, present = _candidates(params, (params.m,))
+    if not present[row, 0]:
+        return None
+    return (float(x[row, 0]), float(y[row, 0]))
+
+
+def interior_fixed_point(params: GameParameters) -> Optional[Tuple[float, float]]:
+    """The §V-E interior candidate ``(X̄, Ȳ)``; ``None`` if it leaves
+    the open unit square (then one of the edge/corner points takes over)."""
+    return _one_cell(params, _INTERIOR)
+
+
+def edge_x_prime(params: GameParameters) -> Optional[float]:
+    """``X' = (1-p^m) Ra / (k2 m)`` on the ``Y = 1`` edge, if interior."""
+    point = _one_cell(params, _X1)
+    return point[0] if point is not None else None
+
+
+def edge_y_prime(params: GameParameters) -> Optional[float]:
+    """``Y' = p^m Ra / (k1 xa)`` on the ``X = 1`` edge, if interior."""
+    point = _one_cell(params, _1Y)
+    return point[1] if point is not None else None
 
 
 def fixed_points(params: GameParameters) -> List[FixedPoint]:
     """Every §V-E candidate present for these parameters, classified."""
-    dynamics = ReplicatorDynamics(params)
-    candidates: List[Tuple[float, float, EssType]] = [
-        (0.0, 0.0, EssType.CORNER_00),
-        (0.0, 1.0, EssType.CORNER_01),
-        (1.0, 0.0, EssType.CORNER_10),
-        (1.0, 1.0, EssType.CORNER_11),
-    ]
-    xp = edge_x_prime(params)
-    if xp is not None:
-        candidates.append((xp, 1.0, EssType.EDGE_X1))
-    yp = edge_y_prime(params)
-    if yp is not None:
-        candidates.append((1.0, yp, EssType.EDGE_1Y))
-    interior = interior_fixed_point(params)
-    if interior is not None:
-        candidates.append((interior[0], interior[1], EssType.INTERIOR))
-    points = []
-    for x, y, ess_type in candidates:
-        stability, eigs = _classify(dynamics, x, y)
-        points.append(FixedPoint(x, y, ess_type, stability, eigs))
-    return points
+    return rest_points(params, (params.m,)).fixed_points(0)
 
 
 def stable_points(params: GameParameters) -> List[FixedPoint]:
     """The candidates that are asymptotically stable (the ESS set)."""
-    return [point for point in fixed_points(params) if point.is_ess]
+    return rest_points(params, (params.m,)).stable_points(0)
 
 
 def _nearest_point(
@@ -228,10 +376,7 @@ def label_point(
 ) -> Optional[EssType]:
     """Match a point (e.g. where a trajectory settled) to the nearest
     candidate within ``tol``; ``None`` when nothing is close."""
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ConfigurationError(f"point ({x}, {y}) outside the unit square")
-    best = _nearest_point(fixed_points(params), x, y, tol)
-    return best.ess_type if best is not None else None
+    return rest_points(params, (params.m,)).label(0, x, y, tol)
 
 
 def realized_ess(

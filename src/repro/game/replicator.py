@@ -22,7 +22,7 @@ integrator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "Trajectory",
     "ReplicatorDynamics",
     "BatchTrajectories",
+    "jacobian_terms",
     "BatchedReplicator",
 ]
 
@@ -82,6 +83,33 @@ class Trajectory:
         """Whether the trajectory ends within ``tol`` of ``(x, y)``."""
         fx, fy = self.final
         return abs(fx - x) <= tol and abs(fy - y) <= tol
+
+
+#: A share, or an array of them.
+Shares = TypeVar("Shares", float, np.ndarray)
+
+
+def jacobian_terms(
+    ra: float, k1xa: float, k2m: Shares, q: Shares, x: Shares, y: Shares
+) -> Tuple[Tuple[Shares, Shares], Tuple[Shares, Shares]]:
+    """The replicator field's Jacobian, row-major ``((df/dx, df/dy),
+    (dg/dx, dg/dy))``, at shares ``(x, y)``.
+
+    ``k2m = k2·m``, ``k1xa = k1·xa`` and ``q = 1 - p^m``. Plain
+    arithmetic, so it takes floats or broadcastable arrays alike, and
+    each array element equals the float result bit for bit. This is the
+    one place the formula lives: :meth:`ReplicatorDynamics.jacobian_entries`
+    evaluates one point, :func:`repro.game.ess.rest_points` a whole
+    ``(candidates, m)`` grid. A rest point is asymptotically stable (an
+    ESS of the dynamics) when every eigenvalue has negative real part.
+    """
+    bracket_x = ra * y * q - k2m * x
+    bracket_y = ra - q * x * ra - k1xa * y
+    dfdx = (1.0 - 2.0 * x) * bracket_x - x * (1.0 - x) * k2m
+    dfdy = x * (1.0 - x) * ra * q
+    dgdx = y * (1.0 - y) * (-ra * q)
+    dgdy = (1.0 - 2.0 * y) * bracket_y - y * (1.0 - y) * k1xa
+    return ((dfdx, dfdy), (dgdx, dgdy))
 
 
 class ReplicatorDynamics:
@@ -145,23 +173,13 @@ class ReplicatorDynamics:
     ) -> Tuple[Tuple[float, float], Tuple[float, float]]:
         """Analytic Jacobian of the vector field at ``(x, y)``, as floats.
 
-        Row-major ``((df/dx, df/dy), (dg/dx, dg/dy))``. Used by
-        :mod:`repro.game.ess` to classify fixed points: a fixed point is
-        asymptotically stable (an ESS of the dynamics) when every
-        eigenvalue has negative real part.
+        Row-major ``((df/dx, df/dy), (dg/dx, dg/dy))``; one cell of
+        :func:`jacobian_terms`.
         """
         p = self._params
-        ra = p.ra
-        q = 1.0 - p.attack_success_probability
-        k2m = p.k2 * p.m
-        k1xa = p.k1 * p.xa
-        bracket_x = ra * y * q - k2m * x
-        bracket_y = ra - q * x * ra - k1xa * y
-        dfdx = (1.0 - 2.0 * x) * bracket_x - x * (1.0 - x) * k2m
-        dfdy = x * (1.0 - x) * ra * q
-        dgdx = y * (1.0 - y) * (-ra * q)
-        dgdy = (1.0 - 2.0 * y) * bracket_y - y * (1.0 - y) * k1xa
-        return ((dfdx, dfdy), (dgdx, dgdy))
+        return jacobian_terms(
+            p.ra, p.k1 * p.xa, p.k2 * p.m, 1.0 - p.attack_success_probability, x, y
+        )
 
     def jacobian(self, x: float, y: float) -> np.ndarray:
         """:meth:`jacobian_entries` as a ``2 × 2`` array."""

@@ -13,9 +13,10 @@ from repro.analysis.trajectories import (
     settling_steps,
 )
 from repro.errors import ConfigurationError
-from repro.game.ess import EssType
+from repro.game.ess import EssType, _nearest_point
 from repro.game.parameters import paper_parameters
-from repro.game.replicator import ReplicatorDynamics
+from repro.game.replicator import BatchedReplicator, ReplicatorDynamics
+from tests.game import scalar_ess
 
 
 class TestClassifyTrajectory:
@@ -86,6 +87,21 @@ class TestRegimeBands:
         assert labels[12] is EssType.EDGE_1Y
         assert labels[54] is EssType.INTERIOR
         assert labels[55] is EssType.EDGE_X1
+
+    @pytest.mark.parametrize("p", [0.8, 0.95])
+    def test_labels_match_the_scalar_oracle(self, p):
+        """One sweep labels every endpoint exactly as the per-m scalar
+        classification with ``math.hypot`` nearest matching did (a tie
+        goes to the later candidate)."""
+        base = paper_parameters(p=p, m=1, max_buffers=100)
+        m_values = list(range(1, 101))
+        _, labels = regime_bands(base, m_values)
+        batch = BatchedReplicator([base.with_m(m) for m in m_values]).integrate()
+        for index, m in enumerate(m_values):
+            fx, fy = batch.final(index)
+            params = base.with_m(m)
+            nearest = _nearest_point(scalar_ess.fixed_points(params), fx, fy, 5e-2)
+            assert labels[m] is (nearest.ess_type if nearest else None), m
 
     def test_band_widths(self):
         base = paper_parameters(p=0.8, m=1, max_buffers=100)

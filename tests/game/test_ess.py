@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import collections
 import random
 
 import numpy as np
 import pytest
 
+from repro.analysis.sweep import open_interval_grid
 from repro.errors import ConfigurationError
 from repro.game.ess import (
     _STABILITY_TOL,
+    CANDIDATES,
     EssType,
     FixedPoint,
     Stability,
@@ -20,10 +23,12 @@ from repro.game.ess import (
     interior_fixed_point,
     label_point,
     realized_ess,
+    rest_points,
     stable_points,
 )
 from repro.game.parameters import GameParameters, paper_parameters
 from repro.game.replicator import ReplicatorDynamics
+from tests.game import scalar_ess
 
 
 class TestCandidateFormulas:
@@ -195,59 +200,158 @@ class TestLabelPoint:
             label_point(paper_parameters(p=0.8, m=30), 1.5, 0.5)
 
 
-def _lapack_stability(eigs: np.ndarray) -> Stability:
-    """The classification rule applied to ``np.linalg.eigvals`` output."""
+#: ``RestPoints.stability`` codes index the enum in declaration order.
+_CODES = list(Stability)
+
+
+def _lapack_codes(eigs: np.ndarray) -> np.ndarray:
+    """The classification rule applied to ``np.linalg.eigvals`` output
+    (pairs on the last axis), as ``RestPoints.stability`` codes."""
     reals = np.real(eigs)
-    if np.all(reals < -_STABILITY_TOL):
-        return Stability.STABLE
-    if np.all(reals > _STABILITY_TOL):
-        return Stability.UNSTABLE
-    if np.any(reals > _STABILITY_TOL) and np.any(reals < -_STABILITY_TOL):
-        return Stability.SADDLE
-    return Stability.MARGINAL
+    neg = reals < -_STABILITY_TOL
+    pos = reals > _STABILITY_TOL
+    return np.where(
+        neg.all(axis=-1), 0,
+        np.where(pos.all(axis=-1), 1,
+                 np.where(pos.any(axis=-1) & neg.any(axis=-1), 2, 3)),
+    )
 
 
-def _parity_games():
-    """The Fig. 7/8 grid, a seeded random sample, and ``p`` in {0, 1}."""
+def _parity_sweeps():
+    """``(base, m_values)`` sweeps: the Fig. 7/8 grid (and the
+    benchmark's NumPy-float ``p`` grid), a seeded random sample of
+    one-cell and many-cell sweeps, and ``p`` in {0, 1}."""
+    full = list(range(1, 101))
     for i in range(1, 100):
-        for m in range(1, 101):
-            yield paper_parameters(p=i / 100, m=m, max_buffers=100)
+        yield paper_parameters(p=i / 100, m=1, max_buffers=100), full
+    for p in open_interval_grid(0.0, 1.0, 99, margin=0.005):
+        yield paper_parameters(p=p, m=1), list(range(1, 51))
     rng = random.Random(2016)
-    for _ in range(2000):
-        yield GameParameters(
+    for index in range(2000):
+        base = GameParameters(
             ra=rng.uniform(1.0, 500.0),
             k1=rng.uniform(0.5, 50.0),
             k2=rng.uniform(0.1, 20.0),
-            p=rng.random(),
-            m=rng.randint(1, 100),
+            p=rng.random() if index % 50 else float(index % 100 == 0),
+            m=1,
             max_buffers=100,
         )
+        if index % 10:
+            yield base, [rng.randint(1, 100)]
+        else:
+            yield base, sorted(rng.sample(full, rng.randint(2, 20)))
     for p in (0.0, 1.0):
-        for m in range(1, 101):
-            yield paper_parameters(p=p, m=m, max_buffers=100)
+        yield paper_parameters(p=p, m=1, max_buffers=100), full
 
 
-def _by_value(z: complex):
-    return (z.real, z.imag)
+def _oracle_grid(base, m_values):
+    """The scalar oracle's cells laid out as a ``RestPoints`` sweep:
+    ``(present, x, y, stability codes, eigenvalues, jacobians)``."""
+    shape = (len(CANDIDATES), len(m_values))
+    present = np.zeros(shape, dtype=bool)
+    x = np.zeros(shape)
+    y = np.zeros(shape)
+    codes = np.zeros(shape, dtype=np.int8)
+    eigs = np.zeros(shape + (2,), dtype=complex)
+    jacobians = np.zeros(shape + (2, 2))
+    for col, m in enumerate(m_values):
+        params = base.with_m(m)
+        for point in scalar_ess.fixed_points(params):
+            cell = (CANDIDATES.index(point.ess_type), col)
+            present[cell] = True
+            x[cell] = point.x
+            y[cell] = point.y
+            codes[cell] = _CODES.index(point.stability)
+            eigs[cell] = point.eigenvalues
+            jacobians[cell] = scalar_ess.jacobian_entries(params, point.x, point.y)
+    return present, x, y, codes, eigs, jacobians
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal floats, bit for bit (``-0.0`` is not ``0.0``)."""
+    return a.shape == b.shape and bool(np.all(a.view(np.uint64) == b.view(np.uint64)))
+
+
+def _bits(point: FixedPoint):
+    """Everything a fixed point holds, floats as their exact bits."""
+    return (
+        point.ess_type,
+        point.stability,
+        float(point.x).hex(),
+        float(point.y).hex(),
+        tuple((e.real.hex(), e.imag.hex()) for e in point.eigenvalues),
+    )
 
 
 class TestClosedFormClassification:
-    """The closed-form ``2 × 2`` eigenvalues against LAPACK as the oracle."""
+    """The array classifier against the scalar oracle (bit for bit) and
+    LAPACK (stability class, eigenvalues within 1e-12 relative)."""
 
     def test_matches_lapack(self):
-        checked = 0
-        for params in _parity_games():
-            dynamics = ReplicatorDynamics(params)
-            for point in fixed_points(params):
-                eigs = np.linalg.eigvals(dynamics.jacobian(point.x, point.y))
-                assert point.stability is _lapack_stability(eigs), (params, point)
-                assert all(type(e) is complex for e in point.eigenvalues)
-                ours = sorted(point.eigenvalues, key=_by_value)
-                oracle = sorted((complex(e) for e in eigs), key=_by_value)
-                for mine, ref in zip(ours, oracle):
-                    assert abs(mine - ref) <= 1e-12 * abs(ref), (params, point, eigs)
-                checked += 1
-        assert checked > 70_000
+        """Every cell of every sweep equals the scalar oracle bit for bit,
+        and every candidate's class and eigenvalues match LAPACK."""
+        ours, lapack_in, stable_counts = [], [], collections.Counter()
+        for base, m_values in _parity_sweeps():
+            sweep = rest_points(base, m_values)
+            present, x, y, codes, eigs, jacobians = _oracle_grid(base, m_values)
+            assert np.array_equal(sweep.present, present), (base, m_values)
+            assert _same_bits(sweep.x[present], x[present]), (base, m_values)
+            assert _same_bits(sweep.y[present], y[present]), (base, m_values)
+            assert np.array_equal(sweep.stability[present], codes[present])
+            assert _same_bits(sweep.eigenvalues[present], eigs[present])
+            stable_counts.update(sweep.stable.sum(axis=0).tolist())
+            ours.append(sweep.eigenvalues[present])
+            lapack_in.append(jacobians[present])
+        mine = np.concatenate(ours)
+        assert len(mine) > 80_000
+        # Cells without a stable candidate (p in {0, 1}: marginal) are in
+        # the sample next to the analytic ones. No sampled cell has two;
+        # tests/game/test_optimizer.py forces that case.
+        assert stable_counts[0] and stable_counts[1]
+        assert np.any(_lapack_codes(mine) == 3) and np.any(mine.imag != 0)
+        lapack = np.linalg.eigvals(np.concatenate(lapack_in))
+        assert np.array_equal(_lapack_codes(lapack), _lapack_codes(mine))
+        # complex sorts by real part, then imaginary part
+        mine, lapack = np.sort(mine, axis=1), np.sort(lapack, axis=1)
+        assert np.all(np.abs(mine - lapack) <= 1e-12 * np.abs(lapack))
+
+    def test_fixed_points_is_the_sweep_cell(self):
+        base = paper_parameters(p=0.8, m=1, max_buffers=100)
+        sweep = rest_points(base, range(1, 101))
+        for index, m in enumerate(range(1, 101)):
+            mine = sweep.fixed_points(index)
+            assert fixed_points(base.with_m(m)) == mine
+            assert all(type(e) is complex for p in mine for e in p.eigenvalues)
+            assert all(type(p.x) is float and type(p.y) is float for p in mine)
+
+    def test_one_cell_views_match_the_oracle(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            params = GameParameters(
+                ra=rng.uniform(1.0, 500.0),
+                k1=rng.uniform(0.5, 50.0),
+                k2=rng.uniform(0.1, 20.0),
+                p=rng.random(),
+                m=rng.randint(1, 100),
+                max_buffers=100,
+            )
+            assert interior_fixed_point(params) == scalar_ess.interior_fixed_point(params)
+            assert edge_x_prime(params) == scalar_ess.edge_x_prime(params)
+            assert edge_y_prime(params) == scalar_ess.edge_y_prime(params)
+            oracle = scalar_ess.fixed_points(params)
+            assert [_bits(p) for p in fixed_points(params)] == [_bits(p) for p in oracle]
+            assert stable_points(params) == [point for point in oracle if point.is_ess]
+            x, y = rng.random(), rng.random()
+            assert ReplicatorDynamics(params).jacobian_entries(x, y) == (
+                scalar_ess.jacobian_entries(params, x, y)
+            )
+
+    def test_sweep_rejects_bad_m(self):
+        base = paper_parameters(p=0.8, m=1)
+        with pytest.raises(ConfigurationError):
+            rest_points(base, [])
+        with pytest.raises(ConfigurationError):
+            rest_points(base, [0, 1])
 
     def test_exact_zero_eigenvalue_is_marginal(self):
         params = paper_parameters(p=1.0, m=5)
@@ -260,7 +364,7 @@ class TestClosedFormClassification:
         eigs = np.linalg.eigvals(
             ReplicatorDynamics(params).jacobian(corner.x, corner.y)
         )
-        assert _lapack_stability(eigs) is Stability.MARGINAL
+        assert _CODES[_lapack_codes(eigs)] is Stability.MARGINAL
 
     def test_jacobian_entries_equal_jacobian(self):
         rng = random.Random(7)
