@@ -48,18 +48,26 @@ MESSAGE_BITS = 200
 INDEX_BITS = 32
 
 
-def _hmac_truncated(key: bytes, message: bytes, bits: int, label: bytes) -> bytes:
-    """One HMAC-SHA-256 over ``label || "|" || message``, truncated.
+def _truncated_macs(
+    key: bytes, messages: Iterable[bytes], bits: int, label: bytes
+) -> List[bytes]:
+    """HMAC-SHA-256 over ``label || "|" || m`` for each ``m``, truncated
+    to ``bits`` by :func:`~repro.crypto.onewayfn.truncate_to_bits`.
 
-    HMAC absorbs its input as a stream, so cloning a midstate that
-    already holds ``label || "|"`` and feeding it ``message`` equals
-    hashing the concatenation outright.
+    The kernel slices each digest to whole bytes; only a width with
+    spare bits in its last byte needs the masking pass.
     """
+    out = kernels.hmac_sha256_many(key, label, messages, (bits + 7) // 8)
+    if bits % 8:
+        out = [truncate_to_bits(tag, bits) for tag in out]
+    return out
+
+
+def _hmac_truncated(key: bytes, message: bytes, bits: int, label: bytes) -> bytes:
+    """One HMAC-SHA-256 over ``label || "|" || message``, truncated."""
     if perf.ACTIVE is not None:
         perf.ACTIVE.incr("crypto.mac")
-    h = kernels.hmac_midstate(key, label).copy()
-    h.update(message)
-    return truncate_to_bits(h.digest(), bits)
+    return _truncated_macs(key, (message,), bits, label)[0]
 
 
 @dataclass(frozen=True)
@@ -89,28 +97,20 @@ class MacScheme:
         """Batched :meth:`compute` over ``messages`` under one key.
 
         Sender-side slot construction MACs every message of a broadcast
-        slot under the same interval key; sharing the HMAC key-block
-        midstate across the batch pays key preparation once instead of
+        slot under the same interval key; sharing the HMAC pad
+        midstates across the batch pays key preparation once instead of
         per packet. Bit-identical, positionally, to per-message
         :meth:`compute`.
         """
         if not key:
             raise ConfigurationError("MAC key must be non-empty")
-        items = [bytes(message) for message in messages]
+        items = list(messages)
         if not items:
             return []
         if perf.ACTIVE is not None:
             perf.ACTIVE.incr("crypto.mac", len(items))
             perf.ACTIVE.incr("crypto.mac.batches")
-        key = bytes(key)
-        bits = self.mac_bits
-        base = kernels.hmac_midstate(key, b"repro.mac")
-        out = []
-        for message in items:
-            h = base.copy()
-            h.update(message)
-            out.append(truncate_to_bits(h.digest(), bits))
-        return out
+        return _truncated_macs(bytes(key), items, self.mac_bits, b"repro.mac")
 
     def verify(self, key: bytes, message: bytes, mac: bytes) -> bool:
         """Constant-time check that ``mac`` authenticates ``message``."""
@@ -167,26 +167,20 @@ class MicroMacScheme:
 
         The shape of reveal-time strong authentication: one receiver
         re-hashes every buffered MAC of a slot under its private key.
-        One HMAC midstate serves the whole batch; results are
+        One pair of HMAC pad midstates serves the whole batch; results are
         positionally identical to per-MAC :meth:`compute`.
         """
         if not local_key:
             raise ConfigurationError("receiver local key must be non-empty")
-        items = [bytes(mac) for mac in macs]
+        items = list(macs)
         if not items:
             return []
         if perf.ACTIVE is not None:
             perf.ACTIVE.incr("crypto.mac", len(items))
             perf.ACTIVE.incr("crypto.mac.batches")
-        local_key = bytes(local_key)
-        bits = self.micro_mac_bits
-        base = kernels.hmac_midstate(local_key, b"repro.umac")
-        out = []
-        for mac in items:
-            h = base.copy()
-            h.update(mac)
-            out.append(truncate_to_bits(h.digest(), bits))
-        return out
+        return _truncated_macs(
+            bytes(local_key), items, self.micro_mac_bits, b"repro.umac"
+        )
 
     def verify(self, local_key: bytes, mac: bytes, micro_mac: bytes) -> bool:
         """Constant-time check of a stored μMAC against a recomputed MAC."""

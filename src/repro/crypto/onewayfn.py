@@ -59,6 +59,9 @@ def truncate_to_bits(digest: bytes, bits: int) -> bytes:
         raise ConfigurationError(
             f"cannot truncate a {len(digest) * 8}-bit digest to {bits} bits"
         )
+    if not bits % 8:
+        # Whole bytes (both default widths, 80 and 24): nothing to mask.
+        return bytes(digest[: bits // 8])
     nbytes = (bits + 7) // 8
     out = bytearray(digest[:nbytes])
     spare = nbytes * 8 - bits

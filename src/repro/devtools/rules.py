@@ -170,7 +170,7 @@ class KernelRoutingRule(Rule):
                 node,
                 f"direct {module}.{attr}() call; route through"
                 " repro.crypto.kernels (sha256_digest/sha256_midstate/"
-                "hmac_midstate)",
+                "hmac_sha256_many)",
             )
 
 

@@ -132,6 +132,12 @@ class TwoPhaseSender(BroadcastSender):
         """The authentic messages of interval ``index``."""
         return [self._message_for(index, c) for c in range(self._per_interval)]
 
+    def messages_and_macs(self, index: int) -> Tuple[List[bytes], List[bytes]]:
+        """Interval ``index``'s messages and their MACs under ``K_index``
+        (one batched MAC call: the key's HMAC pads serve the whole slot)."""
+        messages = self.messages_for(index)
+        return messages, self._mac.compute_many(self._chain.key(index), messages)
+
     def packets_for_interval(self, index: int) -> Sequence[TwoPhasePacket]:
         """Announcements for ``index`` plus reveals for ``index - d``."""
         if index < 1 or index > self._chain.length:
@@ -139,11 +145,7 @@ class TwoPhaseSender(BroadcastSender):
                 f"interval {index} outside chain 1..{self._chain.length}"
             )
         packets: List[TwoPhasePacket] = []
-        key = self._chain.key(index)
-        messages = self.messages_for(index)
-        # One batched MAC call per broadcast slot: the interval key's
-        # HMAC block is prepared once for all of the slot's messages.
-        for mac in self._mac.compute_many(key, messages):
+        for mac in self.messages_and_macs(index)[1]:
             announce = MacAnnouncePacket(index=index, mac=mac)
             packets.extend([announce] * self._announce_copies)
         reveal_index = index - self._delay

@@ -23,7 +23,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.protocols.packets import FORGED, LEGITIMATE
 
@@ -144,6 +144,13 @@ class ReceiverStats:
 
 class BroadcastSender(ABC):
     """Sender half of a broadcast-authentication protocol."""
+
+    @abstractmethod
+    def messages_and_macs(self, index: int) -> Tuple[List[bytes], List[bytes]]:
+        """The messages of interval ``index`` and their MACs under the
+        interval's key, positionally paired: the one MAC rule
+        :meth:`packets_for_interval` builds its data packets from. The
+        fleet engine's plans call it directly, once per interval."""
 
     @abstractmethod
     def packets_for_interval(self, index: int) -> Sequence[object]:

@@ -14,7 +14,7 @@ buffer ``(message, MAC)`` records, verify retroactively on disclosure.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.kernels import ChainWalkCache
 from repro.crypto.pebbled import KeyChainLike, make_key_chain
@@ -87,6 +87,14 @@ class MuTeslaSender(BroadcastSender):
             "chain_length": self._chain.length,
         }
 
+    def messages_and_macs(self, index: int) -> Tuple[List[bytes], List[bytes]]:
+        """Interval ``index``'s messages and their MACs under ``K_index``
+        (one batched MAC call: the key's HMAC pads serve the whole slot)."""
+        messages = [
+            self._message_for(index, copy) for copy in range(self._per_interval)
+        ]
+        return messages, self._mac.compute_many(self._chain.key(index), messages)
+
     def packets_for_interval(self, index: int) -> Sequence[MuTeslaPacketTypes]:
         """Data packets MAC'd with ``K_index`` plus disclosure of ``K_{index-d}``.
 
@@ -97,14 +105,8 @@ class MuTeslaSender(BroadcastSender):
             raise ConfigurationError(
                 f"interval {index} outside chain 1..{self._chain.length}"
             )
-        key = self._chain.key(index)
         packets: List[MuTeslaPacketTypes] = []
-        messages = [
-            self._message_for(index, copy) for copy in range(self._per_interval)
-        ]
-        # Slot-granular MAC batching: one HMAC key block for the whole
-        # interval's data packets.
-        for message, mac in zip(messages, self._mac.compute_many(key, messages)):
+        for message, mac in zip(*self.messages_and_macs(index)):
             packets.append(
                 MuTeslaDataPacket(index=index, message=message, mac=mac)
             )

@@ -254,7 +254,7 @@ class MultiLevelSender(BroadcastSender):
                 next_hash = h(cdm_digest_payload(cdm))
         return cdms
 
-    def _cdm_copies_in_sub(self, sub: int) -> int:
+    def cdm_copies_in_sub(self, sub: int) -> int:
         """How many CDM copies to send in sub-interval ``sub`` (1-based).
 
         The ``cdm_copies`` budget is spread round-robin across the ``n``
@@ -264,6 +264,16 @@ class MultiLevelSender(BroadcastSender):
         base = params.cdm_copies // params.low_length
         extra = 1 if sub <= params.cdm_copies % params.low_length else 0
         return base + extra
+
+    def messages_and_macs(self, index: int) -> Tuple[List[bytes], List[bytes]]:
+        """Flat sub-interval ``index``'s data messages and their MACs under
+        its low-chain key (one batched MAC call per sub-interval)."""
+        messages = [
+            self._message_for(index, copy)
+            for copy in range(self._params.packets_per_low_interval)
+        ]
+        low_key = self._chain.low_key(*self._params.split(index))
+        return messages, self._mac.compute_many(low_key, messages)
 
     def packets_for_interval(self, index: int) -> Sequence[MultiLevelPacket]:
         """Everything broadcast in flat sub-interval ``index``.
@@ -278,16 +288,8 @@ class MultiLevelSender(BroadcastSender):
             )
         high, sub = params.split(index)
         packets: List[MultiLevelPacket] = []
-        packets.extend([self._cdms[high]] * self._cdm_copies_in_sub(sub))
-        low_key = self._chain.low_key(high, sub)
-        messages = [
-            self._message_for(index, copy)
-            for copy in range(params.packets_per_low_interval)
-        ]
-        # Slot-granular MAC batching: one HMAC key block per sub-interval.
-        for message, mac in zip(
-            messages, self._mac.compute_many(low_key, messages)
-        ):
+        packets.extend([self._cdms[high]] * self.cdm_copies_in_sub(sub))
+        for message, mac in zip(*self.messages_and_macs(index)):
             packets.append(
                 MuTeslaDataPacket(index=index, message=message, mac=mac)
             )

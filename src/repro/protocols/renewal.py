@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.pebbled import KeyChainLike, make_key_chain
 from repro.crypto.mac import MacScheme, MicroMacScheme
@@ -184,6 +184,14 @@ class RenewingDapSender(BroadcastSender):
             messages.append(encode_renewal(self._chains[epoch + 1].commitment))
         return messages
 
+    def messages_and_macs(self, index: int) -> Tuple[List[bytes], List[bytes]]:
+        """Global interval ``index``'s messages (handoff included) and
+        their MACs under the owning epoch's key, in one batched call."""
+        epoch, local = self._locate(index)
+        messages = self._messages_for(index)
+        key = self._chains[epoch].key(local)
+        return messages, self._mac.compute_many(key, messages)
+
     def packets_for_interval(self, index: int) -> Sequence[TwoPhasePacket]:
         """Announcements for ``index`` plus reveals for ``index - d``.
 
@@ -192,11 +200,8 @@ class RenewingDapSender(BroadcastSender):
         last intervals of epoch ``e`` are revealed during the first
         intervals of epoch ``e+1`` under epoch ``e``'s chain.
         """
-        epoch, local = self._locate(index)
-        key = self._chains[epoch].key(local)
         packets: List[TwoPhasePacket] = []
-        macs = self._mac.compute_many(key, self._messages_for(index))
-        for mac in macs:
+        for mac in self.messages_and_macs(index)[1]:
             announce = MacAnnouncePacket(index=index, mac=mac)
             packets.extend([announce] * self._announce_copies)
         reveal_global = index - self._delay

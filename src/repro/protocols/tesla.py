@@ -14,7 +14,7 @@ retroactive for every buffered interval the new anchor covers.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.kernels import ChainWalkCache
 from repro.crypto.pebbled import KeyChainLike, make_key_chain
@@ -86,24 +86,27 @@ class TeslaSender(BroadcastSender):
             "chain_length": self._chain.length,
         }
 
+    def messages_and_macs(self, index: int) -> Tuple[List[bytes], List[bytes]]:
+        """Interval ``index``'s messages and their MACs under ``K_index``
+        (one batched MAC call: the key's HMAC pads serve the whole slot)."""
+        messages = [
+            self._message_for(index, copy) for copy in range(self._per_interval)
+        ]
+        return messages, self._mac.compute_many(self._chain.key(index), messages)
+
     def packets_for_interval(self, index: int) -> Sequence[TeslaPacket]:
         """Data packets for interval ``index``, each disclosing ``K_{i-d}``."""
         if index < 1 or index > self._chain.length:
             raise ConfigurationError(
                 f"interval {index} outside chain 1..{self._chain.length}"
             )
-        key = self._chain.key(index)
+        messages, macs = self.messages_and_macs(index)
         disclosed_index = index - self._delay
         disclosed_key = (
             self._chain.key(disclosed_index) if disclosed_index >= 1 else None
         )
         packets = []
-        messages = [
-            self._message_for(index, copy) for copy in range(self._per_interval)
-        ]
-        # Slot-granular MAC batching: one HMAC key block for the whole
-        # interval's data packets.
-        for message, mac in zip(messages, self._mac.compute_many(key, messages)):
+        for message, mac in zip(messages, macs):
             packets.append(
                 TeslaPacket(
                     index=index,

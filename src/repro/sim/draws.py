@@ -12,6 +12,9 @@ draws in the same order. This module owns that order:
 - :func:`medium_blocks`: the medium stream replayed through a NumPy
   ``RandomState`` that shares its MT19937 state, so the fleet engine
   draws whole slot blocks at once, double for double.
+- :func:`forged_byte_rows`: the attacker stream's forged bytes, drawn
+  the same way through a NumPy ``MT19937`` (each ``getrandbits(8)`` is
+  one output word shifted right by 24).
 - :class:`ReceiverStreams`: the ``receiver-<i>`` streams of a block of
   receivers as lanes of one NumPy MT19937, and
   :meth:`ReceiverStreams.overflow`, the fleet engine's one entry point
@@ -40,13 +43,16 @@ from repro.buffers.reservoir import reservoir_overflow
 from repro.devtools.sanitizers import determinism
 from repro.devtools.sanitizers.determinism import traced_rng
 from repro.errors import SimulationError
+from repro.sim.attacker import forged_bytes
 
 __all__ = [
+    "FORGED_BLOCK_WORDS",
     "LOCKSTEP_LANES",
     "MEDIUM_BLOCK_FLOATS",
     "STREAM_BYTES_PER_LANE",
     "ReceiverStreams",
     "SeedLadder",
+    "forged_byte_rows",
     "medium_blocks",
     "receiver_rng",
     "record_draws",
@@ -55,6 +61,14 @@ __all__ = [
 #: Uniforms per NumPy call when the medium stream is mirrored (~256 MB
 #: of float64 temporaries): keeps peak RSS flat as slots x receivers grows.
 MEDIUM_BLOCK_FLOATS = 32 * 1024 * 1024
+
+#: Attacker words per NumPy call when forged bytes are mirrored: NumPy
+#: hands raw MT19937 words out as uint64, so a block costs 512 KiB of
+#: temporaries however many forgeries a run injects.
+FORGED_BLOCK_WORDS = 1 << 16
+
+#: The attacker's stream label (see :meth:`SeedLadder.attacker`).
+_ATTACKER = "attacker"
 
 # MT19937 constants (Matsumoto & Nishimura; CPython's _randommodule.c).
 _N = 624
@@ -150,7 +164,7 @@ class SeedLadder:
         """The attacker stream; its seed is drawn on the first call."""
         if self._attacker is None:
             self._attacker = traced_rng(
-                random.Random(self.master.getrandbits(64)), "attacker"
+                random.Random(self.master.getrandbits(64)), _ATTACKER
             )
         return self._attacker
 
@@ -174,6 +188,44 @@ def medium_blocks(
         end = min(begin + block, slots)
         uniforms = mirror.random_sample((end - begin) * per_slot)
         yield begin, end, uniforms.reshape(end - begin, per_slot)
+
+
+def forged_byte_rows(
+    rng: random.Random, rows: int, width: int
+) -> npt.NDArray[np.uint8]:
+    """``rows`` forgeries of ``width`` attacker bytes, as a ``(rows,
+    width)`` array: row ``k`` is what the ``k``-th of ``rows`` calls of
+    :func:`~repro.sim.attacker.forged_bytes` (``rng``, ``width``) would
+    return, and ``rng`` is left where those calls would leave it.
+
+    The bytes come from a NumPy ``MT19937`` set to ``rng``'s state, in
+    blocks of :data:`FORGED_BLOCK_WORDS` words. While a determinism
+    sanitizer traces, they are recorded on the attacker stream; under
+    one that corrupts a draw, the scalar helper draws every row instead,
+    so the flipped value feeds back as it does in the DES.
+    """
+    sanitizer = determinism.ACTIVE
+    if sanitizer is not None and sanitizer.corrupt_draw is not None:
+        scalar = b"".join(forged_bytes(rng, width) for _ in range(rows))
+        return np.frombuffer(scalar, dtype=np.uint8).reshape(rows, width)
+    _version, internal, _gauss = rng.getstate()
+    mirror = np.random.MT19937()
+    mirror.state = {
+        "bit_generator": "MT19937",
+        "state": {
+            "key": np.array(internal[:-1], dtype=np.uint32),
+            "pos": internal[-1],
+        },
+    }
+    out = np.empty(rows * width, dtype=np.uint8)
+    for begin in range(0, out.size, FORGED_BLOCK_WORDS):
+        end = min(begin + FORGED_BLOCK_WORDS, out.size)
+        out[begin:end] = mirror.random_raw(end - begin) >> 24
+    state = mirror.state["state"]
+    rng.setstate((3, (*state["key"].tolist(), int(state["pos"])), None))
+    if sanitizer is not None:
+        record_draws(_ATTACKER, [("getrandbits", v) for v in out.tolist()])
+    return out.reshape(rows, width)
 
 
 # --- lane-parallel MT19937 ---------------------------------------------

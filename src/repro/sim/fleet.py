@@ -53,8 +53,9 @@ each stream in the same order: the medium per broadcast in attachment
 order (one uniform per Bernoulli decision, two per Gilbert–Elliott
 one); each reservoir receiver only for overflow offers (rank past
 capacity), in its delivery order, with multi-level CDM and data pools
-sharing one stream; the attacker in injection order, which makes every
-collision fallback exact. Both reservoir replays hand their overflow
+sharing one stream; the attacker in injection order (through
+:func:`~repro.sim.draws.forged_byte_rows`, a NumPy mirror of its
+stream), which makes every collision fallback exact. Both reservoir replays hand their overflow
 offers, as arrays, to one entry point,
 :meth:`ReceiverStreams.overflow <repro.sim.draws.ReceiverStreams.overflow>`.
 It runs a block's receiver streams as lanes of one NumPy MT19937 that
@@ -117,20 +118,22 @@ from repro.protocols.packets import (
     CdmPacket,
     KeyDisclosurePacket,
     MacAnnouncePacket,
+    MessageKeyPacket,
     MuTeslaDataPacket,
     StoredPacketRecord,
     TeslaPacket,
 )
 from repro.protocols.tesla import TeslaSender
 from repro.protocols.tesla_pp import TeslaPlusPlusSender
-from repro.sim.attacker import forged_bytes, forged_copies_for_fraction
+from repro.sim.attacker import forged_copies_for_fraction
 from repro.sim.channel import (
     GilbertElliottLoss,
     bernoulli_drop_mask,
     gilbert_elliott_drop_mask,
 )
 from repro.sim.draws import (
-    STREAM_BYTES_PER_LANE, ReceiverStreams, SeedLadder, medium_blocks,
+    STREAM_BYTES_PER_LANE, ReceiverStreams, SeedLadder, forged_byte_rows,
+    medium_blocks,
 )
 from repro.sim.metrics import (
     FleetAggregate,
@@ -238,10 +241,10 @@ class _TwoPhasePlan:
     """
 
     times: np.ndarray
-    kinds: List[int]
-    intervals: List[int]
-    sources: List[int]
-    gate: List[bool]
+    kinds: np.ndarray
+    intervals: np.ndarray
+    sources: np.ndarray
+    gate: np.ndarray
     announce_macs: Dict[Tuple[int, int], bytes]
     forged_macs: List[bytes]
     reservoir: bool
@@ -297,11 +300,11 @@ class _MultiLevelPlan:
     """
 
     times: np.ndarray
-    kinds: List[int]
-    index: List[int]
-    sources: List[int]
-    gate: List[bool]
-    disc_index: List[int]
+    kinds: np.ndarray
+    index: np.ndarray
+    sources: np.ndarray
+    gate: np.ndarray
+    disc_index: np.ndarray
     commitment_present: Dict[int, bool]
     has_next_hash: Dict[int, bool]
     forged_mac_valid: List[bool]
@@ -315,6 +318,31 @@ class _MultiLevelPlan:
 
 
 _Plan = Union[_TwoPhasePlan, _SingleLevelPlan, _MultiLevelPlan]
+
+
+def _interval_slots(
+    schedule: IntervalSchedule, counts: np.ndarray, span: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lay out ``counts[i - 1]`` slots in each interval ``i``.
+
+    Returns each slot's ``(interval, position, time)``, the slots
+    interval-major. A slot's time is ``start_of(interval) + span *
+    (position + 0.5) / spread`` with ``spread = max(count, 1)``: the
+    float operations, in the order, of the DES's per-packet schedule.
+    """
+    intervals = np.repeat(np.arange(1, counts.size + 1), counts)
+    first = np.cumsum(counts) - counts
+    positions = np.arange(intervals.size) - np.repeat(first, counts)
+    spread = np.maximum(counts, 1)[intervals - 1]
+    starts = schedule.start + (intervals - 1) * schedule.duration
+    return intervals, positions, starts + span * (positions + 0.5) / spread
+
+
+def _byte_rows(table: np.ndarray) -> List[bytes]:
+    """The rows of a ``(rows, width)`` uint8 table as bytes objects."""
+    raw = np.ascontiguousarray(table).tobytes()
+    width = table.shape[1]
+    return [raw[at : at + width] for at in range(0, len(raw), width)]
 
 
 def _build_two_phase_plan(
@@ -341,62 +369,66 @@ def _build_two_phase_plan(
         announce_copies=config.announce_copies,
         message_for=workload.report_for,
     )
-    announce_block = config.packets_per_interval * config.announce_copies
+    n, delay, copies = config.intervals, config.disclosure_delay, config.announce_copies
+    announce_block = config.packets_per_interval * copies
     # The workload's report cycle period, NOT config.sensing_tasks:
     # payload identity is what the DES's receivers actually compare, so
     # the grouping must follow the workload's own modulus.
     num_tasks = workload.distinct_sources
-    duration = schedule.duration
-    entries: List[Tuple[float, int, int, int]] = []
     announce_macs: Dict[Tuple[int, int], bytes] = {}
-    legitimate_bits = 0
-    for interval in range(1, config.intervals + 1):
-        start = schedule.start_of(interval)
-        packets = list(sender.packets_for_interval(interval))
-        spread = max(len(packets), 1)
-        for position, packet in enumerate(packets):
-            time = start + duration * (position + 0.5) / spread
-            legitimate_bits += packet.wire_bits
-            if isinstance(packet, MacAnnouncePacket):
-                source = (position // config.announce_copies) % num_tasks
-                announce_macs[(interval, source)] = packet.mac
-                entries.append((time, _ANNOUNCE, interval, source))
-            else:
-                source = (position - announce_block) % num_tasks
-                entries.append((time, _REVEAL, packet.index, source))
+    for interval in range(1, n + 1):
+        for c, mac in enumerate(sender.messages_and_macs(interval)[1]):
+            announce_macs[(interval, c % num_tasks)] = mac
+
+    # Interval i sends its announce block, then the reveals of i - d.
+    reveals = np.where(np.arange(1, n + 1) > delay, config.packets_per_interval, 0)
+    slot_interval, position, times = _interval_slots(
+        schedule, announce_block + reveals, schedule.duration
+    )
+    announce = position < announce_block
+    kinds = np.where(announce, _ANNOUNCE, _REVEAL)
+    intervals = np.where(announce, slot_interval, slot_interval - delay)
+    sources = (
+        np.where(announce, position // copies, position - announce_block) % num_tasks
+    )
+    legitimate_bits = (
+        n * announce_block * MacAnnouncePacket(1, b"").wire_bits
+        + int(reveals.sum()) * MessageKeyPacket(1, b"", b"").wire_bits
+    )
 
     forged_bits = 0
     forged_macs: List[bytes] = []
     if config.attack_fraction > 0.0:
         attacker_rng = seeds.attacker()
-        copies = forged_copies_for_fraction(announce_block, config.attack_fraction)
-        window = duration * config.attack_burst_fraction
-        forged_wire_bits = MacAnnouncePacket(
-            index=1, mac=b"\x00" * 10, provenance=FORGED
+        forged = forged_copies_for_fraction(announce_block, config.attack_fraction)
+        forged_interval, _copy, forged_times = _interval_slots(
+            schedule,
+            np.full(n, forged),
+            schedule.duration * config.attack_burst_fraction,
+        )
+        # The factory draws 10 bytes per injection, in event order
+        # (strictly increasing times within the attacker).
+        forged_macs = _byte_rows(
+            forged_byte_rows(attacker_rng, forged_interval.size, 10)
+        )
+        forged_bits = forged_interval.size * MacAnnouncePacket(
+            1, b"", provenance=FORGED
         ).wire_bits
-        for interval in range(1, config.intervals + 1):
-            start = schedule.start_of(interval)
-            for copy in range(copies):
-                time = start + window * (copy + 0.5) / max(copies, 1)
-                entries.append((time, _FORGED, interval, -1 - len(forged_macs)))
-                # The factory draws 10 bytes per injection, in event
-                # order (strictly increasing times within the attacker).
-                forged_macs.append(forged_bytes(attacker_rng, 10))
-                forged_bits += forged_wire_bits
+        times = np.concatenate((times, forged_times))
+        kinds = np.concatenate((kinds, np.full(forged_interval.size, _FORGED)))
+        intervals = np.concatenate((intervals, forged_interval))
+        sources = np.concatenate((sources, -1 - np.arange(forged_interval.size)))
 
-    # Stable by construction: sender entries precede attacker entries in
-    # the list, matching their scheduling sequence numbers.
-    order = sorted(range(len(entries)), key=lambda i: entries[i][0])
-    times = np.array([entries[i][0] for i in order], dtype=np.float64)
-    kinds = [entries[i][1] for i in order]
-    intervals = [entries[i][2] for i in order]
-    sources = [entries[i][3] for i in order]
+    # Stable: sender slots precede attacker slots, matching their
+    # scheduling sequence numbers.
+    order = np.argsort(times, kind="stable")
+    times, kinds = times[order], kinds[order]
+    intervals, sources = intervals[order], sources[order]
     # The security gate is identical across receivers (zero skew, equal
     # constant delay): evaluate once per announce slot at arrival time.
-    gate = (
-        (np.array(kinds) == _REVEAL)
-        | condition.accepts_many(intervals, times + config.link_delay)
-    ).tolist()
+    gate = (kinds == _REVEAL) | condition.accepts_many(
+        intervals, times + config.link_delay
+    )
     reservoir = config.protocol == "dap"
     micro_bits = 24 if reservoir else 80
     return _TwoPhasePlan(
@@ -435,86 +467,93 @@ def _build_single_level_plan(
         packets_per_interval=config.packets_per_interval,
         message_for=workload.report_for,
     )
+    n, ppi = config.intervals, config.packets_per_interval
     num_tasks = workload.distinct_sources
-    duration = schedule.duration
-    # entry: (time, rec_interval, rec_source, disc_index, forged_disc_id)
-    entries: List[Tuple[float, int, int, int, int]] = []
-    legitimate_bits = 0
     # (interval, source) -> (message, mac) representative, for the
     # batched verify_many pass below.
     authentic_reps: Dict[Tuple[int, int], Tuple[bytes, bytes]] = {}
-    for interval in range(1, config.intervals + 1):
-        start = schedule.start_of(interval)
-        packets = list(sender.packets_for_interval(interval))
-        spread = max(len(packets), 1)
-        data_copy = 0
-        for position, packet in enumerate(packets):
-            time = start + duration * (position + 0.5) / spread
-            legitimate_bits += packet.wire_bits
-            if isinstance(packet, KeyDisclosurePacket):
-                entries.append((time, -1, 0, packet.index, -1))
-                continue
-            source = data_copy % num_tasks
-            data_copy += 1
-            authentic_reps.setdefault(
-                (interval, source), (packet.message, packet.mac)
-            )
-            disc = -1
-            if tesla and packet.disclosed_key is not None:
-                disc = packet.disclosed_index
-            entries.append((time, interval, source, disc, -1))
+    for interval in range(1, n + 1):
+        messages, macs = sender.messages_and_macs(interval)
+        for c, pair in enumerate(zip(messages, macs)):
+            authentic_reps.setdefault((interval, c % num_tasks), pair)
+
+    # Interval i sends its data records; TESLA piggybacks K_{i-d} on
+    # each, μTESLA sends one standalone disclosure of it after them.
+    disclosing = np.arange(1, n + 1) > delay
+    slot_interval, position, times = _interval_slots(
+        schedule, ppi + (disclosing & (not tesla)), schedule.duration
+    )
+    data = position < ppi
+    rec_interval = np.where(data, slot_interval, -1)
+    rec_source = np.where(data, position % num_tasks, 0)
+    disc_index = np.where(
+        disclosing[slot_interval - 1] & (~data | tesla), slot_interval - delay, -1
+    )
+    disc_forged = np.full(times.size, -1)
+    disclosures = int(disclosing.sum())
+    if tesla:
+        legitimate_bits = ppi * (
+            disclosures * TeslaPacket(1, b"", b"", 0, b"").wire_bits
+            + (n - disclosures) * TeslaPacket(1, b"", b"", 0, None).wire_bits
+        )
+    else:
+        legitimate_bits = (
+            n * ppi * MuTeslaDataPacket(1, b"", b"").wire_bits
+            + disclosures * KeyDisclosurePacket(1, b"").wire_bits
+        )
 
     forged_bits = 0
     # forged record k: (interval, message, mac); forged disclosure f:
     # (disc_index, candidate key bytes).
     forged_records: List[Tuple[int, bytes, bytes]] = []
-    forged_disclosures: List[Tuple[int, bytes]] = []
+    forged_keys: List[bytes] = []
     if config.attack_fraction > 0.0:
         attacker_rng = seeds.attacker()
-        copies = forged_copies_for_fraction(
-            config.packets_per_interval, config.attack_fraction
+        copies = forged_copies_for_fraction(ppi, config.attack_fraction)
+        forged_interval, forged_copy, forged_times = _interval_slots(
+            schedule,
+            np.full(n, copies),
+            schedule.duration * config.attack_burst_fraction,
         )
-        window = duration * config.attack_burst_fraction
+        # Factory draw order: MAC bytes, then (TESLA only) the forged
+        # disclosed key — at injection-event time.
+        table = forged_byte_rows(
+            attacker_rng, forged_interval.size, 20 if tesla else 10
+        )
+        forged_records = [
+            (interval, forged_message(interval, copy), mac)
+            for interval, copy, mac in zip(
+                forged_interval.tolist(),
+                forged_copy.tolist(),
+                _byte_rows(table[:, :10]),
+            )
+        ]
+        forged_disc = np.full(forged_interval.size, -1)
+        forged_id = np.full(forged_interval.size, -1)
+        if tesla:
+            # The factory discloses interval-2 regardless of the
+            # configured delay (mirrors tesla_forgery_factory).
+            disclosed = np.flatnonzero(forged_interval > 2)
+            forged_disc[disclosed] = forged_interval[disclosed] - 2
+            forged_id[disclosed] = np.arange(disclosed.size)
+            forged_keys = _byte_rows(table[disclosed, 10:])
         probe = (
-            TeslaPacket(1, b"\x00" * 25, b"\x00" * 10, 0, b"\x00" * 10, FORGED)
+            TeslaPacket(1, b"", b"", 0, b"", FORGED)
             if tesla
-            else MuTeslaDataPacket(1, b"\x00" * 25, b"\x00" * 10, FORGED)
+            else MuTeslaDataPacket(1, b"", b"", FORGED)
         )
-        for interval in range(1, config.intervals + 1):
-            start = schedule.start_of(interval)
-            for copy in range(copies):
-                time = start + window * (copy + 0.5) / max(copies, 1)
-                k = len(forged_records)
-                # Factory draw order: MAC bytes, then (TESLA only) the
-                # forged disclosed key — at injection-event time.
-                mac = forged_bytes(attacker_rng, 10)
-                forged_records.append(
-                    (interval, forged_message(interval, copy), mac)
-                )
-                disc = -1
-                forged_id = -1
-                if tesla:
-                    key = forged_bytes(attacker_rng, 10)
-                    # The factory discloses interval-2 regardless of the
-                    # configured delay (mirrors tesla_forgery_factory).
-                    di = max(interval - 2, 0)
-                    if di >= 1:
-                        disc = di
-                        forged_id = len(forged_disclosures)
-                        forged_disclosures.append((di, key))
-                entries.append((time, interval, -1 - k, disc, forged_id))
-                forged_bits += probe.wire_bits
+        forged_bits = forged_interval.size * probe.wire_bits
+        times = np.concatenate((times, forged_times))
+        rec_interval = np.concatenate((rec_interval, forged_interval))
+        rec_source = np.concatenate((rec_source, -1 - np.arange(forged_interval.size)))
+        disc_index = np.concatenate((disc_index, forged_disc))
+        disc_forged = np.concatenate((disc_forged, forged_id))
 
-    order = sorted(range(len(entries)), key=lambda i: entries[i][0])
-    times = np.array([entries[i][0] for i in order], dtype=np.float64)
-    rec_interval = [entries[i][1] for i in order]
-    rec_source = [entries[i][2] for i in order]
-    disc_index = [entries[i][3] for i in order]
-    forged_disc_id = [entries[i][4] for i in order]
-    rec = np.array(rec_interval)
-    gate = (
-        (rec < 1) | condition.accepts_many(rec, times + config.link_delay)
-    ).tolist()
+    order = np.argsort(times, kind="stable")
+    times, rec_interval = times[order], rec_interval[order]
+    gate = (rec_interval < 1) | condition.accepts_many(
+        rec_interval, times + config.link_delay
+    )
 
     # Batched receiver-side MAC verification: one verify_many call per
     # interval decides every record outcome up front (authentic
@@ -526,7 +565,7 @@ def _build_single_level_plan(
     # are checked against in the shard replay (which walks each
     # candidate only down to the oldest anchor a receiver still holds).
     chain_keys = [sender.chain.commitment] + [
-        sender.chain.key(i) for i in range(1, config.intervals + 1)
+        sender.chain.key(i) for i in range(1, n + 1)
     ]
     forged_valid = [False] * len(forged_records)
     reps_by_interval: Dict[int, List[Tuple[int, Tuple[bytes, bytes]]]] = {}
@@ -535,7 +574,7 @@ def _build_single_level_plan(
     forged_by_interval: Dict[int, List[int]] = {}
     for k, (iv, _m, _mac) in enumerate(forged_records):
         forged_by_interval.setdefault(iv, []).append(k)
-    for interval in range(1, config.intervals + 1):
+    for interval in range(1, n + 1):
         key = chain_keys[interval]
         reps = reps_by_interval.get(interval, [])
         forged_ids = forged_by_interval.get(interval, [])
@@ -556,13 +595,13 @@ def _build_single_level_plan(
 
     return _SingleLevelPlan(
         times=times,
-        rec_interval=rec_interval,
-        rec_source=rec_source,
+        rec_interval=rec_interval.tolist(),
+        rec_source=rec_source[order].tolist(),
         forged_valid=forged_valid,
-        gate=gate,
-        disc_index=disc_index,
-        disc_forged=forged_disc_id,
-        forged_keys=[key for _di, key in forged_disclosures],
+        gate=gate.tolist(),
+        disc_index=disc_index[order].tolist(),
+        disc_forged=disc_forged[order].tolist(),
+        forged_keys=forged_keys,
         chain_keys=chain_keys,
         legitimate_bits=legitimate_bits,
         forged_bits=forged_bits,
@@ -609,38 +648,63 @@ def _build_multilevel_plan(
     low_cond = SecurityCondition(
         two_level.low_schedule, sync, params.low_disclosure_delay
     )
+    n, ppi = config.intervals, config.packets_per_interval
+    low_delay = params.low_disclosure_delay
     num_tasks = workload.distinct_sources
-    duration = schedule.duration
-    # entry: (time, kind, index, source, disc_index)
-    entries: List[Tuple[float, int, int, int, int]] = []
-    legitimate_bits = 0
-    cdm_by_high: Dict[int, CdmPacket] = {}
-    data_reps: Dict[Tuple[int, int], Tuple[bytes, bytes]] = {}
-    for flat in range(1, config.intervals + 1):
-        start = schedule.start_of(flat)
-        packets = list(sender.packets_for_interval(flat))
-        spread = max(len(packets), 1)
-        data_copy = 0
-        for position, packet in enumerate(packets):
-            time = start + duration * (position + 0.5) / spread
-            legitimate_bits += packet.wire_bits
-            if isinstance(packet, CdmPacket):
-                cdm_by_high.setdefault(packet.high_index, packet)
-                disc = (
-                    packet.disclosed_index
-                    if packet.disclosed_key is not None
-                    else -1
+    mac_scheme = MacScheme()
+    # Batched receiver-side verification of the data records: every
+    # representative must verify under its sub-interval key — one
+    # verify_many per flat interval (records share the sub-interval
+    # key), not one single-pair call per record: the batch pays the
+    # HMAC key-block setup once per slot. The perf registry's
+    # ``crypto.mac.batches`` counter pins this shape in the tests.
+    for flat in range(1, n + 1):
+        messages, macs = sender.messages_and_macs(flat)
+        reps: Dict[int, Tuple[bytes, bytes]] = {}
+        for c, pair in enumerate(zip(messages, macs)):
+            reps.setdefault(c % num_tasks, pair)
+        key = sender.chain.low_key(*params.split(flat))
+        outcomes = mac_scheme.verify_many(key, list(reps.values()))
+        for source, ok in zip(reps, outcomes):
+            if not ok:
+                raise ConfigurationError(
+                    f"authentic data record failed MAC verification at flat"
+                    f" interval {flat}, source {source}"
                 )
-                entries.append((time, _CDM, packet.high_index, -1, disc))
-            elif isinstance(packet, MuTeslaDataPacket):
-                source = data_copy % num_tasks
-                data_copy += 1
-                data_reps.setdefault(
-                    (packet.index, source), (packet.message, packet.mac)
-                )
-                entries.append((time, _DATA, packet.index, source, -1))
-            else:
-                entries.append((time, _DISC, packet.index, 0, -1))
+
+    # Flat f sends its high interval's CDM copies, its data records,
+    # then the disclosure of K_{f - d}.
+    flats = np.arange(1, n + 1)
+    high_of = (flats - 1) // lph + 1
+    cdm_copies = np.array(
+        [sender.cdm_copies_in_sub(sub) for sub in range(1, lph + 1)]
+    )[(flats - 1) % lph]
+    disclosing = flats > low_delay
+    slot_flat, position, times = _interval_slots(
+        schedule, cdm_copies + ppi + disclosing, schedule.duration
+    )
+    copies_here = cdm_copies[slot_flat - 1]
+    high = high_of[slot_flat - 1]
+    cdm = position < copies_here
+    data = ~cdm & (position < copies_here + ppi)
+    kinds = np.select([cdm, data], [_CDM, _DATA], _DISC)
+    index = np.select([cdm, data], [high, slot_flat], slot_flat - low_delay)
+    sources = np.select([cdm, data], [-1, (position - copies_here) % num_tasks], 0)
+    cdm_by_high = {
+        h: sender.cdm(h) for h in np.unique(high_of[cdm_copies > 0]).tolist()
+    }
+    cdm_disc = np.full(params.high_length + 1, -1)
+    cdm_bits = np.zeros(params.high_length + 1, dtype=np.int64)
+    for h, packet in cdm_by_high.items():
+        if packet.disclosed_key is not None:
+            cdm_disc[h] = packet.disclosed_index
+        cdm_bits[h] = packet.wire_bits
+    disc_index = np.where(cdm, cdm_disc[high], -1)
+    legitimate_bits = (
+        int(cdm_copies @ cdm_bits[high_of])
+        + n * ppi * MuTeslaDataPacket(1, b"", b"").wire_bits
+        + int(disclosing.sum()) * KeyDisclosurePacket(1, b"").wire_bits
+    )
 
     forged_bits = 0
     # forged CDM k: (high, low_commitment, mac)
@@ -651,70 +715,50 @@ def _build_multilevel_plan(
         copies = forged_copies_for_fraction(
             authentic_copies, config.attack_fraction
         )
-        window = duration * config.attack_burst_fraction
-        probe = CdmPacket(1, b"\x00" * 10, b"\x00" * 10, 0, None, provenance=FORGED)
-        for flat in range(1, config.intervals + 1):
-            start = schedule.start_of(flat)
-            high = (flat - 1) // lph + 1
-            for copy in range(copies):
-                time = start + window * (copy + 0.5) / max(copies, 1)
-                # Factory draw order: commitment bytes, then MAC bytes.
-                commitment = forged_bytes(attacker_rng, 10)
-                mac = forged_bytes(attacker_rng, 10)
-                entries.append((time, _CDM, high, len(forged_cdms), -1))
-                forged_cdms.append((high, commitment, mac))
-                forged_bits += probe.wire_bits
+        forged_flat, _copy, forged_times = _interval_slots(
+            schedule,
+            np.full(n, copies),
+            schedule.duration * config.attack_burst_fraction,
+        )
+        forged_high = high_of[forged_flat - 1]
+        # Factory draw order: commitment bytes, then MAC bytes.
+        table = forged_byte_rows(attacker_rng, forged_flat.size, 20)
+        forged_cdms = list(zip(
+            forged_high.tolist(), _byte_rows(table[:, :10]), _byte_rows(table[:, 10:])
+        ))
+        probe = CdmPacket(1, b"", b"", 0, None, provenance=FORGED)
+        forged_bits = forged_flat.size * probe.wire_bits
+        times = np.concatenate((times, forged_times))
+        kinds = np.concatenate((kinds, np.full(forged_flat.size, _CDM)))
+        index = np.concatenate((index, forged_high))
+        sources = np.concatenate((sources, np.arange(forged_flat.size)))
+        disc_index = np.concatenate((disc_index, np.full(forged_flat.size, -1)))
 
-    order = sorted(range(len(entries)), key=lambda i: entries[i][0])
-    times = np.array([entries[i][0] for i in order], dtype=np.float64)
-    kinds = [entries[i][1] for i in order]
-    index = [entries[i][2] for i in order]
-    sources = [entries[i][3] for i in order]
-    disc_index = [entries[i][4] for i in order]
+    order = np.argsort(times, kind="stable")
+    times, kinds, index = times[order], kinds[order], index[order]
     arrivals = times + config.link_delay
-    kind_array = np.array(kinds)
     gate = np.select(
-        [kind_array == _CDM, kind_array == _DATA],
+        [kinds == _CDM, kinds == _DATA],
         [
             high_cond.accepts_many(index, arrivals),
             low_cond.accepts_many(index, arrivals),
         ],
         default=True,
-    ).tolist()
+    )
 
-    # Batched receiver-side verification tables. Data records: every
-    # representative must verify under its sub-interval key. Forged
-    # CDMs: verify_many under the targeted high key over the receiver's
-    # payload reconstruction — any True is the 2^-80 collision path.
-    mac_scheme = MacScheme()
-    # One verify_many per flat interval (records share the sub-interval
-    # key), not one single-pair call per record: the batch pays the
-    # HMAC key-block setup once per slot. The perf registry's
-    # ``crypto.mac.batches`` counter pins this shape in the tests.
-    reps_by_flat: Dict[int, List[Tuple[int, Tuple[bytes, bytes]]]] = {}
-    for (flat, source), pair in data_reps.items():
-        reps_by_flat.setdefault(flat, []).append((source, pair))
-    for flat in sorted(reps_by_flat):
-        chain, sub = (flat - 1) // lph + 1, (flat - 1) % lph + 1
-        key = sender.chain.low_key(chain, sub)
-        group = reps_by_flat[flat]
-        outcomes = mac_scheme.verify_many(key, [pair for _src, pair in group])
-        for (source, _pair), ok in zip(group, outcomes):
-            if not ok:
-                raise ConfigurationError(
-                    f"authentic data record failed MAC verification at flat"
-                    f" interval {flat}, source {source}"
-                )
+    # Forged CDMs: verify_many under the targeted high key over the
+    # receiver's payload reconstruction — any True is the 2^-80
+    # collision path.
     forged_mac_valid = [False] * len(forged_cdms)
     by_high: Dict[int, List[int]] = {}
-    for k, (high, _c, _m) in enumerate(forged_cdms):
-        by_high.setdefault(high, []).append(k)
-    for high, ids in by_high.items():
-        key = sender.chain.high_key(high)
+    for k, (h, _c, _m) in enumerate(forged_cdms):
+        by_high.setdefault(h, []).append(k)
+    for h, ids in by_high.items():
+        key = sender.chain.high_key(h)
         pairs = []
         for k in ids:
             _h, commitment, mac = forged_cdms[k]
-            payload = b"|".join([high.to_bytes(4, "big"), commitment, b""])
+            payload = b"|".join([h.to_bytes(4, "big"), commitment, b""])
             pairs.append((payload, mac))
         for k, ok in zip(ids, mac_scheme.verify_many(key, pairs)):
             forged_mac_valid[k] = ok
@@ -726,36 +770,33 @@ def _build_multilevel_plan(
     if params.cdm_hash_chaining:
         hash_fn = standard_functions()["H"]
         expected: Dict[int, bytes] = {}
-        for high, packet in cdm_by_high.items():
+        for h, packet in cdm_by_high.items():
             if packet.next_cdm_hash is not None:
-                expected[high + 1] = packet.next_cdm_hash
-        for k, (high, commitment, mac) in enumerate(forged_cdms):
-            pin = expected.get(high)
+                expected[h + 1] = packet.next_cdm_hash
+        for k, (h, commitment, mac) in enumerate(forged_cdms):
+            pin = expected.get(h)
             if pin is None:
                 continue
             digest_payload = b"|".join(
-                [high.to_bytes(4, "big"), commitment, b"", mac]
+                [h.to_bytes(4, "big"), commitment, b"", mac]
             )
             forged_pin_match[k] = hash_fn(digest_payload) == pin
-
-    commitment_present = {
-        high: packet.low_commitment != _NO_COMMITMENT
-        for high, packet in cdm_by_high.items()
-    }
-    has_next_hash = {
-        high: packet.next_cdm_hash is not None
-        for high, packet in cdm_by_high.items()
-    }
 
     return _MultiLevelPlan(
         times=times,
         kinds=kinds,
         index=index,
-        sources=sources,
+        sources=sources[order],
         gate=gate,
-        disc_index=disc_index,
-        commitment_present=commitment_present,
-        has_next_hash=has_next_hash,
+        disc_index=disc_index[order],
+        commitment_present={
+            h: packet.low_commitment != _NO_COMMITMENT
+            for h, packet in cdm_by_high.items()
+        },
+        has_next_hash={
+            h: packet.next_cdm_hash is not None
+            for h, packet in cdm_by_high.items()
+        },
         forged_mac_valid=forged_mac_valid,
         forged_pin_match=forged_pin_match,
         low_per_high=lph,

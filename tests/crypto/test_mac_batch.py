@@ -14,9 +14,11 @@ import hmac
 import pytest
 
 from repro import perf
+from repro.crypto import kernels
 from repro.crypto.mac import MacScheme, MicroMacScheme
 from repro.crypto.onewayfn import truncate_to_bits
 from repro.errors import ConfigurationError
+from tests.crypto.scalar_truncate import truncate_oracle
 
 KEY = b"batch-key-0123456789"
 LOCAL = b"receiver-local-secret"
@@ -134,3 +136,62 @@ class TestBatchCounters:
         assert registry.counter("crypto.mac.batches") == 2
         assert registry.counter("crypto.mac") == 2 * len(MESSAGES)
 
+
+
+#: Keys around SHA-256's 64-byte block: short, typical, exactly one
+#: block, one byte over (hashed first) and several blocks long.
+KERNEL_KEY_SIZES = (1, 10, 64, 65, 200)
+KERNEL_BITS = (2, 4, 23, 24, 80, 256)
+
+
+def _stdlib(key: bytes, label: bytes, message: bytes, bits: int) -> bytes:
+    digest = hmac.new(key, label + b"|" + message, hashlib.sha256).digest()
+    return truncate_oracle(digest, bits)
+
+
+class TestHmacKernel:
+    """The two-pad-midstate kernel against ``hmac.new`` and the masking
+    truncation oracle, through every scalar and batched entry point."""
+
+    @pytest.mark.parametrize("size", KERNEL_KEY_SIZES)
+    @pytest.mark.parametrize("bits", KERNEL_BITS)
+    def test_schemes_match_stdlib(self, size, bits):
+        key = bytes((7 * i + size) % 256 for i in range(size))
+        messages = [b""] + MESSAGES + [b"x" * 200]
+        for scheme, label in (
+            (MacScheme(mac_bits=bits), b"repro.mac"),
+            (MicroMacScheme(micro_mac_bits=bits), b"repro.umac"),
+        ):
+            expected = [_stdlib(key, label, m, bits) for m in messages]
+            assert scheme.compute_many(key, messages) == expected
+            assert [scheme.compute(key, m) for m in messages] == expected
+            assert scheme.verify_many(key, list(zip(messages, expected))) == [
+                True
+            ] * len(messages)
+
+    @pytest.mark.parametrize("size", KERNEL_KEY_SIZES)
+    @pytest.mark.parametrize("label", [b"repro.mac", b"repro.umac"])
+    def test_kernel_slices_full_digests(self, size, label):
+        key = bytes(range(size))
+        messages = [b"", b"one", bytes(range(256))]
+        for nbytes in (1, 3, 10, 32):
+            assert kernels.hmac_sha256_many(key, label, messages, nbytes) == [
+                hmac.new(key, label + b"|" + m, hashlib.sha256).digest()[:nbytes]
+                for m in messages
+            ]
+
+    def test_pad_cache_is_a_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_HMAC_CACHE_MAX", 4)
+        monkeypatch.setattr(kernels, "_HMAC_PADS", type(kernels._HMAC_PADS)())
+        first = kernels.hmac_pads(b"key-0", b"label")
+        for i in range(1, 4):
+            kernels.hmac_pads(b"key-%d" % i, b"label")
+        # A hit refreshes key-0, so key-1 is the oldest when key-4 lands.
+        assert kernels.hmac_pads(b"key-0", b"label") is first
+        kernels.hmac_pads(b"key-4", b"label")
+        assert len(kernels._HMAC_PADS) == 4
+        assert (b"key-1", b"label") not in kernels._HMAC_PADS
+        assert (b"key-0", b"label") in kernels._HMAC_PADS
+        for i in range(5, 50):
+            MicroMacScheme().compute_many(b"key-%d" % i, MESSAGES)
+        assert len(kernels._HMAC_PADS) == 4

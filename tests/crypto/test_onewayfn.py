@@ -13,6 +13,7 @@ from repro.crypto.onewayfn import (
     truncate_to_bits,
 )
 from repro.errors import ConfigurationError
+from tests.crypto.scalar_truncate import truncate_oracle
 
 
 class TestTruncateToBits:
@@ -65,6 +66,23 @@ class TestTruncateToBits:
             assert out[-1] == digest[len(out) - 1] & ((0xFF << spare) & 0xFF)
             assert out[-1] & ((1 << spare) - 1) == 0
         assert truncate_to_bits(out, bits) == out
+
+    @given(digest=st.binary(min_size=32, max_size=32))
+    def test_matches_the_masking_oracle_at_every_width(self, digest):
+        """The whole-byte fast path and the masking path together equal
+        the old all-masking body, width by width, for bytes and
+        bytearray digests alike."""
+        for bits in range(1, 257):
+            expected = truncate_oracle(digest, bits)
+            assert truncate_to_bits(digest, bits) == expected
+            out = truncate_to_bits(bytearray(digest), bits)
+            assert type(out) is bytes and out == expected
+
+    @pytest.mark.parametrize("bits", [0, -8, 264])
+    def test_rejections_match_the_oracle(self, bits):
+        for truncate in (truncate_to_bits, truncate_oracle):
+            with pytest.raises(ConfigurationError):
+                truncate(b"\x00" * 32, bits)
 
 
 class TestOneWayFunction:

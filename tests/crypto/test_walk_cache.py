@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.kernels import ChainWalkCache, hmac_midstate, sha256_midstate
+from repro.crypto.kernels import ChainWalkCache, hmac_pads, sha256_midstate
 from repro.crypto.keychain import KeyChain, KeyChainAuthenticator
 from repro.crypto.mac import MacScheme
 from repro.crypto.onewayfn import OneWayFunction, truncate_to_bits
@@ -70,11 +70,14 @@ class TestKernelSwitch:
         clone = state.copy()
         clone.update(b"junk")
         assert state.copy().hexdigest() == before
-        hm = hmac_midstate(b"key", b"label")
-        hm_before = hm.copy().hexdigest()
-        hm_clone = hm.copy()
-        hm_clone.update(b"junk")
-        assert hm.copy().hexdigest() == hm_before
+        pads = hmac_pads(b"key", b"label")
+        pads_before = [pad.copy().hexdigest() for pad in pads]
+        for pad in pads:
+            pad_clone = pad.copy()
+            pad_clone.update(b"junk")
+        MacScheme().compute_many(b"key", [b"junk"])
+        assert [pad.copy().hexdigest() for pad in pads] == pads_before
+        assert hmac_pads(b"key", b"label") is pads
 
 
 class TestChainWalkCache:

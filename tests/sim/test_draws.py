@@ -21,10 +21,13 @@ from hypothesis import strategies as st
 from repro.buffers.reservoir import (
     OfferOutcome, ReservoirBuffer, reservoir_overflow,
 )
-from repro.devtools.sanitizers.determinism import tracing
+from repro.devtools.sanitizers.determinism import (
+    DeterminismSanitizer, traced_rng, tracing,
+)
 from repro.errors import SimulationError
 from repro.sim import draws
-from repro.sim.draws import SeedLadder, medium_blocks
+from repro.sim.attacker import forged_bytes
+from repro.sim.draws import SeedLadder, forged_byte_rows, medium_blocks
 
 
 class TestSeedLadder:
@@ -95,6 +98,51 @@ class TestMediumBlocks:
 
     def test_no_slots_yields_nothing(self):
         assert list(medium_blocks(random.Random(1), 0, 4)) == []
+
+
+class TestForgedByteRows:
+    """The NumPy mirror of the attacker's forged bytes against rows of
+    scalar :func:`~repro.sim.attacker.forged_bytes` calls."""
+
+    @pytest.mark.parametrize("block_words", [draws.FORGED_BLOCK_WORDS, 1, 7, 64])
+    @pytest.mark.parametrize("width", [10, 20])
+    def test_mirrors_scalar_rows(self, monkeypatch, block_words, width):
+        monkeypatch.setattr(draws, "FORGED_BLOCK_WORDS", block_words)
+        rng, scalar = random.Random(5), random.Random(5)
+        rng.random()
+        scalar.random()
+        table = forged_byte_rows(rng, 37, width)
+        assert table.shape == (37, width) and table.dtype == np.uint8
+        assert [bytes(row) for row in table] == [
+            forged_bytes(scalar, width) for _ in range(37)
+        ]
+        # Left where the scalar draws leave the stream.
+        assert rng.getstate() == scalar.getstate()
+
+    def test_no_rows_draws_nothing(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        assert forged_byte_rows(rng, 0, 10).shape == (0, 10)
+        assert rng.getstate() == state
+
+    def test_traced_draws_match_the_scalar_stream(self):
+        with tracing() as mirrored:
+            forged_byte_rows(traced_rng(random.Random(9), "attacker"), 12, 10)
+        with tracing() as scalar:
+            rng = traced_rng(random.Random(9), "attacker")
+            for _ in range(12):
+                forged_bytes(rng, 10)
+        assert mirrored.trace.counts() == {"attacker": 120}
+        assert mirrored.trace.diff(scalar.trace) == ()
+
+    def test_corrupted_draw_is_returned(self):
+        clean = forged_byte_rows(random.Random(9), 4, 10)
+        with tracing(DeterminismSanitizer(corrupt_draw=13)) as sanitizer:
+            table = forged_byte_rows(traced_rng(random.Random(9), "attacker"), 4, 10)
+        assert sanitizer.corrupted_site is not None
+        flipped = clean.copy()
+        flipped[1, 3] ^= 1
+        assert table.tolist() == flipped.tolist()
 
 
 def _offer_sequence(capacity, offers, seed):
