@@ -6,6 +6,12 @@ corresponding key is disclosed. :class:`IndexedBufferPool` keeps one
 bounds the number of simultaneously buffered intervals (a real node has
 finite RAM), and tracks peak memory in bits so the storage claims in
 §IV-D (56 vs 280 bits per packet) translate into measurable numbers.
+
+The pool keeps a running count of buffered items, so ``stored_count``,
+``stored_bits`` and the peak update on each stored offer are O(1), not
+a sum over every live buffer. Only the pool's own methods change it:
+a buffer that comes back from :meth:`IndexedBufferPool.require_index`
+is for reading.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ class IndexedBufferPool(Generic[T]):
         if rng is None and strategy == "reservoir":
             self._rng = random.Random()
         self._buffers: Dict[int, PacketBuffer[T]] = {}
+        self._stored = 0
         self._peak_bits = 0
         self._offers = 0
         self._rejected_no_room = 0
@@ -109,13 +116,13 @@ class IndexedBufferPool(Generic[T]):
 
     @property
     def stored_count(self) -> int:
-        """Total items buffered across all intervals."""
-        return sum(len(buf) for buf in self._buffers.values())
+        """Total items buffered across all intervals (a running count)."""
+        return self._stored
 
     @property
     def stored_bits(self) -> int:
         """Current memory footprint in bits."""
-        return self.stored_count * self._item_bits
+        return self._stored * self._item_bits
 
     @property
     def peak_bits(self) -> int:
@@ -147,8 +154,11 @@ class IndexedBufferPool(Generic[T]):
             buf = self._new_buffer()
             self._buffers[index] = buf
         result = buf.offer(item)
-        if result.stored:
-            self._peak_bits = max(self._peak_bits, self.stored_bits)
+        if result.outcome is OfferOutcome.STORED_EMPTY:
+            # Only a fill grows the footprint; a replacement keeps it, and
+            # the peak is never below the current footprint.
+            self._stored += 1
+            self._peak_bits = max(self._peak_bits, self._stored * self._item_bits)
         return result
 
     def items(self, index: int) -> List[T]:
@@ -168,7 +178,10 @@ class IndexedBufferPool(Generic[T]):
         authentication completes — the memory is freed either way.
         """
         buf = self._buffers.pop(index, None)
-        return buf.items if buf is not None else []
+        if buf is None:
+            return []
+        self._stored -= len(buf)
+        return buf.items
 
     def release_older_than(self, index: int) -> int:
         """Drop all buffers for intervals strictly older than ``index``.
@@ -180,6 +193,7 @@ class IndexedBufferPool(Generic[T]):
         dropped = 0
         for i in stale:
             dropped += len(self._buffers.pop(i))
+        self._stored -= dropped
         return dropped
 
     def retain_probability(self, index: int) -> float:
@@ -191,6 +205,9 @@ class IndexedBufferPool(Generic[T]):
 
     def require_index(self, index: int) -> PacketBuffer[T]:
         """Return the live buffer for ``index`` or raise.
+
+        The buffer is for reading: offering to or clearing it directly
+        would bypass the pool's running count.
 
         Raises:
             BufferError_: when no buffer exists for the interval.

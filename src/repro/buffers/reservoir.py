@@ -73,6 +73,12 @@ class OfferResult(Generic[T]):
         return self.outcome is not OfferOutcome.REJECTED
 
 
+#: The two results that carry no evicted item. ``OfferResult`` is frozen,
+#: so every offer that fills a slot or is rejected shares one instance.
+_STORED_EMPTY: OfferResult = OfferResult(OfferOutcome.STORED_EMPTY)
+_REJECTED: OfferResult = OfferResult(OfferOutcome.REJECTED)
+
+
 class PacketBuffer(ABC, Generic[T]):
     """Common interface for the buffering strategies under study."""
 
@@ -193,10 +199,10 @@ class ReservoirBuffer(PacketBuffer[T]):
         if len(self._items) < self._capacity:
             # Algorithm 2 line 6-7: free buffer available, always store.
             self._items.append(item)
-            return OfferResult(OfferOutcome.STORED_EMPTY)
+            return _STORED_EMPTY
         # Algorithm 2 line 9: keep the k-th copy with probability m/k ...
         if self._rng.random() >= self._capacity / self._seen:
-            return OfferResult(OfferOutcome.REJECTED)
+            return _REJECTED
         # ... line 11: replace a uniformly random buffered copy.
         victim = self._rng.randrange(self._capacity)
         evicted = self._items[victim]
@@ -245,5 +251,5 @@ class KeepFirstBuffer(PacketBuffer[T]):
         self._seen += 1
         if len(self._items) < self._capacity:
             self._items.append(item)
-            return OfferResult(OfferOutcome.STORED_EMPTY)
-        return OfferResult(OfferOutcome.REJECTED)
+            return _STORED_EMPTY
+        return _REJECTED

@@ -360,8 +360,27 @@ class ClusterCoordinator:
     # ----- fault schedule --------------------------------------------
 
     def _fire_faults(self, elapsed: float) -> None:
-        for event in self._schedule.due(elapsed):
+        for event in self._schedule.due(elapsed, self._fault_ready):
             self._apply_fault(event, elapsed)
+
+    def _fault_ready(self, event: FaultEvent) -> bool:
+        """Whether a due event may fire now.
+
+        A kill waits until its victim holds a lease: killing a worker is
+        meant to orphan its shards, and one that lands while the worker
+        is still starting (or between leases) orphans nothing. A victim
+        that is neither connected nor running has nothing to wait for.
+        Every other action fires on time.
+        """
+        if event.action != "kill-worker":
+            return True
+        with self._lock:
+            if self._leases.held_by(event.worker):
+                return True
+            handle = self._workers.get(event.worker)
+            connected = handle is not None and handle.connected
+        process = self._processes.get(event.worker)
+        return not connected and (process is None or process.poll() is not None)
 
     def _apply_fault(self, event: FaultEvent, elapsed: float) -> None:
         self._record(

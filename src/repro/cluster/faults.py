@@ -4,7 +4,8 @@ A schedule is a list of timestamped events parsed from compact specs::
 
     120:loss=0.4            at t=120s, dispatch new tasks at 40% loss
     300:partition-worker=2   at t=300s, stop hearing from worker 2
-    310:kill-worker=1        at t=310s, SIGKILL local worker 1
+    310:kill-worker=1        from t=310s, SIGKILL local worker 1 once it
+                             holds a lease
     420:heal-worker=2        at t=420s, let worker 2 rejoin
     430:restart-worker=1     at t=430s, respawn killed local worker 1
 
@@ -16,15 +17,18 @@ fleet-engine prediction of the same rewritten scenario — the event
 changes what is measured, never the measurement's integrity. Worker
 events act on the process/lease layer instead: a killed worker stops
 heartbeating, its leases expire, and the orphaned shards re-lease to
-the survivors. Because events fire on wall time, a schedule
-deliberately trades the equal-seeds determinism of a fault-free run
-for realism — each task still records the exact scenario it ran.
+the survivors. The coordinator holds a kill back past its time until
+the victim holds a lease: a kill that lands before the worker has
+connected orphans no shard, so it would test nothing. Because events
+fire on wall time, a schedule deliberately trades the equal-seeds
+determinism of a fault-free run for realism — each task still records
+the exact scenario it ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -119,10 +123,21 @@ class FaultSchedule:
         """Events that have not fired yet, soonest first."""
         return tuple(self._events)
 
-    def due(self, elapsed: float) -> List[FaultEvent]:
-        """Pop and return every event whose time has come."""
+    def due(
+        self,
+        elapsed: float,
+        ready: Optional[Callable[[FaultEvent], bool]] = None,
+    ) -> List[FaultEvent]:
+        """Pop and return every event whose time has come.
+
+        ``ready`` may hold an event back past its time: the first due
+        event it rejects stays queued, and so does every event after
+        it, so events still fire in schedule order.
+        """
         fired: List[FaultEvent] = []
         while self._events and self._events[0].at <= elapsed:
+            if ready is not None and not ready(self._events[0]):
+                break
             fired.append(self._events.pop(0))
         return fired
 

@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ChainWalkCache",
     "hmac_pads",
+    "hmac_sha256",
     "hmac_sha256_many",
     "sha256_digest",
     "sha256_midstate",
@@ -123,12 +124,24 @@ def hmac_pads(key: bytes, label: bytes) -> _Pads:
     return pads
 
 
+def hmac_sha256(key: bytes, label: bytes, message: bytes, nbytes: int) -> bytes:
+    """``HMAC-SHA-256(key, label || "|" || message)[:nbytes]``: one
+    message of :func:`hmac_sha256_many`, with no list on the way. The
+    per-packet μMAC of a receiver's announce path comes through here."""
+    inner, outer = hmac_pads(key, label)
+    h = inner.copy()
+    h.update(message)
+    o = outer.copy()
+    o.update(h.digest())
+    return o.digest()[:nbytes]
+
+
 def hmac_sha256_many(
     key: bytes, label: bytes, messages: Iterable[bytes], nbytes: int
 ) -> List[bytes]:
     """``HMAC-SHA-256(key, label || "|" || m)[:nbytes]`` for each ``m``.
 
-    The one HMAC path: one pad lookup per call, then per message an
+    The batched HMAC path: one pad lookup per call, then per message an
     inner-state copy and update, an outer-state copy fed the inner
     digest, and a slice. Bit-identical to the stdlib HMAC-SHA-256 of
     ``label || "|" || m`` under ``key``, cut to ``nbytes``, which the

@@ -20,8 +20,7 @@ simulator reports in.
 
 from __future__ import annotations
 
-import time
-from dataclasses import replace
+from time import perf_counter
 from typing import List
 
 from repro.errors import ConfigurationError, ProtocolError
@@ -38,16 +37,6 @@ __all__ = ["Broadcaster", "ReceiverDaemon"]
 #: Retained decode-to-verify latency samples per daemon; enough for
 #: stable p99 estimates without letting a long soak grow unboundedly.
 _LATENCY_SAMPLE_LIMIT = 65536
-
-
-class _TransportClock(Clock):
-    """The transport's testbed time as a :class:`~repro.timesync.Clock`."""
-
-    def __init__(self, transport: Transport) -> None:
-        self._transport = transport
-
-    def now(self) -> float:
-        return self._transport.now()
 
 
 class Broadcaster:
@@ -144,7 +133,7 @@ class ReceiverDaemon:
         self._receiver = receiver
         self._registry = registry
         self._clock: Clock = DriftingClock(
-            _TransportClock(transport), offset=clock_offset, drift_rate=clock_drift
+            transport.clock, offset=clock_offset, drift_rate=clock_drift
         )
         self.events: List[AuthEvent] = []
         self.datagrams_received = 0
@@ -169,20 +158,18 @@ class ReceiverDaemon:
 
     def _on_datagram(self, data: bytes, _arrival: float) -> None:
         self.datagrams_received += 1
-        started = time.perf_counter()
+        started = perf_counter()
+        registry = self._registry
+        provenance = LEGITIMATE if registry is None else registry.provenance_of(data)
         try:
-            packet = decode_packet(data)
+            packet = decode_packet(data, provenance)
         except ProtocolError:
             # Hostile bytes: count and carry on — a daemon that dies on
             # a malformed datagram is the cheapest DoS there is.
             self.malformed += 1
             return
-        if self._registry is not None:
-            provenance = self._registry.provenance_of(data)
-            if provenance != LEGITIMATE:
-                packet = replace(packet, provenance=provenance)
         events = self._receiver.receive(packet, self._clock.now())
-        latency = time.perf_counter() - started
+        latency = perf_counter() - started
         if len(self.latencies) < _LATENCY_SAMPLE_LIMIT:
             self.latencies.append(latency)
         self.events.extend(events)

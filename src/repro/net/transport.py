@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.events import Simulator
+from repro.timesync.clock import Clock
 
 __all__ = [
     "DatagramHandler",
@@ -42,6 +43,16 @@ DatagramHandler = Callable[[bytes, float], None]
 #: Datagrams above this size would fragment on real links; the loopback
 #: transport enforces it too so loopback-green code stays UDP-safe.
 MAX_DATAGRAM_BYTES = 1400
+
+
+class _TransportClock(Clock):
+    """A transport's testbed time as a :class:`~repro.timesync.Clock`."""
+
+    def __init__(self, transport: "Transport") -> None:
+        self._transport = transport
+
+    def now(self) -> float:
+        return self._transport.now()
 
 
 class Transport(ABC):
@@ -65,6 +76,12 @@ class Transport(ABC):
     @abstractmethod
     def now(self) -> float:
         """Current testbed time in seconds."""
+
+    @property
+    def clock(self) -> Clock:
+        """Testbed time as a :class:`~repro.timesync.Clock`: every
+        reading equals :meth:`now` at the moment it is taken."""
+        return _TransportClock(self)
 
     @abstractmethod
     def send(self, data: bytes, to: str, delay: float = 0.0) -> None:
@@ -111,6 +128,7 @@ class LoopbackNetwork:
 
     def __init__(self, simulator: Optional[Simulator] = None) -> None:
         self._simulator = simulator or Simulator()
+        self._clock = self._simulator.clock
         self._endpoints: Dict[str, LoopbackTransport] = {}
         self.datagrams_delivered = 0
         self.datagrams_undeliverable = 0
@@ -157,9 +175,11 @@ class LoopbackNetwork:
                 self.datagrams_undeliverable += 1
                 return
             self.datagrams_delivered += 1
-            target._dispatch(payload, self._simulator.now)
+            target._dispatch(payload, self._clock.now())
 
-        self._simulator.schedule_in(delay, deliver, f"datagram to {to}")
+        self._simulator.schedule(
+            self._clock.now() + delay, deliver, f"datagram to {to}"
+        )
 
 
 class LoopbackTransport(Transport):
@@ -170,13 +190,20 @@ class LoopbackTransport(Transport):
         super().__init__()
         self._network = network
         self._address = address
+        self._clock = network.simulator.clock
 
     @property
     def address(self) -> str:
         return self._address
 
+    @property
+    def clock(self) -> Clock:
+        """The network's virtual master clock itself (the same readings
+        as :meth:`now`, one call deep)."""
+        return self._clock
+
     def now(self) -> float:
-        return self._network.now
+        return self._clock.now()
 
     def send(self, data: bytes, to: str, delay: float = 0.0) -> None:
         self._account(data)

@@ -21,10 +21,11 @@ guess) — the decode fuzzer in the test suite holds the codec to that.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import ProtocolError
 from repro.protocols.packets import (
+    LEGITIMATE,
     CdmPacket,
     KeyDisclosurePacket,
     MacAnnouncePacket,
@@ -54,50 +55,6 @@ _TAGS = {
     MessageKeyPacket: 0x06,
 }
 _U32 = struct.Struct(">I")
-
-
-class _Reader:
-    """Bounds-checked cursor over a byte buffer."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if count < 0 or self.pos + count > len(self.data):
-            raise ProtocolError(
-                f"truncated packet: wanted {count} bytes at offset {self.pos},"
-                f" have {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def fixed(self) -> bytes:
-        return self.take(_KEY_BYTES)
-
-    def blob(self) -> bytes:
-        return self.take(self.u8())
-
-    def optional_fixed(self) -> bytes:
-        """A presence byte followed by a fixed-width field when present."""
-        if self.u8():
-            return self.fixed()
-        return b""
-
-    def finish(self) -> None:
-        if self.pos != len(self.data):
-            raise ProtocolError(
-                f"{len(self.data) - self.pos} trailing bytes after packet"
-            )
 
 
 def _u32(value: int) -> bytes:
@@ -176,73 +133,131 @@ def encode_packet(packet: WirePacket) -> bytes:
     )
 
 
-def _decode_tesla(reader: _Reader) -> TeslaPacket:
+# Decoding. Each tag's layout is a short run of precompiled ``struct``
+# reads at known offsets; a variable part (a length-prefixed message, a
+# presence-flagged field) ends one read and sizes the next. Every read
+# and the final size are checked against the buffer length first, so a
+# short or long buffer raises before any field is built.
+
+_INDEX_FIXED = struct.Struct(">BI10s")  # tag, index, 10-byte field
+_INDEX_LENGTH = struct.Struct(">BIB")  # tag, index, message length
+_FIXED = struct.Struct(">10s")
+_FIXED_INDEX = struct.Struct(">10sI")  # mac, disclosed index
+_CDM_HEAD = struct.Struct(">BI10s10sI")  # tag, index, commitment, mac, disclosed
+
+
+def _size_error(data: bytes, size: int) -> ProtocolError:
+    """The error for a buffer that is not ``size`` bytes long."""
+    if len(data) < size:
+        return ProtocolError(
+            f"truncated packet: wanted {size} bytes, have {len(data)}"
+        )
+    return ProtocolError(f"{len(data) - size} trailing bytes after packet")
+
+
+def _read_optional_fixed(data: bytes, flag_at: int) -> Tuple[Optional[bytes], int]:
+    """A presence byte at ``flag_at`` and the 10-byte field after it
+    when the byte is non-zero: ``(field or None, end offset)``."""
+    if len(data) <= flag_at:
+        raise _size_error(data, flag_at + 1)
+    if not data[flag_at]:
+        return None, flag_at + 1
+    end = flag_at + 1 + _KEY_BYTES
+    if len(data) < end:
+        raise _size_error(data, end)
+    return data[flag_at + 1 : end], end
+
+
+def _decode_tesla(data: bytes, provenance: str) -> TeslaPacket:
+    if len(data) < _INDEX_LENGTH.size:
+        raise _size_error(data, _INDEX_LENGTH.size)
+    _tag, index, length = _INDEX_LENGTH.unpack_from(data)
+    body = _INDEX_LENGTH.size + length
+    if len(data) < body + _FIXED_INDEX.size:
+        raise _size_error(data, body + _FIXED_INDEX.size)
+    mac, disclosed_index = _FIXED_INDEX.unpack_from(data, body)
+    key, end = _read_optional_fixed(data, body + _FIXED_INDEX.size)
+    if len(data) != end:
+        raise _size_error(data, end)
     return TeslaPacket(
-        index=reader.u32(),
-        message=reader.blob(),
-        mac=reader.fixed(),
-        disclosed_index=reader.u32(),
-        disclosed_key=reader.optional_fixed() or None,
+        index, data[_INDEX_LENGTH.size : body], mac, disclosed_index, key, provenance
     )
 
 
-def _decode_mu_data(reader: _Reader) -> MuTeslaDataPacket:
-    return MuTeslaDataPacket(
-        index=reader.u32(), message=reader.blob(), mac=reader.fixed()
+def _index_message_fixed(
+    packet_type: Callable[..., WirePacket]
+) -> Callable[[bytes, str], WirePacket]:
+    """The decoder of ``tag | index | message | 10-byte field`` (the
+    μTESLA data packet's MAC, the DAP reveal's key)."""
+
+    def decode(data: bytes, provenance: str) -> WirePacket:
+        if len(data) < _INDEX_LENGTH.size:
+            raise _size_error(data, _INDEX_LENGTH.size)
+        _tag, index, length = _INDEX_LENGTH.unpack_from(data)
+        body = _INDEX_LENGTH.size + length
+        if len(data) != body + _FIXED.size:
+            raise _size_error(data, body + _FIXED.size)
+        (field,) = _FIXED.unpack_from(data, body)
+        return packet_type(index, data[_INDEX_LENGTH.size : body], field, provenance)
+
+    return decode
+
+
+def _index_fixed(
+    packet_type: Callable[..., WirePacket]
+) -> Callable[[bytes, str], WirePacket]:
+    """The decoder of ``tag | index | 10-byte field`` (a key
+    disclosure's key, a DAP announce's MAC)."""
+
+    def decode(data: bytes, provenance: str) -> WirePacket:
+        if len(data) != _INDEX_FIXED.size:
+            raise _size_error(data, _INDEX_FIXED.size)
+        _tag, index, field = _INDEX_FIXED.unpack_from(data)
+        return packet_type(index, field, provenance)
+
+    return decode
+
+
+def _decode_cdm(data: bytes, provenance: str) -> CdmPacket:
+    if len(data) < _CDM_HEAD.size:
+        raise _size_error(data, _CDM_HEAD.size)
+    _tag, high_index, low_commitment, mac, disclosed_index = _CDM_HEAD.unpack_from(
+        data
     )
-
-
-def _decode_disclosure(reader: _Reader) -> KeyDisclosurePacket:
-    return KeyDisclosurePacket(index=reader.u32(), key=reader.fixed())
-
-
-def _decode_cdm(reader: _Reader) -> CdmPacket:
+    key, flag_at = _read_optional_fixed(data, _CDM_HEAD.size)
+    next_hash, end = _read_optional_fixed(data, flag_at)
+    if len(data) != end:
+        raise _size_error(data, end)
     return CdmPacket(
-        high_index=reader.u32(),
-        low_commitment=reader.fixed(),
-        mac=reader.fixed(),
-        disclosed_index=reader.u32(),
-        disclosed_key=reader.optional_fixed() or None,
-        next_cdm_hash=reader.optional_fixed() or None,
+        high_index, low_commitment, mac, disclosed_index, key, next_hash, provenance
     )
 
 
-def _decode_announce(reader: _Reader) -> MacAnnouncePacket:
-    return MacAnnouncePacket(index=reader.u32(), mac=reader.fixed())
-
-
-def _decode_message_key(reader: _Reader) -> MessageKeyPacket:
-    return MessageKeyPacket(
-        index=reader.u32(), message=reader.blob(), key=reader.fixed()
-    )
-
-
-_DECODERS: Dict[int, Callable[[_Reader], WirePacket]] = {
-    0x01: _decode_tesla,
-    0x02: _decode_mu_data,
-    0x03: _decode_disclosure,
-    0x04: _decode_cdm,
-    0x05: _decode_announce,
-    0x06: _decode_message_key,
+_DECODERS: Dict[int, Callable[[bytes, str], WirePacket]] = {
+    _TAGS[TeslaPacket]: _decode_tesla,
+    _TAGS[MuTeslaDataPacket]: _index_message_fixed(MuTeslaDataPacket),
+    _TAGS[KeyDisclosurePacket]: _index_fixed(KeyDisclosurePacket),
+    _TAGS[CdmPacket]: _decode_cdm,
+    _TAGS[MacAnnouncePacket]: _index_fixed(MacAnnouncePacket),
+    _TAGS[MessageKeyPacket]: _index_message_fixed(MessageKeyPacket),
 }
 
 
-def decode_packet(data: bytes) -> WirePacket:
+def decode_packet(data: bytes, provenance: str = LEGITIMATE) -> WirePacket:
     """Parse bytes back into a packet (strict; see module docs).
 
-    Decoded packets carry the default ``legitimate`` provenance — the
-    wire carries no such field, provenance is simulation bookkeeping.
+    The wire carries no provenance (it is simulation bookkeeping), so
+    the packet is tagged with ``provenance``: ``legitimate`` unless the
+    caller knows better, as a receiver daemon with the harness's
+    ground-truth registry does.
     """
+    data = bytes(data)
     if not data:
         raise ProtocolError("empty buffer")
-    reader = _Reader(bytes(data))
-    tag = reader.u8()
-    decoder = _DECODERS.get(tag)
+    decoder = _DECODERS.get(data[0])
     if decoder is None:
-        raise ProtocolError(f"unknown packet tag 0x{tag:02x}")
-    packet = decoder(reader)
-    reader.finish()
-    return packet
+        raise ProtocolError(f"unknown packet tag 0x{data[0]:02x}")
+    return decoder(data, provenance)
 
 
 def framing_overhead_bits(packet: WirePacket) -> int:

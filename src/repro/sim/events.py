@@ -4,26 +4,22 @@ A minimal but production-shaped DES: a priority queue of timestamped
 events, a monotonically advancing master clock, cancellable handles,
 and deterministic FIFO ordering among simultaneous events (ties broken
 by scheduling sequence number, so runs are exactly reproducible).
+
+Heap entries are plain ``(time, seq, handle)`` tuples, so the heap
+compares them in C. ``seq`` is unique per simulator, so a comparison
+never reaches the handle.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
 from repro import perf
 from repro.errors import ConfigurationError, SchedulingError
 from repro.timesync.clock import SimClock
 
 __all__ = ["EventHandle", "Simulator"]
-
-
-@dataclass(order=True)
-class _QueuedEvent:
-    time: float
-    seq: int
-    handle: "EventHandle" = field(compare=False)
 
 
 class EventHandle:
@@ -64,7 +60,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0) -> None:
         self._clock = SimClock(start)
-        self._queue: List[_QueuedEvent] = []
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._processed = 0
 
@@ -96,13 +92,14 @@ class Simulator:
         Raises:
             SchedulingError: for times in the past.
         """
-        if time < self.now:
+        now = self._clock.now()
+        if time < now:
             raise SchedulingError(
-                f"cannot schedule at {time}, current time is {self.now}"
+                f"cannot schedule at {time}, current time is {now}"
             )
         handle = EventHandle(action, description)
         self._seq += 1
-        heapq.heappush(self._queue, _QueuedEvent(time, self._seq, handle))
+        heappush(self._queue, (time, self._seq, handle))
         return handle
 
     def schedule_in(
@@ -111,7 +108,7 @@ class Simulator:
         """Schedule ``action`` after ``delay`` seconds."""
         if delay < 0:
             raise SchedulingError(f"delay must be >= 0, got {delay}")
-        return self.schedule(self.now + delay, action, description)
+        return self.schedule(self._clock.now() + delay, action, description)
 
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
@@ -124,18 +121,19 @@ class Simulator:
         """
         if max_events is not None and max_events < 0:
             raise ConfigurationError(f"max_events must be >= 0, got {max_events}")
+        queue = self._queue
+        clock = self._clock
         processed = 0
-        while self._queue:
+        while queue:
             if max_events is not None and processed >= max_events:
                 break
-            head = self._queue[0]
-            if until is not None and head.time > until:
+            time, _seq, handle = queue[0]
+            if until is not None and time > until:
                 break
-            heapq.heappop(self._queue)
-            handle = head.handle
-            if handle.cancelled:
+            heappop(queue)
+            if handle._cancelled:
                 continue
-            self._clock.set(head.time)
+            clock.set(time)
             handle._fired = True
             handle.action()
             processed += 1
@@ -143,9 +141,9 @@ class Simulator:
             active = perf.ACTIVE
             if active is not None:
                 active.incr("sim.events")
-                active.observe("sim.queue_depth", len(self._queue))
+                active.observe("sim.queue_depth", len(queue))
         if until is not None and self.now < until and (
-            not self._queue or self._queue[0].time > until
+            not queue or queue[0][0] > until
         ):
-            self._clock.set(until)
+            clock.set(until)
         return processed

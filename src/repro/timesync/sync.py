@@ -114,10 +114,21 @@ class SecurityCondition:
         return packet_interval <= upper
 
     def accepts(self, packet_interval: int, receiver_time: float) -> bool:
-        """The full admission test: plausible and still safe."""
-        return self.is_plausible(packet_interval, receiver_time) and self.is_safe(
-            packet_interval, receiver_time
-        )
+        """The full admission test: plausible and still safe.
+
+        Equal to ``is_plausible(...) and is_safe(...)``, with the
+        sender's interval bound computed once (the same float addition
+        and :meth:`IntervalSchedule.index_at` as
+        :meth:`LooseTimeSync.sender_interval_upper_bound`).
+        """
+        if packet_interval < 1:
+            return False
+        upper = self.schedule.index_at(receiver_time + self.sync.max_offset)
+        if packet_interval > upper:
+            return False
+        if self.paper_literal:
+            return not packet_interval + self.disclosure_delay < upper
+        return upper < packet_interval + self.disclosure_delay
 
     def accepts_many(
         self, intervals: npt.ArrayLike, receiver_times: npt.ArrayLike

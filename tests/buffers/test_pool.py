@@ -7,7 +7,9 @@ import random
 import pytest
 
 from repro.buffers.pool import IndexedBufferPool
+from repro.buffers.reservoir import OfferOutcome
 from repro.errors import BufferError_, ConfigurationError
+from tests.buffers.scalar_pool import SummingPool
 
 
 @pytest.fixture
@@ -157,3 +159,53 @@ class TestValidation:
     def test_bad_item_bits(self):
         with pytest.raises(ConfigurationError):
             IndexedBufferPool(1, item_bits=0)
+
+
+class TestRunningCountOracle:
+    """The running count against the summing oracle
+    (``tests/buffers/scalar_pool.py``), after every call of a seeded
+    random sequence, for both strategies."""
+
+    @pytest.mark.parametrize("strategy", ["reservoir", "keep_first"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_summing_oracle(self, strategy, seed):
+        rng = random.Random(seed)
+        make = {
+            "per_index_capacity": rng.randint(1, 4),
+            "max_indices": rng.choice((None, 2, 3)),
+            "item_bits": rng.choice((1, 56, 280)),
+            "strategy": strategy,
+        }
+        pool = IndexedBufferPool(rng=random.Random(seed), **make)
+        oracle = SummingPool(rng=random.Random(seed), **make)
+        calls = set()
+        for step in range(600):
+            op = rng.random()
+            index = rng.randint(1, 6)
+            if op < 0.6:
+                call = ("offer", index, step)
+            elif op < 0.7:
+                call = ("release", index)
+            elif op < 0.8:
+                call = ("release_older_than", index)
+            elif op < 0.9:
+                call = ("reset_peak",)
+            else:
+                call = ("set_capacity", rng.randint(1, 5))
+            got = getattr(pool, call[0])(*call[1:])
+            expected = getattr(oracle, call[0])(*call[1:])
+            assert got == expected, (step, call)
+            assert pool.stored_count == oracle.stored_count
+            assert pool.stored_count == sum(len(pool.items(i)) for i in pool.active_indices)
+            assert pool.stored_bits == oracle.stored_bits
+            assert pool.peak_bits == oracle.peak_bits
+            assert pool.rejected_no_room == oracle.rejected_no_room
+            assert [pool.items(i) for i in range(8)] == [oracle.items(i) for i in range(8)]
+            calls.add(call[0] if call[0] != "offer" else got.outcome)
+        assert pool.offers == oracle.offers
+        if make["max_indices"] is not None:
+            assert pool.rejected_no_room > 0
+        expected_outcomes = {OfferOutcome.STORED_EMPTY, OfferOutcome.REJECTED}
+        if strategy == "reservoir":
+            expected_outcomes.add(OfferOutcome.STORED_REPLACED)
+        assert expected_outcomes <= calls

@@ -111,7 +111,11 @@ def test_two_worker_soak_matches_run_loadtest(tmp_path, baseline):
 
 def test_worker_kill_expires_leases_and_releases(tmp_path, baseline):
     """SIGKILL a worker mid-task: its leases expire, the shards
-    re-lease to the survivor, and the merged report is still exact."""
+    re-lease to the survivor, and the merged report is still exact.
+
+    The kill is due at 1.5 s but fires only once worker 1 holds a
+    lease, however slowly the worker starts; the 3 s task stall keeps
+    that lease open until the kill lands."""
     metrics_path = tmp_path / "metrics.jsonl"
     config = ClusterConfig(
         scenario=baseline,

@@ -78,3 +78,57 @@ def test_fault_event_is_frozen():
     event = FaultEvent(at=1.0, action="loss", value=0.1)
     with pytest.raises(AttributeError):
         event.value = 0.2  # type: ignore[misc]
+
+
+def test_ready_holds_back_a_due_event_and_everything_after_it():
+    schedule = FaultSchedule.from_specs(
+        ["1:kill-worker=1", "2:restart-worker=1", "3:loss=0.2"]
+    )
+    waiting = {"kill-worker"}
+
+    def ready(event):
+        return event.action not in waiting
+
+    assert schedule.due(10.0, ready) == []
+    assert len(schedule) == 3
+    waiting.clear()
+    assert [event.action for event in schedule.due(2.5, ready)] == [
+        "kill-worker",
+        "restart-worker",
+    ]
+    assert [event.action for event in schedule.due(3.0, ready)] == ["loss"]
+
+
+class _RunningProcess:
+    """A stand-in for a live worker process: ``poll()`` says running."""
+
+    def poll(self):
+        return None
+
+
+def test_kill_waits_until_the_victim_holds_a_lease():
+    from repro.cluster import ClusterConfig
+    from repro.cluster.coordinator import ClusterCoordinator
+    from repro.scenarios import get_scenario
+
+    kill = parse_fault("1.5:kill-worker=1")
+    coordinator = ClusterCoordinator(
+        ClusterConfig(
+            scenario=get_scenario("crowdsensing-baseline-t0").config,
+            faults=(kill,),
+        )
+    )
+    # No process and no connection: nothing to wait for.
+    assert coordinator._fault_ready(kill)
+    # A worker that is still starting holds no lease yet: hold the kill.
+    coordinator._processes[1] = _RunningProcess()
+    assert not coordinator._fault_ready(kill)
+    coordinator._fire_faults(10.0)
+    assert coordinator._schedule.pending == (kill,)
+    # Another worker's lease does not count; the victim's does.
+    coordinator._leases.grant("task-a", 0, 1.0, now=0.0)
+    assert not coordinator._fault_ready(kill)
+    coordinator._leases.grant("task-b", 1, 1.0, now=0.0)
+    assert coordinator._fault_ready(kill)
+    # Every other action fires on time.
+    assert coordinator._fault_ready(parse_fault("1:loss=0.2"))

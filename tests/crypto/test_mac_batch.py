@@ -175,10 +175,38 @@ class TestHmacKernel:
         key = bytes(range(size))
         messages = [b"", b"one", bytes(range(256))]
         for nbytes in (1, 3, 10, 32):
-            assert kernels.hmac_sha256_many(key, label, messages, nbytes) == [
+            expected = [
                 hmac.new(key, label + b"|" + m, hashlib.sha256).digest()[:nbytes]
                 for m in messages
             ]
+            assert kernels.hmac_sha256_many(key, label, messages, nbytes) == expected
+            assert [
+                kernels.hmac_sha256(key, label, m, nbytes) for m in messages
+            ] == expected
+
+    @pytest.mark.parametrize("size", (1, 64, 65))
+    @pytest.mark.parametrize("bits", (24, 80, 23))
+    def test_scalar_compute_takes_the_scalar_kernel(self, size, bits, monkeypatch):
+        """Scalar ``compute`` equals ``hmac.new`` plus the masking oracle,
+        for bytes, bytearray and memoryview inputs, without the batch
+        kernel on its path."""
+
+        def no_batch(*_args):
+            raise AssertionError("scalar compute reached hmac_sha256_many")
+
+        monkeypatch.setattr(kernels, "hmac_sha256_many", no_batch)
+        key = bytes((5 * i + size) % 256 for i in range(size))
+        messages = [b"", b"m", bytes(range(10)), b"x" * 200]
+        for scheme, label in (
+            (MacScheme(mac_bits=bits), b"repro.mac"),
+            (MicroMacScheme(micro_mac_bits=bits), b"repro.umac"),
+        ):
+            for message in messages:
+                expected = _stdlib(key, label, message, bits)
+                assert scheme.compute(key, message) == expected
+                assert scheme.compute(bytearray(key), bytearray(message)) == expected
+                assert scheme.compute(key, memoryview(message)) == expected
+                assert scheme.verify(key, message, expected)
 
     def test_pad_cache_is_a_bounded_lru(self, monkeypatch):
         monkeypatch.setattr(kernels, "_HMAC_CACHE_MAX", 4)

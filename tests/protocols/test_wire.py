@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.protocols.packets import (
+    FORGED,
     CdmPacket,
     KeyDisclosurePacket,
     MacAnnouncePacket,
@@ -20,6 +23,7 @@ from repro.protocols.wire import (
     encode_packet,
     framing_overhead_bits,
 )
+from tests.protocols.scalar_wire import reader_decode_packet
 
 KEY = b"\x11" * 10
 MAC = b"\x22" * 10
@@ -151,3 +155,80 @@ class TestDecodeRobustness:
             decode_packet(bytes(base))
         except ProtocolError:
             pass
+
+
+#: Every tag, every optional-field combination, empty and full-length
+#: messages.
+ORACLE_SAMPLES = SAMPLES + [
+    TeslaPacket(2 ** 32 - 1, b"", MAC, 2 ** 32 - 1, None),
+    TeslaPacket(3, b"z" * 255, MAC, 2, KEY),
+    MuTeslaDataPacket(0, b"z" * 255, MAC),
+    CdmPacket(9, KEY, MAC, 8, KEY, next_cdm_hash=None),
+    CdmPacket(9, KEY, MAC, 8, None, next_cdm_hash=b"\x44" * 10),
+    MessageKeyPacket(1, b"", KEY),
+]
+
+
+def _outcome(decode, data):
+    try:
+        packet = decode(data)
+    except ProtocolError:
+        return "ProtocolError"
+    return (type(packet), repr(packet))
+
+
+def _assert_same(data):
+    ours = _outcome(decode_packet, data)
+    assert ours == _outcome(reader_decode_packet, data), data
+    return ours
+
+
+class TestReaderOracle:
+    """The struct layouts against the old ``_Reader`` decoder
+    (``tests/protocols/scalar_wire.py``): on every buffer, the same
+    packet (type, fields and provenance) or ProtocolError from both."""
+
+    @pytest.mark.parametrize("packet", ORACLE_SAMPLES, ids=lambda p: type(p).__name__)
+    def test_every_truncation_and_trailing_byte(self, packet):
+        full = encode_packet(packet)
+        assert _assert_same(full) != "ProtocolError"
+        for cut in range(len(full)):
+            assert _assert_same(full[:cut]) == "ProtocolError"
+        for extra in range(256):
+            assert _assert_same(full + bytes([extra])) == "ProtocolError"
+        assert _assert_same(full + b"\x00" * 11) == "ProtocolError"
+
+    @pytest.mark.parametrize("packet", ORACLE_SAMPLES, ids=lambda p: type(p).__name__)
+    def test_every_byte_value_at_every_position(self, packet):
+        """Changing any one byte (a length prefix, a presence flag, the
+        tag) may turn the buffer into another packet or into garbage;
+        both decoders must agree which."""
+        full = encode_packet(packet)
+        for position in range(len(full)):
+            for value in (0x00, 0x01, 0x02, 0x07, 0x0A, 0x80, 0xFF):
+                data = bytearray(full)
+                data[position] = value
+                _assert_same(bytes(data))
+
+    def test_seeded_random_buffers(self):
+        rng = random.Random(20240611)
+        decoded = 0
+        for _ in range(20_000):
+            size = rng.choice((0, 1, 5, 15, rng.randint(0, 80)))
+            data = bytes([rng.randint(0, 7)]) + rng.randbytes(size)
+            decoded += _assert_same(data) != "ProtocolError"
+        assert decoded > 0
+
+    def test_any_bytes_like_input(self):
+        full = encode_packet(SAMPLES[0])
+        assert decode_packet(bytearray(full)) == reader_decode_packet(full)
+        assert decode_packet(memoryview(full)) == reader_decode_packet(full)
+        assert type(decode_packet(bytearray(full)).message) is bytes
+
+    @pytest.mark.parametrize("packet", ORACLE_SAMPLES, ids=lambda p: type(p).__name__)
+    def test_provenance_is_the_callers(self, packet):
+        full = encode_packet(packet)
+        assert decode_packet(full).provenance == "legitimate"
+        forged = decode_packet(full, FORGED)
+        assert forged.provenance == FORGED
+        assert forged == packet

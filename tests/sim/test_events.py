@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.sim.events import Simulator
+from tests.sim.scalar_events import DataclassHeapSimulator
 
 
 class TestScheduling:
@@ -124,3 +128,75 @@ class TestCancellation:
         sim.run()
         assert handle.fired
         assert not handle.cancel()
+
+
+#: Offsets and delays with ties, zero and int/float twins (1 and 1.0).
+_STEPS = (0, 0.0, 0.5, 1, 1.0, 1.5, 2, 2.75, 4.0)
+
+
+def _drive(sim, seed):
+    """A seeded mix of schedule / schedule_in / cancel / run calls, with
+    actions that schedule and cancel events of their own. Returns every
+    firing, every call's result and the state after each call."""
+    rng = random.Random(seed)
+    handles = []
+    fired = []
+    trace = []
+
+    def action(eid):
+        plan = random.Random(seed * 1_000_003 + eid)
+
+        def fire():
+            fired.append((eid, sim.now))
+            for _ in range(plan.choice((0, 0, 1, 2))):
+                add(sim.schedule_in, plan.choice(_STEPS))
+            if handles and plan.random() < 0.25:
+                trace.append(("cancel-in-action", handles[plan.randrange(len(handles))].cancel()))
+
+        return fire
+
+    def add(schedule, when):
+        try:
+            handles.append(schedule(when, action(len(handles)), ""))
+        except SchedulingError:
+            trace.append(("past", when))
+
+    for _ in range(300):
+        op = rng.random()
+        if op < 0.35:
+            add(sim.schedule, math.floor(sim.now) + rng.choice(_STEPS) - rng.choice((0, 0, 1)))
+        elif op < 0.5:
+            add(sim.schedule_in, rng.choice(_STEPS))
+        elif op < 0.6 and handles:
+            trace.append(("cancel", handles[rng.randrange(len(handles))].cancel()))
+        else:
+            until = rng.choice((None, sim.now, sim.now + rng.choice(_STEPS)))
+            budget = rng.choice((None, None, 0, 1, 3, 7))
+            trace.append(("run", sim.run(until=until, max_events=budget)))
+        trace.append((sim.now, sim.pending, sim.processed))
+    trace.append(("drain", sim.run()))
+    trace.append((sim.now, sim.pending, sim.processed))
+    states = [(h.fired, h.cancelled) for h in handles]
+    return fired, trace, states
+
+
+class TestDataclassHeapOracle:
+    """The tuple heap against the old dataclass-heap loop
+    (``tests/sim/scalar_events.py``): same firing order and times,
+    clock, ``pending``, ``processed``, run counts and handle states."""
+
+    def test_random_sequences_match(self):
+        seen = set()
+        for seed in range(16):
+            ours = _drive(Simulator(start=0.5 * (seed % 3)), seed)
+            oracle = _drive(DataclassHeapSimulator(start=0.5 * (seed % 3)), seed)
+            assert ours == oracle, seed
+            fired, trace, states = ours
+            seen.update(entry[:2] for entry in trace if isinstance(entry[0], str))
+            seen.update(states)
+            assert fired
+        # The sequences reach every branch the two loops could differ on.
+        assert {("cancel", True), ("cancel", False), ("run", 0)} <= seen
+        assert ("cancel-in-action", True) in seen
+        assert any(entry[0] == "past" for entry in seen)
+        assert {(True, False), (False, True)} <= seen

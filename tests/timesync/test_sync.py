@@ -190,3 +190,26 @@ class TestAcceptsMany:
     def test_empty(self, schedule):
         cond = SecurityCondition(schedule, LooseTimeSync(0.0), 1)
         assert cond.accepts_many([], []).shape == (0,)
+
+
+class TestAcceptsIsBothTests:
+    """``accepts`` computes the sender's interval bound once; its verdict
+    must still be exactly ``is_plausible and is_safe``."""
+
+    def test_grid(self):
+        checked = {True: 0, False: 0}
+        for cond in _conditions():
+            schedule, offset = cond.schedule, cond.sync.max_offset
+            end = schedule.start + (schedule.count or 40) * schedule.duration
+            times = [schedule.start - 3.0, schedule.start - offset, end + 5.0]
+            for k in range(-2, 46):
+                boundary = schedule.start + k * schedule.duration
+                times += [boundary, boundary - offset, boundary + 0.5 * schedule.duration]
+            for interval in [*range(-2, 8), *range(8, 52, 3)]:
+                for time in times:
+                    expected = cond.is_plausible(interval, time) and cond.is_safe(
+                        interval, time
+                    )
+                    assert cond.accepts(interval, time) is expected
+                    checked[expected] += 1
+        assert checked[True] and checked[False]
