@@ -20,12 +20,13 @@ policy. Both beat the naive defense everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engine import Executor, ResultCache, run_tasks
 from repro.errors import ConfigurationError
 from repro.game.ess import EssType
-from repro.game.optimizer import BufferOptimizer, naive_defense_cost
+from repro.game.optimizer import naive_defense_cost, optimal_rows
 from repro.game.parameters import GameParameters
 
 __all__ = ["CostPoint", "CostCurves", "cost_curves", "crossover_p"]
@@ -91,24 +92,39 @@ class CostCurves:
         return all(point.game_cost <= point.naive_cost + 1e-9 for point in self.points)
 
 
-def _cost_point_worker(
-    task: Tuple[GameParameters, float, str, Optional[int]],
-) -> CostPoint:
+#: One attack level's engine task: ``(base, p, selection, m_max)``.
+CostTask = Tuple[GameParameters, float, str, Optional[int]]
+
+
+def _cost_points(tasks: Tuple[CostTask, ...]) -> List[CostPoint]:
+    """Engine batch worker: a run of attack levels' games, solved as
+    :func:`~repro.game.optimizer.optimal_rows` planes (one per run of
+    tasks sharing ``base``, ``selection`` and ``m_max``), both
+    defenses priced."""
+    points: List[CostPoint] = []
+    for (base, selection, m_max), group in groupby(
+        tasks, key=lambda task: (task[0], task[2], task[3])
+    ):
+        levels = [task[1] for task in group]
+        rows = optimal_rows(base, levels, selection=selection, m_max=m_max)
+        points.extend(
+            CostPoint(
+                p=p,
+                optimal_m=row.m,
+                ess_type=row.ess_type,
+                x=row.x,
+                y=row.y,
+                game_cost=row.cost,
+                naive_cost=naive_defense_cost(base.with_p(p)),
+            )
+            for p, row in zip(levels, rows)
+        )
+    return points
+
+
+def _cost_point_worker(task: CostTask) -> CostPoint:
     """Engine task: solve one attack level's game and price both defenses."""
-    base, p, selection, m_max = task
-    params = base.with_p(p).with_m(1)
-    optimizer = BufferOptimizer(params)
-    result = optimizer.optimize(m_max=m_max, selection=selection)
-    row = result.row_for(result.optimal_m)
-    return CostPoint(
-        p=p,
-        optimal_m=result.optimal_m,
-        ess_type=row.ess_type,
-        x=row.x,
-        y=row.y,
-        game_cost=row.cost,
-        naive_cost=naive_defense_cost(params),
-    )
+    return _cost_points((task,))[0]
 
 
 def cost_curves(
@@ -121,10 +137,11 @@ def cost_curves(
 ) -> CostCurves:
     """Sweep attack levels and evaluate both defenses.
 
-    Each attack level is one engine task (a full Algorithm 3 solve), so
-    the Fig. 7/8 grids parallelise across cores with
-    ``executor=ParallelExecutor(...)`` and regenerate from ``cache``
-    for free when the grid has not changed.
+    Each attack level is one engine task (a full Algorithm 3 solve) and
+    one cache entry, so the Fig. 7/8 grids regenerate from ``cache`` for
+    free when the grid has not changed. The levels that miss the cache
+    solve together as a ``(p, m)`` plane: in one batch serially, or one
+    batch per worker with ``executor=ParallelExecutor(...)``.
 
     Args:
         base: economic constants; ``base.p``/``base.m`` are overridden.
@@ -144,6 +161,7 @@ def cost_curves(
         cache=cache,
         label=f"cost_curves[{selection}]",
         task_labels=tuple(f"p={p}" for p in attack_levels),
+        batch_fn=_cost_points,
     )
     return CostCurves(points=tuple(points), selection=selection)
 

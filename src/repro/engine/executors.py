@@ -22,6 +22,13 @@ pre-import :mod:`repro` in their initializer so the first task does
 not eat the import latency either. Use the executor as a context
 manager (or call :meth:`~ParallelExecutor.close`) to release the pool.
 
+A spec with a batch worker (:attr:`ExperimentSpec.batch_fn`) runs as
+contiguous batches in :meth:`Executor.run`: one batch per run on the
+serial executor, one per worker on the pool. A batch that raises is
+rerun task by task in the calling process, so the
+:class:`~repro.errors.TaskError` still names the failing task.
+:meth:`Executor.stream` runs every spec task by task.
+
 Workers and payloads must be picklable for the parallel path; that is
 the only seam the engine imposes on the layers above it.
 """
@@ -33,7 +40,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, TaskError
 from repro.engine.spec import ExperimentSpec
@@ -78,21 +85,66 @@ class Executor:
             f"{spec.label}: {label} failed: {exc}", label=label, index=index
         )
 
+    @classmethod
+    def _each(cls, spec: ExperimentSpec, start: int, stop: int) -> List[Any]:
+        """Tasks ``start..stop-1`` one at a time, in this process."""
+        results: List[Any] = []
+        for index in range(start, stop):
+            try:
+                results.append(spec.fn(spec.tasks[index]))
+            # Executor fault boundary: any task failure is converted to
+            # a labelled TaskError and re-raised, never swallowed —
+            # exactly the shape RPL006 requires of a broad except.
+            except Exception as exc:
+                raise cls._task_error(spec, index, exc) from exc
+        return results
+
+    @classmethod
+    def _batch_error(
+        cls, spec: ExperimentSpec, start: int, stop: int, exc: BaseException
+    ) -> TaskError:
+        """The error for a batch of tasks ``start..stop-1`` that raised
+        ``exc``. The tasks rerun one at a time here, so the first failing
+        task raises its own :class:`TaskError`; if none fails, the batch
+        worker disagrees with ``fn`` and the returned error says so."""
+        cls._each(spec, start, stop)
+        first, last = spec.label_for(start), spec.label_for(stop - 1)
+        return TaskError(
+            f"{spec.label}: the batch {first}..{last} failed ({exc}),"
+            " but each of its tasks succeeds alone",
+            label=first,
+            index=start,
+        )
+
+    @staticmethod
+    def _batch_results(
+        spec: ExperimentSpec, start: int, stop: int, results: Sequence[Any]
+    ) -> List[Any]:
+        """A batch's results, checked to be one per task."""
+        results = list(results)
+        if len(results) != stop - start:
+            raise TaskError(
+                f"{spec.label}: the batch worker returned {len(results)}"
+                f" results for {stop - start} tasks",
+                label=spec.label_for(start),
+                index=start,
+            )
+        return results
+
 
 class SerialExecutor(Executor):
     """Deterministic in-process execution, task order preserved."""
 
     def run(self, spec: ExperimentSpec) -> List[Any]:
-        results: List[Any] = []
-        for index, task in enumerate(spec.tasks):
-            try:
-                results.append(spec.fn(task))
-            # Executor fault boundary: any task failure is converted to
-            # a labelled TaskError and re-raised, never swallowed —
-            # exactly the shape RPL006 requires of a broad except.
-            except Exception as exc:
-                raise self._task_error(spec, index, exc) from exc
-        return results
+        if spec.batch_fn is None:
+            return self._each(spec, 0, len(spec))
+        try:
+            results = spec.batch_fn(spec.tasks)
+        # Executor fault boundary (RPL006-conformant): the batch reruns
+        # task by task and the failing task's TaskError is raised.
+        except Exception as exc:
+            raise self._batch_error(spec, 0, len(spec), exc) from exc
+        return self._batch_results(spec, 0, len(spec), results)
 
     def stream(self, spec: ExperimentSpec) -> Iterator[Tuple[int, Any]]:
         for index, task in enumerate(spec.tasks):
@@ -177,6 +229,8 @@ class ParallelExecutor(Executor):
         if len(spec) == 1 or self.jobs == 1:
             return SerialExecutor().run(spec)
         pool = self._ensure_pool()
+        if spec.batch_fn is not None:
+            return self._run_batches(pool, spec)
         try:
             futures = [pool.submit(spec.fn, task) for task in spec.tasks]
         except BrokenProcessPool as exc:
@@ -198,6 +252,40 @@ class ParallelExecutor(Executor):
                 for pending in futures[index + 1:]:
                     pending.cancel()
                 raise self._task_error(spec, index, exc) from exc
+        return results
+
+    def _run_batches(
+        self, pool: concurrent.futures.ProcessPoolExecutor, spec: ExperimentSpec
+    ) -> List[Any]:
+        """``spec`` as one contiguous batch per worker."""
+        count = min(self.jobs, len(spec))
+        bounds = [
+            (len(spec) * i // count, len(spec) * (i + 1) // count)
+            for i in range(count)
+        ]
+        try:
+            futures = [
+                pool.submit(spec.batch_fn, spec.tasks[start:stop])
+                for start, stop in bounds
+            ]
+        except BrokenProcessPool as exc:
+            self.close()
+            raise self._task_error(spec, 0, exc) from exc
+        results: List[Any] = []
+        for (start, stop), future in zip(bounds, futures):
+            try:
+                batch = future.result()
+            except BrokenProcessPool as exc:
+                self.close()
+                raise self._task_error(spec, start, exc) from exc
+            # Executor fault boundary (RPL006-conformant): cancel the
+            # batches behind this one, rerun it task by task here and
+            # raise the failing task's TaskError.
+            except Exception as exc:
+                for pending in futures:
+                    pending.cancel()
+                raise self._batch_error(spec, start, stop, exc) from exc
+            results.extend(self._batch_results(spec, start, stop, batch))
         return results
 
     def stream(self, spec: ExperimentSpec) -> Iterator[Tuple[int, Any]]:

@@ -15,7 +15,7 @@ equivalence tests assert serial == parallel == cached, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CacheKeyError
@@ -96,10 +96,9 @@ class Runner:
                 miss_indices.append(index)
 
         if miss_indices:
-            sub_spec = ExperimentSpec(
-                fn=spec.fn,
+            sub_spec = replace(
+                spec,
                 tasks=tuple(spec.tasks[i] for i in miss_indices),
-                label=spec.label,
                 task_labels=tuple(spec.label_for(i) for i in miss_indices),
             )
             fresh = self.executor.run(sub_spec)
@@ -123,12 +122,16 @@ def run_tasks(
     cache: Optional[ResultCache] = None,
     label: str = "experiment",
     task_labels: Optional[Sequence[str]] = None,
+    batch_fn: Optional[Callable[[Tuple[Any, ...]], Sequence[Any]]] = None,
 ) -> List[Any]:
     """One-call engine front door: ``fn`` over ``tasks``, ordered.
 
     Equivalent to building an :class:`ExperimentSpec` and a
     :class:`Runner` by hand; the ``executor``/``cache`` keyword pair is
-    the exact shape every library entry point forwards.
+    the exact shape every library entry point forwards. ``batch_fn``
+    computes runs of cache misses together (see :class:`ExperimentSpec`).
     """
-    spec = ExperimentSpec.over(fn, tasks, label=label, task_labels=task_labels)
+    spec = ExperimentSpec.over(
+        fn, tasks, label=label, task_labels=task_labels, batch_fn=batch_fn
+    )
     return Runner(executor=executor, cache=cache).run(spec)

@@ -6,6 +6,13 @@ shape covers every repetition the codebase performs — seeds of a
 scenario, cells of a parameter sweep, attack levels of a cost curve —
 and is exactly what both a serial loop and a process pool can execute,
 so the choice of executor becomes a parameter instead of a rewrite.
+
+A spec may also carry a *batch worker*: one call that computes a whole
+run of tasks together, for workers whose tasks share array work (the
+attack levels of a cost curve solve as one ``(p, m)`` plane). It must
+return exactly what ``fn`` returns task by task; executors call it on
+contiguous runs of tasks, and ``fn`` stays the per-task definition that
+names a failing task and addresses the cache.
 """
 
 from __future__ import annotations
@@ -35,12 +42,16 @@ class ExperimentSpec:
         label: human-readable batch name, used in progress/error text.
         task_labels: per-task names for failure isolation (defaults to
             ``task[i]``); a crashed cell reports *which* cell died.
+        batch_fn: optional module-level callable taking a tuple of task
+            payloads and returning their results in order, equal to
+            ``[fn(task) for task in tasks]``.
     """
 
     fn: Callable[[Any], Any]
     tasks: Tuple[Any, ...]
     label: str = "experiment"
     task_labels: Optional[Tuple[str, ...]] = field(default=None)
+    batch_fn: Optional[Callable[[Tuple[Any, ...]], Sequence[Any]]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -82,6 +93,7 @@ class ExperimentSpec:
         tasks: Sequence[Any],
         label: str = "experiment",
         task_labels: Optional[Sequence[str]] = None,
+        batch_fn: Optional[Callable[[Tuple[Any, ...]], Sequence[Any]]] = None,
     ) -> "ExperimentSpec":
         """Convenience constructor accepting any sequences."""
         return cls(
@@ -89,4 +101,5 @@ class ExperimentSpec:
             tasks=tuple(tasks),
             label=label,
             task_labels=tuple(task_labels) if task_labels is not None else None,
+            batch_fn=batch_fn,
         )

@@ -31,6 +31,7 @@ from repro.game.optimizer import (
     OptimizationRow,
     defense_cost,
     naive_defense_cost,
+    optimal_rows,
 )
 from repro.game.parameters import (
     PAPER_K1,
@@ -109,6 +110,7 @@ __all__ = [
     "jacobian_terms",
     "label_point",
     "naive_defense_cost",
+    "optimal_rows",
     "paper_parameters",
     "realized_ess",
     "rest_points",

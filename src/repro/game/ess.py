@@ -22,8 +22,11 @@ and both edge families), otherwise ``tr/2 ± sqrt(tr²/4 - det)``.
 
 Algorithm 3 and the Fig. 6-8 sweeps classify every ``m`` of a sweep at
 one attack level, so :func:`rest_points` does exactly that as array
-code: one :class:`RestPoints` grid of ``(candidate, m)`` cells. It is
-the only classifier; :func:`fixed_points`, :func:`stable_points`,
+code: one :class:`RestPoints` grid of ``(candidate, m)`` cells, or, with
+a ``p`` per cell, cells of the whole ``(p, m)`` plane. Only the
+interior candidate's Jacobian needs the general eigenvalue formula:
+every corner and edge point has ``x`` or ``y`` at 0 or 1, where the
+Jacobian is triangular. It is the only classifier; :func:`fixed_points`, :func:`stable_points`,
 :func:`label_point` and the candidate formulas are one-cell views of
 it. :func:`realized_ess` reports which candidate the paper's own Euler
 dynamics actually reach from ``(0.5, 0.5)``. For the §VI-B constants
@@ -139,7 +142,8 @@ class FixedPoint:
 
 @dataclass(frozen=True, eq=False)
 class RestPoints:
-    """Every §V-E candidate of one ``m`` sweep at a fixed ``p``, classified.
+    """Every §V-E candidate of a grid of games, classified: one ``m``
+    sweep at a fixed ``p``, or cells of the ``(p, m)`` plane.
 
     The arrays are ``(candidates, cells)``: row ``r`` is
     ``CANDIDATES[r]`` and column ``i`` is ``m[i]``. Where ``present`` is
@@ -148,6 +152,7 @@ class RestPoints:
 
     Attributes:
         m: the swept buffer counts.
+        attack: each cell's attack success probability ``p^m``.
         x, y: candidate coordinates.
         present: whether the candidate exists in that cell.
         stability: index into ``(STABLE, UNSTABLE, SADDLE, MARGINAL)``.
@@ -155,6 +160,7 @@ class RestPoints:
     """
 
     m: Tuple[int, ...]
+    attack: np.ndarray
     x: np.ndarray
     y: np.ndarray
     present: np.ndarray
@@ -202,23 +208,35 @@ class RestPoints:
 
 
 def _candidates(
-    base: GameParameters, m_values: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(p^m, m, x, y, present)`` for every candidate of a sweep.
+    base: GameParameters,
+    m_values: Sequence[int],
+    p_values: Optional[Sequence[float]] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(p^m, m, xa, x, y, present)`` for every candidate of a grid.
 
-    Each element is computed with the operations, in the order, of the
-    one-cell formulas in the module docstring, so it equals the float
-    evaluation bit for bit; ``p^m`` is Python's ``**`` per cell.
+    Cell ``i`` is ``(p_values[i], m_values[i])``, with ``base.p`` for
+    every cell when ``p_values`` is ``None``. Each element is computed
+    with the operations, in the order, of the one-cell formulas in the
+    module docstring, so it equals the float evaluation bit for bit;
+    ``p^m`` is Python's ``**`` per cell, on ``p`` as given.
     """
     if not m_values:
         raise ConfigurationError("m_values must be non-empty")
     if min(m_values) < 1:
         raise ConfigurationError(f"m must be >= 1, got {min(m_values)}")
-    p = base.p
-    attack = np.array([p ** m for m in m_values], dtype=float)
+    if p_values is None:
+        p_values = [base.p] * len(m_values)
+    elif len(p_values) != len(m_values):
+        raise ConfigurationError(
+            f"{len(p_values)} attack levels for {len(m_values)} buffer counts"
+        )
+    attack = np.array([p ** m for p, m in zip(p_values, m_values)], dtype=float)
+    xa = np.array(p_values, dtype=float)
+    if not np.all((0.0 <= xa) & (xa <= 1.0)):
+        raise ConfigurationError("attack levels must lie in [0, 1]")
     m = np.array(m_values, dtype=float)
     q = 1.0 - attack
-    ra, k1, k2, xa = base.ra, base.k1, base.k2, base.xa
+    ra, k1, k2 = base.ra, base.k1, base.k2
     x = np.empty((len(CANDIDATES), m.size))
     y = np.empty_like(x)
     present = np.ones(x.shape, dtype=bool)
@@ -229,7 +247,7 @@ def _candidates(
         x[_X1] = q * ra / (k2 * m)
         y[_X1] = 1.0
         x[_1Y] = 1.0
-        y[_1Y] = attack * ra / (k1 * xa) if xa != 0 else 0.0
+        y[_1Y] = np.where(xa != 0, attack * ra / (k1 * xa), 0.0)
         denom = k1 * k2 * m * xa + q * q * ra ** 2
         x[_INTERIOR] = q * ra ** 2 / denom
         y[_INTERIOR] = k2 * m * ra / denom
@@ -240,7 +258,7 @@ def _candidates(
         & (0.0 < x[_INTERIOR]) & (x[_INTERIOR] < 1.0)
         & (0.0 < y[_INTERIOR]) & (y[_INTERIOR] < 1.0)
     )
-    return attack, m, x, y, present
+    return attack, m, xa, x, y, present
 
 
 def _eigenvalues(
@@ -292,24 +310,42 @@ def _stability_codes(eigenvalues: np.ndarray) -> np.ndarray:
     ).astype(np.int8)
 
 
-def rest_points(base: GameParameters, m_values: Sequence[int]) -> RestPoints:
+def rest_points(
+    base: GameParameters,
+    m_values: Sequence[int],
+    p_values: Optional[Sequence[float]] = None,
+) -> RestPoints:
     """Every §V-E candidate of ``base`` at each ``m`` in ``m_values``
     (``base.m`` is ignored), classified in one array pass.
 
-    Each cell equals the one-cell classification of
-    ``base.with_m(m)`` bit for bit: coordinates, eigenvalues and
-    stability.
+    With ``p_values``, cell ``i`` is the game at attack level
+    ``p_values[i]`` and ``m_values[i]`` instead (``base.p`` is ignored
+    too): a whole ``(p, m)`` plane, flattened into one row of cells.
+
+    Each cell equals the one-cell classification of its game
+    (``base.with_p(p).with_m(m)``) bit for bit: coordinates,
+    eigenvalues and stability.
     """
-    attack, m, x, y, present = _candidates(base, m_values)
+    attack, m, xa, x, y, present = _candidates(base, m_values, p_values)
     # Every cell is evaluated, absent candidates too (their NaNs and
     # infinities are masked by ``present``), so silence their warnings.
     with np.errstate(all="ignore"):
         (a, b), (c, d) = jacobian_terms(
-            base.ra, base.k1 * base.xa, base.k2 * m, 1.0 - attack, x, y
+            base.ra, base.k1 * xa, base.k2 * m, 1.0 - attack, x, y
         )
-        eigenvalues = _eigenvalues(a, b, c, d)
+        # A corner or edge point has x or y at 0 or 1, which zeroes an
+        # off-diagonal entry: its Jacobian is triangular and its
+        # eigenvalues are the diagonal. Only the interior point needs
+        # the general formula.
+        eigenvalues = np.zeros(x.shape + (2,), dtype=complex)
+        eigenvalues.real[..., 0] = a
+        eigenvalues.real[..., 1] = d
+        eigenvalues[_INTERIOR] = _eigenvalues(
+            a[_INTERIOR], b[_INTERIOR], c[_INTERIOR], d[_INTERIOR]
+        )
     return RestPoints(
         m=tuple(m_values),
+        attack=attack,
         x=x,
         y=y,
         present=present,
@@ -320,7 +356,7 @@ def rest_points(base: GameParameters, m_values: Sequence[int]) -> RestPoints:
 
 def _one_cell(params: GameParameters, row: int) -> Optional[Tuple[float, float]]:
     """Candidate ``row`` of ``params`` alone; ``None`` when absent."""
-    _, _, x, y, present = _candidates(params, (params.m,))
+    _, _, _, x, y, present = _candidates(params, (params.m,))
     if not present[row, 0]:
         return None
     return (float(x[row, 0]), float(y[row, 0]))

@@ -26,7 +26,7 @@ with ``(1, Y')`` the ESS of the ``m = M`` game.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +36,7 @@ from repro.game.ess import (
     CANDIDATES,
     EssType,
     FixedPoint,
+    RestPoints,
     _nearest_point,
     realized_ess,
     rest_points,
@@ -50,6 +51,7 @@ __all__ = [
     "OptimizationRow",
     "OptimizationResult",
     "BufferOptimizer",
+    "optimal_rows",
 ]
 
 
@@ -59,12 +61,15 @@ Equilibrium = Tuple[float, float, Optional[EssType]]
 
 def defense_cost(params: GameParameters, x: float, y: float) -> float:
     """``E = k2·m·X² + [1 - (1 - p^m)·X]·Ra·Y`` at shares ``(x, y)``."""
-    return _defense_cost(params, params.m, x, y)
+    return _defense_cost(params, params.p, params.m, x, y)
 
 
-def _defense_cost(base: GameParameters, m: int, x: float, y: float) -> float:
-    """:func:`defense_cost` of ``base.with_m(m)``, without building it."""
-    q = 1.0 - base.p ** m
+def _defense_cost(
+    base: GameParameters, p: float, m: int, x: float, y: float
+) -> float:
+    """:func:`defense_cost` of ``base.with_p(p).with_m(m)``, without
+    building it."""
+    q = 1.0 - p ** m
     return base.k2 * m * x * x + (1.0 - q * x) * base.ra * y
 
 
@@ -76,8 +81,7 @@ def naive_defense_cost(params: GameParameters) -> float:
     formula exceeds the simplex, i.e. the ESS is ``(1, 1)``).
     """
     big_m = params.max_buffers
-    maxed = params.with_m(big_m)
-    p_big_m = maxed.attack_success_probability
+    p_big_m = params.p ** big_m
     if params.xa > 0:
         y_prime = min(p_big_m * params.ra / (params.k1 * params.xa), 1.0)
     else:
@@ -116,29 +120,58 @@ class EquilibriumSolver:
         return self.solve_sweep(params, (params.m,))[0]
 
     def solve_sweep(
-        self, base: GameParameters, m_values: Sequence[int]
+        self,
+        base: GameParameters,
+        m_values: Sequence[int],
+        p_values: Optional[Sequence[float]] = None,
     ) -> List[Equilibrium]:
         """The equilibrium of ``base.with_m(m)`` for each ``m`` in
         ``m_values``, positionally, from one :func:`~repro.game.ess.rest_points`
         pass: the unique stable candidate where there is one. Only cells
         without exactly one stable candidate build their parameters and
-        go to :meth:`_solve_by_dynamics`, one at a time."""
-        points = rest_points(base, m_values)
+        go to :meth:`_solve_by_dynamics`, one at a time.
+
+        With ``p_values``, cell ``i`` is the game at attack level
+        ``p_values[i]`` and ``m_values[i]``: cells of the ``(p, m)``
+        plane instead of one ``m`` sweep.
+        """
+        _, x, y, rows, fallbacks = self._solve_cells(base, m_values, p_values)
+        xs = x.tolist()
+        ys = y.tolist()
+        return [
+            fallbacks[index] if index in fallbacks
+            else (xs[index], ys[index], CANDIDATES[row])
+            for index, row in enumerate(rows.tolist())
+        ]
+
+    def _solve_cells(
+        self,
+        base: GameParameters,
+        m_values: Sequence[int],
+        p_values: Optional[Sequence[float]],
+    ) -> Tuple[
+        RestPoints, np.ndarray, np.ndarray, np.ndarray, Dict[int, Equilibrium]
+    ]:
+        """:meth:`solve_sweep` as arrays: ``(points, x, y, rows,
+        fallbacks)``.
+
+        ``points`` is the grid's :func:`~repro.game.ess.rest_points`.
+        ``x``, ``y`` and ``rows`` (the candidate row) hold each cell's
+        unique stable candidate; they are meaningless at the other
+        cells, whose :meth:`_solve_by_dynamics` answers ``fallbacks``
+        holds by cell index, solved in cell order.
+        """
+        points = rest_points(base, m_values, p_values)
         stable = points.stable
-        counts = stable.sum(axis=0).tolist()
         rows = stable.argmax(axis=0)
         cells = np.arange(rows.size)
-        xs = points.x[rows, cells].tolist()
-        ys = points.y[rows, cells].tolist()
-        out: List[Equilibrium] = []
-        for index, (m, count, row) in enumerate(zip(m_values, counts, rows.tolist())):
-            if count == 1:
-                out.append((xs[index], ys[index], CANDIDATES[row]))
-            else:
-                out.append(self._solve_by_dynamics(
-                    base.with_m(m), points.stable_points(index)
-                ))
-        return out
+        fallbacks: Dict[int, Equilibrium] = {}
+        for index in np.flatnonzero(stable.sum(axis=0) != 1).tolist():
+            p = base.p if p_values is None else p_values[index]
+            fallbacks[index] = self._solve_by_dynamics(
+                replace(base, p=p, m=m_values[index]), points.stable_points(index)
+            )
+        return points, points.x[rows, cells], points.y[rows, cells], rows, fallbacks
 
     def _solve_by_dynamics(
         self, params: GameParameters, stable: List[FixedPoint]
@@ -228,7 +261,7 @@ class BufferOptimizer:
             for m, (x, y, label) in zip(missing, solved):
                 self._cache[m] = OptimizationRow(
                     m=m, x=x, y=y, ess_type=label,
-                    cost=_defense_cost(base, m, x, y),
+                    cost=_defense_cost(base, base.p, m, x, y),
                 )
         return [self._cache[m] for m in m_values]
 
@@ -247,30 +280,98 @@ class BufferOptimizer:
                 ``moptm`` to the *last* ``m`` whose cost improved on its
                 predecessor).
         """
-        if m_max is None:
-            m_max = self._base.max_buffers
-        if m_min < 1 or m_max < m_min:
-            raise ConfigurationError(f"bad sweep bounds [{m_min}, {m_max}]")
-        if selection not in ("argmin", "paper"):
-            raise ConfigurationError(f"unknown selection {selection!r}")
-        rows = self._rows(range(m_min, m_max + 1))
-        if selection == "argmin":
-            best = min(rows, key=lambda row: row.cost)
-            optimal_m = best.m
-        else:
-            # Algorithm 3 lines 6-8, literally.
-            optimal_m = 0
-            previous = float("inf")
-            for row in rows:
-                if row.cost < previous:
-                    optimal_m = row.m
-                previous = row.cost
-            if optimal_m == 0:
-                optimal_m = rows[0].m
-        best_row = next(row for row in rows if row.m == optimal_m)
+        m_values = _sweep(self._base, m_min, m_max, selection)
+        rows = self._rows(m_values)
+        costs = np.array([[row.cost for row in rows]])
+        best_row = rows[int(_selected(costs, selection)[0])]
         return OptimizationResult(
-            optimal_m=optimal_m,
+            optimal_m=best_row.m,
             optimal_cost=best_row.cost,
             rows=tuple(rows),
             selection=selection,
         )
+
+
+def _sweep(
+    base: GameParameters, m_min: int, m_max: Optional[int], selection: str
+) -> range:
+    """The checked ``m`` sweep ``m_min..m_max`` (default cap
+    ``base.max_buffers``) of an Algorithm 3 run."""
+    if m_max is None:
+        m_max = base.max_buffers
+    if m_min < 1 or m_max < m_min:
+        raise ConfigurationError(f"bad sweep bounds [{m_min}, {m_max}]")
+    if selection not in ("argmin", "paper"):
+        raise ConfigurationError(f"unknown selection {selection!r}")
+    return range(m_min, m_max + 1)
+
+
+def _selected(costs: np.ndarray, selection: str) -> np.ndarray:
+    """The selected column of each row of a ``(sweeps, m)`` cost array.
+
+    ``"argmin"`` takes the first minimum, as ``min(..., key=cost)``
+    does (the costs are finite: every equilibrium lies in the unit
+    square). ``"paper"`` is Algorithm 3 lines 6-8: the last column whose
+    cost beat its predecessor's (the first column's predecessor costs
+    infinity), column 0 when none did.
+    """
+    if selection == "argmin":
+        return costs.argmin(axis=1)
+    improved = np.empty(costs.shape, dtype=bool)
+    improved[:, 0] = costs[:, 0] < math.inf
+    improved[:, 1:] = costs[:, 1:] < costs[:, :-1]
+    last = costs.shape[1] - 1 - improved[:, ::-1].argmax(axis=1)
+    return np.where(improved.any(axis=1), last, 0)
+
+
+#: Attack levels per :func:`optimal_rows` array pass. It bounds the
+#: plane's arrays, and so peak memory; larger blocks are no faster.
+_PLANE_LEVELS = 10
+
+
+def optimal_rows(
+    base: GameParameters,
+    attack_levels: Sequence[float],
+    selection: str = "argmin",
+    m_max: Optional[int] = None,
+) -> List[OptimizationRow]:
+    """Algorithm 3 at each attack level, over the ``(p, m)`` plane.
+
+    Row ``i`` is the selected row of ``BufferOptimizer(base.with_p(p))
+    .optimize(m_max=m_max, selection=selection)`` for ``p = attack_levels[i]``,
+    equal in value and type. Each block of attack levels solves as one
+    ``(p, m)`` grid of :meth:`EquilibriumSolver.solve_sweep`, and its
+    costs and selections are array code; only the selected rows become
+    :class:`OptimizationRow` objects.
+    """
+    m_values = list(_sweep(base, 1, m_max, selection))
+    solver = EquilibriumSolver()
+    width = len(m_values)
+    out: List[OptimizationRow] = []
+    for start in range(0, len(attack_levels), _PLANE_LEVELS):
+        levels = attack_levels[start : start + _PLANE_LEVELS]
+        m_cells = m_values * len(levels)
+        points, x, y, rows, fallbacks = solver._solve_cells(
+            base, m_cells, [p for p in levels for _ in m_values]
+        )
+        for index, (fx, fy, _label) in fallbacks.items():
+            x[index] = fx
+            y[index] = fy
+        # _defense_cost, elementwise in its operation order.
+        m = np.array(m_cells, dtype=float)
+        q = 1.0 - points.attack
+        costs = base.k2 * m * x * x + (1.0 - q * x) * base.ra * y
+        columns = _selected(costs.reshape(len(levels), width), selection)
+        for level, (p, column) in enumerate(zip(levels, columns.tolist())):
+            index = level * width + column
+            if index in fallbacks:
+                fx, fy, label = fallbacks[index]
+            else:
+                fx, fy = x[index].item(), y[index].item()
+                label = CANDIDATES[rows[index]]
+            optimal_m = m_values[column]
+            out.append(OptimizationRow(
+                m=optimal_m, x=fx, y=fy, ess_type=label,
+                cost=_defense_cost(base, p, optimal_m, fx, fy),
+            ))
+    return out

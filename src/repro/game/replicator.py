@@ -22,7 +22,8 @@ integrator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, TypeVar, Union
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -89,6 +90,40 @@ class Trajectory:
 Shares = TypeVar("Shares", float, np.ndarray)
 
 
+def _field(
+    ra: float, q: float, k2m: Shares, k1xa: Shares, x: Shares, y: Shares
+) -> Tuple[Shares, Shares]:
+    """The §V-D field ``(dX/dt, dY/dt)`` at shares ``(x, y)``.
+
+    ``q = 1 - p^m``, ``k2m = k2·m`` and ``k1xa = k1·xa``. Like
+    :func:`jacobian_terms` it takes floats or broadcastable arrays, and
+    each array element equals the float result bit for bit; every
+    integrator in this module evaluates the field through it.
+    """
+    dx = x * (1.0 - x) * (ra * y * q - k2m * x)
+    dy = y * (1.0 - y) * (-q * x * ra + ra - k1xa * y)
+    return (dx, dy)
+
+
+def _rk4_from(
+    field: Callable[[Shares, Shares], Tuple[Shares, Shares]],
+    clip: Callable[[Shares], Shares],
+    x: Shares,
+    y: Shares,
+    k1x: Shares,
+    k1y: Shares,
+    dt: float,
+) -> Tuple[Shares, Shares]:
+    """One classical Runge-Kutta step from ``(x, y)`` whose first stage
+    ``(k1x, k1y)``, the field at ``(x, y)``, is already known."""
+    k2x, k2y = field(clip(x + 0.5 * dt * k1x), clip(y + 0.5 * dt * k1y))
+    k3x, k3y = field(clip(x + 0.5 * dt * k2x), clip(y + 0.5 * dt * k2y))
+    k4x, k4y = field(clip(x + dt * k3x), clip(y + dt * k3y))
+    nx = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+    ny = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+    return (clip(nx), clip(ny))
+
+
 def jacobian_terms(
     ra: float, k1xa: float, k2m: Shares, q: Shares, x: Shares, y: Shares
 ) -> Tuple[Tuple[Shares, Shares], Tuple[Shares, Shares]]:
@@ -121,6 +156,13 @@ class ReplicatorDynamics:
 
     def __init__(self, params: GameParameters) -> None:
         self._params = params
+        #: ``(Ra, 1 - p^m, k2·m, k1·xa)``: the constants the field reads.
+        self._terms = (
+            params.ra,
+            1.0 - params.attack_success_probability,
+            params.k2 * params.m,
+            params.k1 * params.xa,
+        )
 
     @property
     def params(self) -> GameParameters:
@@ -132,11 +174,7 @@ class ReplicatorDynamics:
 
     def derivatives(self, x: float, y: float) -> Tuple[float, float]:
         """Closed-form ``(dX/dt, dY/dt)`` from §V-D."""
-        p = self._params
-        q = 1.0 - p.attack_success_probability  # 1 - p^m
-        dx = x * (1.0 - x) * (p.ra * y * q - p.k2 * p.m * x)
-        dy = y * (1.0 - y) * (-q * x * p.ra + p.ra - p.k1 * p.xa * y)
-        return (dx, dy)
+        return _field(*self._terms, x, y)
 
     def derivatives_batch(
         self, x: np.ndarray, y: np.ndarray
@@ -144,20 +182,12 @@ class ReplicatorDynamics:
         """Vectorized :meth:`derivatives` over same-shape share arrays.
 
         One numpy expression instead of ``x.size`` Python calls — this
-        is what phase portraits sample their vector field with. The
-        arithmetic is written in the exact operation order of the
-        scalar form, so each element equals the scalar result bit for
-        bit.
+        is what phase portraits sample their vector field with. Each
+        element equals the scalar result bit for bit.
         """
-        p = self._params
-        q = 1.0 - p.attack_success_probability
-        k2m = p.k2 * p.m
-        k1xa = p.k1 * p.xa
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dx = x * (1.0 - x) * (p.ra * y * q - k2m * x)
-        dy = y * (1.0 - y) * (-q * x * p.ra + p.ra - k1xa * y)
-        return (dx, dy)
+        return _field(
+            *self._terms, np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        )
 
     def derivatives_from_utilities(self, x: float, y: float) -> Tuple[float, float]:
         """``(dX/dt, dY/dt)`` computed from the §V-D expectations.
@@ -176,10 +206,8 @@ class ReplicatorDynamics:
         Row-major ``((df/dx, df/dy), (dg/dx, dg/dy))``; one cell of
         :func:`jacobian_terms`.
         """
-        p = self._params
-        return jacobian_terms(
-            p.ra, p.k1 * p.xa, p.k2 * p.m, 1.0 - p.attack_success_probability, x, y
-        )
+        ra, q, k2m, k1xa = self._terms
+        return jacobian_terms(ra, k1xa, k2m, q, x, y)
 
     def jacobian(self, x: float, y: float) -> np.ndarray:
         """:meth:`jacobian_entries` as a ``2 × 2`` array."""
@@ -201,18 +229,7 @@ class ReplicatorDynamics:
     def step_rk4(self, x: float, y: float, dt: float) -> Tuple[float, float]:
         """One classical Runge-Kutta step (integrator ablation)."""
         k1x, k1y = self.derivatives(x, y)
-        k2x, k2y = self.derivatives(
-            self._clip(x + 0.5 * dt * k1x), self._clip(y + 0.5 * dt * k1y)
-        )
-        k3x, k3y = self.derivatives(
-            self._clip(x + 0.5 * dt * k2x), self._clip(y + 0.5 * dt * k2y)
-        )
-        k4x, k4y = self.derivatives(
-            self._clip(x + dt * k3x), self._clip(y + dt * k3y)
-        )
-        nx = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
-        ny = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
-        return (self._clip(nx), self._clip(ny))
+        return _rk4_from(self.derivatives, self._clip, x, y, k1x, k1y, dt)
 
     def integrate(
         self,
@@ -250,20 +267,31 @@ class ReplicatorDynamics:
             raise ConfigurationError(
                 f"record_every must be >= 1, got {record_every}"
             )
-        step = self.step_euler if method == "euler" else self.step_rk4
-        x = self._clip(float(x0))
-        y = self._clip(float(y0))
+        # The field's constants as Python floats: the same values, and
+        # cheaper scalar arithmetic than NumPy scalars when p is one.
+        field = partial(_field, *(float(term) for term in self._terms))
+        clip = self._clip
+        rk4 = method == "rk4"
+        x = clip(float(x0))
+        y = clip(float(y0))
         xs: List[float] = [x]
         ys: List[float] = [y]
         converged = False
         steps_taken = 0
+        # The field at the current point: the convergence test's value
+        # is the next step's slope (RK4's first stage).
+        dx, dy = field(x, y)
         for i in range(1, max_steps + 1):
-            x, y = step(x, y, dt)
+            if rk4:
+                x, y = _rk4_from(field, clip, x, y, dx, dy, dt)
+            else:
+                x = min(max(x + dx * dt, _EPS), 1.0)
+                y = min(max(y + dy * dt, _EPS), 1.0)
             steps_taken = i
             if i % record_every == 0:
                 xs.append(x)
                 ys.append(y)
-            dx, dy = self.derivatives(x, y)
+            dx, dy = field(x, y)
             if abs(dx) + abs(dy) < tol:
                 converged = True
                 break
@@ -377,12 +405,12 @@ class BatchedReplicator:
         if not cells:
             raise ConfigurationError("cells must be non-empty")
         self._cells = cells
-        self._ra = np.array([c.ra for c in cells], dtype=float)
-        self._q = np.array(
-            [1.0 - c.attack_success_probability for c in cells], dtype=float
+        #: Per cell ``(Ra, 1 - p^m, k2·m, k1·xa)``, as in
+        #: :class:`ReplicatorDynamics`.
+        self._terms = tuple(
+            np.array(column, dtype=float)
+            for column in zip(*(ReplicatorDynamics(c)._terms for c in cells))
         )
-        self._k2m = np.array([c.k2 * c.m for c in cells], dtype=float)
-        self._k1xa = np.array([c.k1 * c.xa for c in cells], dtype=float)
 
     @classmethod
     def uniform(cls, params: GameParameters, count: int) -> "BatchedReplicator":
@@ -401,46 +429,9 @@ class BatchedReplicator:
         """Number of grid cells."""
         return len(self._cells)
 
-    # ------------------------------------------------------------------
-    # vector field over the active subset
-
-    def _derivs(
-        self, x: np.ndarray, y: np.ndarray, sel: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        ra = self._ra[sel]
-        q = self._q[sel]
-        k2m = self._k2m[sel]
-        k1xa = self._k1xa[sel]
-        dx = x * (1.0 - x) * (ra * y * q - k2m * x)
-        dy = y * (1.0 - y) * (-q * x * ra + ra - k1xa * y)
-        return (dx, dy)
-
     @staticmethod
     def _clip(values: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(values, _EPS), 1.0)
-
-    def _step_euler(
-        self, x: np.ndarray, y: np.ndarray, dt: float, sel: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        dx, dy = self._derivs(x, y, sel)
-        return (self._clip(x + dx * dt), self._clip(y + dy * dt))
-
-    def _step_rk4(
-        self, x: np.ndarray, y: np.ndarray, dt: float, sel: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        k1x, k1y = self._derivs(x, y, sel)
-        k2x, k2y = self._derivs(
-            self._clip(x + 0.5 * dt * k1x), self._clip(y + 0.5 * dt * k1y), sel
-        )
-        k3x, k3y = self._derivs(
-            self._clip(x + 0.5 * dt * k2x), self._clip(y + 0.5 * dt * k2y), sel
-        )
-        k4x, k4y = self._derivs(
-            self._clip(x + dt * k3x), self._clip(y + dt * k3y), sel
-        )
-        nx = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
-        ny = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
-        return (self._clip(nx), self._clip(ny))
 
     # ------------------------------------------------------------------
     # integration
@@ -480,29 +471,51 @@ class BatchedReplicator:
                 f"record_every must be >= 1, got {record_every}"
             )
         n = self.size
-        x = self._clip(np.broadcast_to(np.asarray(x0, dtype=float), (n,)).copy())
-        y = self._clip(np.broadcast_to(np.asarray(y0, dtype=float), (n,)).copy())
-        step = self._step_euler if method == "euler" else self._step_rk4
+        clip = self._clip
+        x = clip(np.broadcast_to(np.asarray(x0, dtype=float), (n,)).copy())
+        y = clip(np.broadcast_to(np.asarray(y0, dtype=float), (n,)).copy())
         steps = np.zeros(n, dtype=np.int64)
         converged = np.zeros(n, dtype=bool)
-        active = np.arange(n)
         history_x: List[np.ndarray] = [x.copy()] if record_every else []
         history_y: List[np.ndarray] = [y.copy()] if record_every else []
+        # The active cells as compact arrays: their indices, shares and
+        # field constants, and the field at their shares, which is both
+        # the convergence test's value and the next step's slope (RK4's
+        # first stage). They shrink only when cells converge; shares
+        # are scattered back when a cell converges, at record steps and
+        # at the end.
+        cells = np.arange(n)
+        terms = self._terms
+        ax, ay = x, y
+        dx, dy = _field(*terms, ax, ay)
         for i in range(1, max_steps + 1):
-            nx, ny = step(x[active], y[active], dt, active)
-            x[active] = nx
-            y[active] = ny
-            steps[active] = i
+            if method == "rk4":
+                ax, ay = _rk4_from(partial(_field, *terms), clip, ax, ay, dx, dy, dt)
+            else:
+                ax = clip(ax + dx * dt)
+                ay = clip(ay + dy * dt)
             if record_every is not None and i % record_every == 0:
+                x[cells] = ax
+                y[cells] = ay
                 history_x.append(x.copy())
                 history_y.append(y.copy())
-            dx, dy = self._derivs(nx, ny, active)
+            dx, dy = _field(*terms, ax, ay)
             done = np.abs(dx) + np.abs(dy) < tol
             if done.any():
-                converged[active[done]] = True
-                active = active[~done]
-            if active.size == 0:
-                break
+                finished = cells[done]
+                x[finished] = ax[done]
+                y[finished] = ay[done]
+                steps[finished] = i
+                converged[finished] = True
+                keep = ~done
+                cells = cells[keep]
+                ax, ay, dx, dy = ax[keep], ay[keep], dx[keep], dy[keep]
+                if cells.size == 0:
+                    break
+                terms = tuple(term[keep] for term in terms)
+        x[cells] = ax
+        y[cells] = ay
+        steps[cells] = max_steps
         if raise_on_divergence and not converged.all():
             stuck = np.nonzero(~converged)[0]
             raise ConvergenceError(

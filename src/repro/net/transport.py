@@ -177,9 +177,7 @@ class LoopbackNetwork:
             self.datagrams_delivered += 1
             target._dispatch(payload, self._clock.now())
 
-        self._simulator.schedule(
-            self._clock.now() + delay, deliver, f"datagram to {to}"
-        )
+        self._simulator.schedule(self._clock.now() + delay, deliver)
 
 
 class LoopbackTransport(Transport):
@@ -214,7 +212,7 @@ class LoopbackTransport(Transport):
             raise SimulationError(
                 f"cannot schedule at {time}, loopback time is {self.now()}"
             )
-        self._network.simulator.schedule(time, action, f"timer at {self._address}")
+        self._network.simulator.schedule(time, action)
 
     def __repr__(self) -> str:
         return f"LoopbackTransport({self._address!r})"

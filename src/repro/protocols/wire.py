@@ -13,9 +13,11 @@ Encodings are byte-aligned, so ``len(encode(p)) * 8`` is slightly larger
 than the information-theoretic ``p.wire_bits`` the analyses count —
 :func:`framing_overhead_bits` reports exactly how much.
 
-Decoding is strict: unknown tags, truncated buffers and trailing bytes
-all raise :class:`~repro.errors.ProtocolError` (never crash, never
-guess) — the decode fuzzer in the test suite holds the codec to that.
+Decoding is strict: unknown tags, truncated buffers, trailing bytes and
+presence flags other than 0 or 1 all raise
+:class:`~repro.errors.ProtocolError` (never crash, never guess), so a
+buffer decodes only if it is the one encoding of its packet — the
+decode fuzzer in the test suite holds the codec to that.
 """
 
 from __future__ import annotations
@@ -157,11 +159,15 @@ def _size_error(data: bytes, size: int) -> ProtocolError:
 
 def _read_optional_fixed(data: bytes, flag_at: int) -> Tuple[Optional[bytes], int]:
     """A presence byte at ``flag_at`` and the 10-byte field after it
-    when the byte is non-zero: ``(field or None, end offset)``."""
+    when the byte is 1: ``(field or None, end offset)``. Any other flag
+    than 0 or 1 is rejected, so every packet has one encoding."""
     if len(data) <= flag_at:
         raise _size_error(data, flag_at + 1)
-    if not data[flag_at]:
+    flag = data[flag_at]
+    if flag == 0:
         return None, flag_at + 1
+    if flag != 1:
+        raise ProtocolError(f"presence flag 0x{flag:02x} at offset {flag_at}")
     end = flag_at + 1 + _KEY_BYTES
     if len(data) < end:
         raise _size_error(data, end)

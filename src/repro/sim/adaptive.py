@@ -86,9 +86,7 @@ class AdaptiveReceiverNode(ReceiverNode):
         for interval in range(every, intervals + 1, every):
             # Just before the interval boundary, after its reveals landed.
             when = schedule.end_of(interval) - schedule.duration * 1e-6
-            self._simulator.schedule(
-                when, self._reconfigure, f"{self.name} reconfigure @{interval}"
-            )
+            self._simulator.schedule(when, self._reconfigure)
 
     def _reconfigure(self) -> None:
         receiver = self.dap_receiver

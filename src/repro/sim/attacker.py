@@ -222,9 +222,7 @@ class FloodingAttacker:
             for copy in range(copies):
                 offset = window * (copy + 0.5) / max(copies, 1)
                 self._simulator.schedule(
-                    start + offset,
-                    self._make_injector(interval, copy),
-                    f"forged packet {copy} interval {interval}",
+                    start + offset, self._make_injector(interval, copy)
                 )
 
     def _make_injector(self, interval: int, copy: int) -> Callable[[], None]:
@@ -290,9 +288,7 @@ class GameAwareAttacker(FloodingAttacker):
     def start(self) -> None:
         for interval in range(1, self._intervals + 1):
             start = self._schedule.start_of(interval)
-            self._simulator.schedule(
-                start, self._make_interval_runner(interval), f"attack decision {interval}"
-            )
+            self._simulator.schedule(start, self._make_interval_runner(interval))
 
     def _make_interval_runner(self, interval: int) -> Callable[[], None]:
         def run_interval() -> None:
@@ -307,9 +303,7 @@ class GameAwareAttacker(FloodingAttacker):
             for copy in range(copies):
                 offset = window * (copy + 0.5) / max(copies, 1)
                 self._simulator.schedule_in(
-                    offset,
-                    self._make_injector(interval, copy),
-                    f"forged packet {copy} interval {interval}",
+                    offset, self._make_injector(interval, copy)
                 )
 
         return run_interval

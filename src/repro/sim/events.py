@@ -25,11 +25,10 @@ __all__ = ["EventHandle", "Simulator"]
 class EventHandle:
     """A scheduled event that can be cancelled before it fires."""
 
-    __slots__ = ("action", "description", "_cancelled", "_fired")
+    __slots__ = ("action", "_cancelled", "_fired")
 
-    def __init__(self, action: Callable[[], None], description: str) -> None:
+    def __init__(self, action: Callable[[], None]) -> None:
         self.action = action
-        self.description = description
         self._cancelled = False
         self._fired = False
 
@@ -84,9 +83,7 @@ class Simulator:
         """Events executed so far."""
         return self._processed
 
-    def schedule(
-        self, time: float, action: Callable[[], None], description: str = ""
-    ) -> EventHandle:
+    def schedule(self, time: float, action: Callable[[], None]) -> EventHandle:
         """Schedule ``action`` at absolute ``time``.
 
         Raises:
@@ -97,18 +94,16 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule at {time}, current time is {now}"
             )
-        handle = EventHandle(action, description)
+        handle = EventHandle(action)
         self._seq += 1
         heappush(self._queue, (time, self._seq, handle))
         return handle
 
-    def schedule_in(
-        self, delay: float, action: Callable[[], None], description: str = ""
-    ) -> EventHandle:
+    def schedule_in(self, delay: float, action: Callable[[], None]) -> EventHandle:
         """Schedule ``action`` after ``delay`` seconds."""
         if delay < 0:
             raise SchedulingError(f"delay must be >= 0, got {delay}")
-        return self.schedule(self._clock.now() + delay, action, description)
+        return self.schedule(self._clock.now() + delay, action)
 
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None

@@ -179,9 +179,7 @@ class BroadcastMedium:
             ) -> None:
                 target.deliver(pkt, at)
 
-            self._simulator.schedule_in(
-                attachment.link.delay, deliver, f"deliver to {attachment.name}"
-            )
+            self._simulator.schedule_in(attachment.link.delay, deliver)
             self._deliveries += 1
             scheduled += 1
         active = perf.ACTIVE

@@ -65,11 +65,7 @@ class SenderNode:
             packets = list(self._sender.packets_for_interval(interval))
             for position, packet in enumerate(packets):
                 offset = duration * (position + 0.5) / max(len(packets), 1)
-                self._simulator.schedule(
-                    start + offset,
-                    self._make_transmit(packet),
-                    f"{self.name} interval {interval} packet {position}",
-                )
+                self._simulator.schedule(start + offset, self._make_transmit(packet))
 
     def _make_transmit(self, packet: object) -> Callable[[], None]:
         def transmit() -> None:

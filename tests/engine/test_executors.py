@@ -182,3 +182,73 @@ class TestExecutorFor:
         executor = executor_for(4)
         assert isinstance(executor, ParallelExecutor)
         assert executor.jobs == 4
+
+
+# Batch workers: a result per task, tagged with the batch that made it
+# (its first task, its size and the process) so the tests can see how
+# the executor cut the spec.
+def tagged(task: int) -> tuple:
+    return (task * task, task, 1, os.getpid())
+
+
+def tagged_batch(tasks: tuple) -> list:
+    return [(task * task, tasks[0], len(tasks), os.getpid()) for task in tasks]
+
+
+def batch_fail_on_three(tasks: tuple) -> list:
+    return [fail_on_three(task) for task in tasks]
+
+
+def batch_always_fails(tasks: tuple) -> list:
+    raise RuntimeError("batch kernel broke")
+
+
+def batch_drops_one(tasks: tuple) -> list:
+    return [square(task) for task in tasks[1:]]
+
+
+class TestBatchWorker:
+    def test_serial_runs_one_batch(self):
+        spec = ExperimentSpec(fn=tagged, tasks=tuple(range(7)), batch_fn=tagged_batch)
+        results = SerialExecutor().run(spec)
+        assert [r[0] for r in results] == [t * t for t in range(7)]
+        assert {(r[1], r[2]) for r in results} == {(0, 7)}
+
+    def test_parallel_runs_one_contiguous_batch_per_worker(self):
+        spec = ExperimentSpec(fn=tagged, tasks=tuple(range(7)), batch_fn=tagged_batch)
+        with ParallelExecutor(jobs=2) as executor:
+            results = executor.run(spec)
+        assert [r[0] for r in results] == [t * t for t in range(7)]
+        assert [(r[1], r[2]) for r in results] == [(0, 3)] * 3 + [(3, 4)] * 4
+        assert all(r[3] != os.getpid() for r in results)
+
+    def test_stream_runs_task_by_task(self):
+        spec = ExperimentSpec(fn=tagged, tasks=(1, 2), batch_fn=tagged_batch)
+        assert [r[2] for _, r in SerialExecutor().stream(spec)] == [1, 1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_task_in_a_batch_is_named(self, jobs):
+        spec = ExperimentSpec(
+            fn=fail_on_three,
+            tasks=(1, 2, 3, 4, 5),
+            task_labels=tuple(f"seed={t}" for t in (1, 2, 3, 4, 5)),
+            batch_fn=batch_fail_on_three,
+        )
+        with ParallelExecutor(jobs=jobs) as executor:
+            with pytest.raises(TaskError) as excinfo:
+                executor.run(spec)
+        assert excinfo.value.label == "seed=3"
+        assert excinfo.value.index == 2
+        assert "task 3 exploded" in str(excinfo.value)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_failing_where_every_task_succeeds_raises(self, jobs):
+        spec = ExperimentSpec(fn=square, tasks=(1, 2, 3), batch_fn=batch_always_fails)
+        with ParallelExecutor(jobs=jobs) as executor:
+            with pytest.raises(TaskError, match="succeeds alone"):
+                executor.run(spec)
+
+    def test_wrong_result_count_raises(self):
+        spec = ExperimentSpec(fn=square, tasks=(1, 2, 3), batch_fn=batch_drops_one)
+        with pytest.raises(TaskError, match="2 results for 3 tasks"):
+            SerialExecutor().run(spec)

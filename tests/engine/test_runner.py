@@ -90,3 +90,31 @@ class TestRunTasks:
         second = run_tasks(double, (4, 5), cache=cache)
         assert first == second == [8, 10]
         assert cache.stats.hits == 2
+
+
+BATCHES = []
+
+
+def recording_double_batch(tasks: tuple) -> list:
+    BATCHES.append(tasks)
+    return [2 * task for task in tasks]
+
+
+class TestBatchWorker:
+    def test_misses_run_as_one_batch(self):
+        BATCHES.clear()
+        cache = ResultCache()
+        assert run_tasks(double, (1, 3), cache=cache,
+                         batch_fn=recording_double_batch) == [2, 6]
+        assert run_tasks(double, (1, 2, 3, 4), cache=cache,
+                         batch_fn=recording_double_batch) == [2, 4, 6, 8]
+        assert BATCHES == [(1, 3), (2, 4)]
+        assert cache.stats.hits == 2
+
+    def test_cache_is_shared_with_the_per_task_worker(self):
+        cache = ResultCache()
+        run_tasks(double, (5,), cache=cache)
+        BATCHES.clear()
+        assert run_tasks(double, (5, 6), cache=cache,
+                         batch_fn=recording_double_batch) == [10, 12]
+        assert BATCHES == [(6,)]

@@ -353,6 +353,44 @@ class TestClosedFormClassification:
         with pytest.raises(ConfigurationError):
             rest_points(base, [0, 1])
 
+    def test_plane_rejects_bad_p(self):
+        base = paper_parameters(p=0.8, m=1)
+        with pytest.raises(ConfigurationError):
+            rest_points(base, [1, 2], [0.5])
+        with pytest.raises(ConfigurationError):
+            rest_points(base, [1, 2], [0.5, 1.5])
+
+    def test_plane_cells_equal_their_one_p_sweeps(self):
+        """A (p, m) plane cell equals the same cell of its own p's
+        sweep bit for bit, wherever the candidate is present, and so the
+        scalar oracle (``test_matches_lapack``)."""
+        rng = random.Random(23)
+        levels = (
+            list(open_interval_grid(0.0, 1.0, 99, margin=0.005))
+            + [rng.random() for _ in range(20)] + [0.0, 1.0]
+        )
+        base = GameParameters(ra=150.0, k1=12.0, k2=3.0, p=0.5, m=1, max_buffers=60)
+        m_values = list(range(1, 61))
+        plane = rest_points(
+            base,
+            m_values * len(levels),
+            [p for p in levels for _ in m_values],
+        )
+        for level, p in enumerate(levels):
+            sweep = rest_points(base.with_p(p), m_values)
+            cells = slice(level * len(m_values), (level + 1) * len(m_values))
+            present = plane.present[:, cells]
+            assert np.array_equal(present, sweep.present)
+            assert _same_bits(plane.attack[cells], sweep.attack)
+            assert _same_bits(plane.x[:, cells][present], sweep.x[present])
+            assert _same_bits(plane.y[:, cells][present], sweep.y[present])
+            assert np.array_equal(
+                plane.stability[:, cells][present], sweep.stability[present]
+            )
+            assert _same_bits(
+                plane.eigenvalues[:, cells][present], sweep.eigenvalues[present]
+            )
+
     def test_exact_zero_eigenvalue_is_marginal(self):
         params = paper_parameters(p=1.0, m=5)
         corner = next(

@@ -289,6 +289,27 @@ class TestSolveSweep:
         assert [stable for _, stable in solver.fallbacks] == [[], [], []]
         assert solved == [_stub_fallback(base.with_m(m), []) for m in (1, 2, 3)]
 
+    def test_plane_is_the_one_p_sweeps_in_order(self):
+        levels = [0.3, np.float64(0.8), 1.0, 0.0, 0.97]
+        m_values = list(range(1, 21))
+        base = paper_parameters(p=0.5, m=1)
+        plane_solver = RecordingSolver()
+        plane = plane_solver.solve_sweep(
+            base, m_values * len(levels), [p for p in levels for _ in m_values]
+        )
+        sweep_solver = RecordingSolver()
+        sweeps = [
+            cell
+            for p in levels
+            for cell in sweep_solver.solve_sweep(base.with_p(p), m_values)
+        ]
+        assert plane == sweeps
+        assert plane_solver.fallbacks == sweep_solver.fallbacks
+        assert plane_solver.fallbacks
+        assert [type(params.p) for params, _ in plane_solver.fallbacks] == [
+            type(params.p) for params, _ in sweep_solver.fallbacks
+        ]
+
     def test_solve_is_the_one_cell_sweep(self):
         class Fixed(EquilibriumSolver):
             def solve_sweep(self, base, m_values):

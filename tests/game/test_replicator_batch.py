@@ -8,12 +8,15 @@ every comparison is ``==``.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ConvergenceError
-from repro.game.parameters import paper_parameters
+from repro.game.parameters import GameParameters, paper_parameters
 from repro.game.replicator import BatchedReplicator, ReplicatorDynamics
+from tests.game.scalar_replicator import GatheredReplicator
 
 CASES = [(0.5, 4), (0.8, 1), (0.8, 12), (0.8, 18), (0.8, 30), (0.8, 55), (0.95, 50)]
 
@@ -117,3 +120,98 @@ class TestBatchApi:
         # ...and reports unconverged flags when not asked to raise.
         batch = kernel.integrate(max_steps=3)
         assert not batch.all_converged
+
+
+def _hex(values):
+    """An array's dtype and its floats as exact bits."""
+    if values is None:
+        return None
+    values = np.asarray(values)
+    return (values.dtype.str, values.shape, [float(v).hex() for v in values.ravel()])
+
+
+def _batch_bits(batch):
+    return (
+        _hex(batch.final_x), _hex(batch.final_y),
+        batch.converged.dtype.str, batch.converged.tolist(),
+        batch.steps.dtype.str, batch.steps.tolist(),
+        _hex(batch.xs), _hex(batch.ys),
+        batch.dt, batch.method, batch.record_every,
+    )
+
+
+def _random_cells(rng, count):
+    return [
+        GameParameters(
+            ra=rng.uniform(1.0, 500.0),
+            k1=rng.uniform(0.5, 50.0),
+            k2=rng.uniform(0.1, 20.0),
+            p=rng.choice((rng.random(), np.float64(rng.random()), 1.0)),
+            m=rng.randint(1, 100),
+            max_buffers=100,
+        )
+        for _ in range(count)
+    ]
+
+
+class TestGatheredOracle:
+    """The carried-derivative loop against the loop it replaced
+    (``tests/game/scalar_replicator.py``), bit for bit."""
+
+    @pytest.mark.parametrize("p", [0.5, 0.8, 0.95])
+    def test_fig6_sweep(self, p):
+        base = paper_parameters(p=p, m=1, max_buffers=100)
+        cells = [base.with_m(m) for m in range(1, 101)]
+        # At p = 0.5 four cells have not converged by 20,000 steps.
+        ours = BatchedReplicator(cells).integrate(max_steps=20_000)
+        oracle = GatheredReplicator(cells).integrate(max_steps=20_000)
+        assert _batch_bits(ours) == _batch_bits(oracle)
+
+    def test_seeded_random_grids(self):
+        rng = random.Random(2306)
+        unconverged = 0
+        for trial in range(24):
+            cells = _random_cells(rng, rng.randint(1, 40))
+            n = len(cells)
+            settings = dict(
+                method=rng.choice(("euler", "rk4")),
+                record_every=rng.choice((None, 1, 7)),
+                max_steps=rng.choice((1, 40, 800)),
+                dt=rng.choice((0.01, 0.05)),
+            )
+            if trial % 2:
+                settings["x0"] = np.array([rng.random() for _ in range(n)])
+                settings["y0"] = np.array([rng.random() for _ in range(n)])
+            ours = BatchedReplicator(cells).integrate(**settings)
+            oracle = GatheredReplicator(cells).integrate(**settings)
+            assert _batch_bits(ours) == _batch_bits(oracle), settings
+            unconverged += not ours.all_converged
+            if not ours.all_converged:
+                with pytest.raises(ConvergenceError) as mine:
+                    BatchedReplicator(cells).integrate(
+                        raise_on_divergence=True, **settings
+                    )
+                with pytest.raises(ConvergenceError) as theirs:
+                    GatheredReplicator(cells).integrate(
+                        raise_on_divergence=True, **settings
+                    )
+                assert str(mine.value) == str(theirs.value)
+        assert unconverged
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_scalar_loop_matches_the_one_cell_oracle(self, method):
+        rng = random.Random(7)
+        for params in _random_cells(rng, 12) + [paper_parameters(p=0.98, m=1)]:
+            x0, y0 = rng.random(), rng.random()
+            scalar = ReplicatorDynamics(params).integrate(
+                x0=x0, y0=y0, method=method, max_steps=3_000, record_every=3
+            )
+            oracle = GatheredReplicator([params]).integrate(
+                x0=x0, y0=y0, method=method, max_steps=3_000, record_every=3
+            )
+            reconstructed = oracle.trajectory(0)
+            assert _hex(scalar.xs) == _hex(reconstructed.xs)
+            assert _hex(scalar.ys) == _hex(reconstructed.ys)
+            assert (scalar.steps, scalar.converged) == (
+                reconstructed.steps, reconstructed.converged
+            )

@@ -133,6 +133,50 @@ class TestDecodeRobustness:
         with pytest.raises(ProtocolError):
             decode_packet(full + b"\x00")
 
+    @pytest.mark.parametrize("flag", [0x02, 0x7F, 0x80, 0xFF])
+    def test_tesla_presence_flag_must_be_0_or_1(self, flag):
+        """A TESLA key flag other than 1 before a key is a second
+        encoding of the same packet; it is rejected."""
+        full = bytearray(encode_packet(TeslaPacket(7, MSG, MAC, 5, KEY)))
+        flag_at = len(full) - len(KEY) - 1
+        assert full[flag_at] == 0x01
+        full[flag_at] = flag
+        with pytest.raises(ProtocolError, match="presence flag"):
+            decode_packet(bytes(full))
+
+    @pytest.mark.parametrize("flag", [0x02, 0xFF])
+    def test_cdm_presence_flags_must_be_0_or_1(self, flag):
+        packet = CdmPacket(4, KEY, MAC, 3, KEY, next_cdm_hash=b"\x33" * 10)
+        full = encode_packet(packet)
+        key_flag_at = len(full) - 2 * (len(KEY) + 1)
+        hash_flag_at = len(full) - len(KEY) - 1
+        for flag_at in (key_flag_at, hash_flag_at):
+            data = bytearray(full)
+            assert data[flag_at] == 0x01
+            data[flag_at] = flag
+            with pytest.raises(ProtocolError, match="presence flag"):
+                decode_packet(bytes(data))
+        absent = encode_packet(CdmPacket(4, KEY, MAC, 3, None, next_cdm_hash=None))
+        data = bytearray(absent)
+        data[-1] = flag
+        with pytest.raises(ProtocolError):
+            decode_packet(bytes(data))
+
+    @pytest.mark.parametrize("packet", SAMPLES, ids=lambda p: type(p).__name__)
+    def test_every_decodable_byte_change_re_encodes_to_itself(self, packet):
+        """One encoding per packet: any one-byte change that still
+        decodes re-encodes to exactly the changed bytes."""
+        full = encode_packet(packet)
+        for position in range(len(full)):
+            for value in range(256):
+                data = bytearray(full)
+                data[position] = value
+                try:
+                    decoded = decode_packet(bytes(data))
+                except ProtocolError:
+                    continue
+                assert encode_packet(decoded) == bytes(data)
+
     @given(st.binary(min_size=0, max_size=80))
     @settings(max_examples=200)
     def test_random_bytes_never_crash(self, data):
@@ -177,16 +221,30 @@ def _outcome(decode, data):
     return (type(packet), repr(packet))
 
 
+def _canonical_outcome(data):
+    """The old ``_Reader`` decoder's outcome, except that a buffer it
+    decodes to a packet that does not encode back to the same bytes (a
+    presence flag other than 0 or 1) must be rejected."""
+    try:
+        packet = reader_decode_packet(data)
+    except ProtocolError:
+        return "ProtocolError"
+    if encode_packet(packet) != data:
+        return "ProtocolError"
+    return (type(packet), repr(packet))
+
+
 def _assert_same(data):
     ours = _outcome(decode_packet, data)
-    assert ours == _outcome(reader_decode_packet, data), data
+    assert ours == _canonical_outcome(data), data
     return ours
 
 
 class TestReaderOracle:
     """The struct layouts against the old ``_Reader`` decoder
     (``tests/protocols/scalar_wire.py``): on every buffer, the same
-    packet (type, fields and provenance) or ProtocolError from both."""
+    packet (type, fields and provenance) or ProtocolError from both,
+    where the oracle's non-canonical decodes count as rejections."""
 
     @pytest.mark.parametrize("packet", ORACLE_SAMPLES, ids=lambda p: type(p).__name__)
     def test_every_truncation_and_trailing_byte(self, packet):

@@ -46,24 +46,20 @@ class DataclassHeapSimulator:
     def processed(self) -> int:
         return self._processed
 
-    def schedule(
-        self, time: float, action: Callable[[], None], description: str = ""
-    ) -> EventHandle:
+    def schedule(self, time: float, action: Callable[[], None]) -> EventHandle:
         if time < self.now:
             raise SchedulingError(
                 f"cannot schedule at {time}, current time is {self.now}"
             )
-        handle = EventHandle(action, description)
+        handle = EventHandle(action)
         self._seq += 1
         heapq.heappush(self._queue, _QueuedEvent(time, self._seq, handle))
         return handle
 
-    def schedule_in(
-        self, delay: float, action: Callable[[], None], description: str = ""
-    ) -> EventHandle:
+    def schedule_in(self, delay: float, action: Callable[[], None]) -> EventHandle:
         if delay < 0:
             raise SchedulingError(f"delay must be >= 0, got {delay}")
-        return self.schedule(self.now + delay, action, description)
+        return self.schedule(self.now + delay, action)
 
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None

@@ -157,7 +157,7 @@ def _drive(sim, seed):
 
     def add(schedule, when):
         try:
-            handles.append(schedule(when, action(len(handles)), ""))
+            handles.append(schedule(when, action(len(handles))))
         except SchedulingError:
             trace.append(("past", when))
 
