@@ -97,11 +97,14 @@ def regime_bands(
     must be strictly increasing.
 
     The whole ``m`` range integrates as one
-    :class:`~repro.game.replicator.BatchedReplicator` grid — one
-    vectorized Euler loop instead of one scalar loop per ``m`` — with
-    endpoints identical to the per-``m`` scalar integration (converged
-    cells freeze, so each cell reproduces its scalar trajectory bit for
-    bit; the equivalence tests pin this).
+    :class:`~repro.game.replicator.BatchedReplicator` grid: array Euler
+    steps while more than
+    :data:`~repro.game.replicator.TAIL_CELLS` values of ``m`` are still
+    moving, then a Python-float tail for the slowest ones (at p = 0.5
+    four cells never converge and run the whole ``max_steps`` budget
+    there). Each ``m``'s endpoint is the one it reaches integrated
+    alone, bit for bit (converged cells freeze; the oracle tests pin
+    this).
     """
     if not m_values:
         raise ConfigurationError("m_values must be non-empty")

@@ -175,8 +175,6 @@ class ParallelExecutor(Executor):
         jobs: worker processes (>= 1). ``jobs=1`` still goes through a
             pool — useful for exercising the pickling seam — while
             :func:`executor_for` maps 1 to :class:`SerialExecutor`.
-        chunksize: tasks handed to a worker per dispatch; raise it for
-            very cheap tasks to amortise IPC.
         maxtasksperchild: recycle each worker after this many tasks
             (guards against slow memory growth in week-long sweeps).
             Requires Python >= 3.11; workers are then spawned rather
@@ -186,15 +184,12 @@ class ParallelExecutor(Executor):
     def __init__(
         self,
         jobs: Optional[int] = None,
-        chunksize: int = 1,
         maxtasksperchild: Optional[int] = None,
     ) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if chunksize < 1:
-            raise ConfigurationError(f"chunksize must be >= 1, got {chunksize}")
         if maxtasksperchild is not None:
             if maxtasksperchild < 1:
                 raise ConfigurationError(
@@ -205,7 +200,6 @@ class ParallelExecutor(Executor):
                     "maxtasksperchild requires Python >= 3.11"
                 )
         self.jobs = jobs
-        self._chunksize = chunksize
         self._maxtasksperchild = maxtasksperchild
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
 

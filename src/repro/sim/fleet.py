@@ -652,25 +652,6 @@ def _build_multilevel_plan(
     low_delay = params.low_disclosure_delay
     num_tasks = workload.distinct_sources
     mac_scheme = MacScheme()
-    # Batched receiver-side verification of the data records: every
-    # representative must verify under its sub-interval key — one
-    # verify_many per flat interval (records share the sub-interval
-    # key), not one single-pair call per record: the batch pays the
-    # HMAC key-block setup once per slot. The perf registry's
-    # ``crypto.mac.batches`` counter pins this shape in the tests.
-    for flat in range(1, n + 1):
-        messages, macs = sender.messages_and_macs(flat)
-        reps: Dict[int, Tuple[bytes, bytes]] = {}
-        for c, pair in enumerate(zip(messages, macs)):
-            reps.setdefault(c % num_tasks, pair)
-        key = sender.chain.low_key(*params.split(flat))
-        outcomes = mac_scheme.verify_many(key, list(reps.values()))
-        for source, ok in zip(reps, outcomes):
-            if not ok:
-                raise ConfigurationError(
-                    f"authentic data record failed MAC verification at flat"
-                    f" interval {flat}, source {source}"
-                )
 
     # Flat f sends its high interval's CDM copies, its data records,
     # then the disclosure of K_{f - d}.

@@ -108,8 +108,6 @@ class TestParallel:
         with pytest.raises(ConfigurationError):
             ParallelExecutor(jobs=0)
         with pytest.raises(ConfigurationError):
-            ParallelExecutor(jobs=2, chunksize=0)
-        with pytest.raises(ConfigurationError):
             ParallelExecutor(jobs=2, maxtasksperchild=0)
 
     def test_default_jobs_is_cpu_count(self):

@@ -1,12 +1,20 @@
-"""The batched replicator loop as it was before it carried its
-derivative from one step to the next: every step gathers the active
-cells' four constants by index, evaluates the field once to step and
-once more at the new point for the convergence test, and scatters the
-new shares back into full-width arrays.
+"""Two replicator loops kept as oracles.
 
-Kept as the oracle ``tests/game/test_replicator_batch.py`` pins
-:meth:`repro.game.replicator.BatchedReplicator.integrate` to: equal
-endpoints, steps, convergence flags and recorded history, bit for bit.
+:class:`GatheredReplicator` is the batched loop as it was before it
+carried its derivative from one step to the next: every step gathers
+the active cells' four constants by index, evaluates the field once to
+step and once more at the new point for the convergence test, and
+scatters the new shares back into full-width arrays.
+
+:func:`scalar_integrate` is the one-cell loop
+:meth:`repro.game.replicator.ReplicatorDynamics.integrate` ran before it
+became a one-cell :class:`~repro.game.replicator.BatchedReplicator`
+call: Python floats, the field carried as the next step's slope.
+
+``tests/game/test_replicator_batch.py`` pins
+:meth:`~repro.game.replicator.BatchedReplicator.integrate` to the first
+and ``ReplicatorDynamics.integrate`` to the second: equal endpoints,
+steps, convergence flags and recorded history, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 
 from repro.errors import ConvergenceError
 from repro.game.parameters import GameParameters
-from repro.game.replicator import BatchTrajectories
+from repro.game.replicator import BatchTrajectories, Trajectory
 
 _EPS = 1e-12
 
@@ -122,3 +130,69 @@ class GatheredReplicator:
             ys=np.asarray(history_y) if record_every else None,
             record_every=record_every,
         )
+
+
+def _clip_share(value: float) -> float:
+    return min(max(value, _EPS), 1.0)
+
+
+def scalar_integrate(
+    params: GameParameters,
+    x0: float = 0.5,
+    y0: float = 0.5,
+    dt: float = 0.01,
+    max_steps: int = 200_000,
+    tol: float = 1e-10,
+    method: str = "euler",
+    record_every: int = 1,
+) -> Trajectory:
+    """The old ``ReplicatorDynamics.integrate`` body (argument checks
+    and ``raise_on_divergence`` left out: the tests pass valid settings
+    and read the flags)."""
+    ra = float(params.ra)
+    q = float(1.0 - params.attack_success_probability)
+    k2m = float(params.k2 * params.m)
+    k1xa = float(params.k1 * params.xa)
+
+    def field(x: float, y: float) -> Tuple[float, float]:
+        dx = x * (1.0 - x) * (ra * y * q - k2m * x)
+        dy = y * (1.0 - y) * (-q * x * ra + ra - k1xa * y)
+        return (dx, dy)
+
+    clip = _clip_share
+    x = clip(float(x0))
+    y = clip(float(y0))
+    xs: List[float] = [x]
+    ys: List[float] = [y]
+    converged = False
+    steps_taken = 0
+    dx, dy = field(x, y)
+    for i in range(1, max_steps + 1):
+        if method == "rk4":
+            k2x, k2y = field(clip(x + 0.5 * dt * dx), clip(y + 0.5 * dt * dy))
+            k3x, k3y = field(clip(x + 0.5 * dt * k2x), clip(y + 0.5 * dt * k2y))
+            k4x, k4y = field(clip(x + dt * k3x), clip(y + dt * k3y))
+            x = clip(x + dt * (dx + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0)
+            y = clip(y + dt * (dy + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0)
+        else:
+            x = min(max(x + dx * dt, _EPS), 1.0)
+            y = min(max(y + dy * dt, _EPS), 1.0)
+        steps_taken = i
+        if i % record_every == 0:
+            xs.append(x)
+            ys.append(y)
+        dx, dy = field(x, y)
+        if abs(dx) + abs(dy) < tol:
+            converged = True
+            break
+    if xs[-1] != x or ys[-1] != y:
+        xs.append(x)
+        ys.append(y)
+    return Trajectory(
+        xs=np.asarray(xs),
+        ys=np.asarray(ys),
+        converged=converged,
+        steps=steps_taken,
+        dt=dt,
+        method=method,
+    )

@@ -1,9 +1,12 @@
-"""Batched replicator kernel == scalar kernel, bit for bit.
+"""The replicator integrator == the oracle loops, bit for bit.
 
-The batch precomputes its per-cell constants with Python scalar
-arithmetic and evaluates the field in the scalar expression's exact
-operation order, so no tolerance is needed anywhere in this file:
-every comparison is ``==``.
+``BatchedReplicator.integrate`` (and ``ReplicatorDynamics.integrate``,
+its one-cell call) against the loops kept in
+``tests/game/scalar_replicator.py``: the scalar Python-float loop and
+the gathered batched loop. The batch precomputes its per-cell constants
+with Python scalar arithmetic and evaluates the field in the scalar
+expression's exact operation order, so no tolerance is needed anywhere
+in this file: every comparison is ``==``.
 """
 
 from __future__ import annotations
@@ -15,17 +18,15 @@ import pytest
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.game.parameters import GameParameters, paper_parameters
-from repro.game.replicator import BatchedReplicator, ReplicatorDynamics
-from tests.game.scalar_replicator import GatheredReplicator
+from repro.game.replicator import TAIL_CELLS, BatchedReplicator, ReplicatorDynamics
+from tests.game.scalar_replicator import GatheredReplicator, scalar_integrate
 
 CASES = [(0.5, 4), (0.8, 1), (0.8, 12), (0.8, 18), (0.8, 30), (0.8, 55), (0.95, 50)]
 
 
 def scalar_trajectories(cases, method="euler", **kwargs):
     return [
-        ReplicatorDynamics(paper_parameters(p=p, m=m)).integrate(
-            method=method, **kwargs
-        )
+        scalar_integrate(paper_parameters(p=p, m=m), method=method, **kwargs)
         for p, m in cases
     ]
 
@@ -47,9 +48,8 @@ class TestBitEquivalence:
             x0=np.array([o[0] for o in origins]),
             y0=np.array([o[1] for o in origins]),
         )
-        dynamics = ReplicatorDynamics(params)
         for i, (x0, y0) in enumerate(origins):
-            assert batch.final(i) == dynamics.integrate(x0=x0, y0=y0).final
+            assert batch.final(i) == scalar_integrate(params, x0=x0, y0=y0).final
 
     def test_derivatives_batch_matches_scalar(self):
         dynamics = ReplicatorDynamics(paper_parameters(p=0.8, m=30))
@@ -215,3 +215,152 @@ class TestGatheredOracle:
             assert (scalar.steps, scalar.converged) == (
                 reconstructed.steps, reconstructed.converged
             )
+
+
+def _crossing(steps):
+    """The step after which at most ``TAIL_CELLS`` cells are still
+    moving: where the array phase hands over to the scalar tail."""
+    return sorted(steps)[-(TAIL_CELLS + 1)]
+
+
+def _sweep(p, m_values):
+    base = paper_parameters(p=p, m=1, max_buffers=100)
+    return [base.with_m(m) for m in m_values]
+
+
+def _assert_oracle(cells, **settings):
+    """Our run and the oracle's, bit for bit; returns the oracle's."""
+    oracle = GatheredReplicator(cells).integrate(**settings)
+    ours = BatchedReplicator(cells).integrate(**settings)
+    assert _batch_bits(ours) == _batch_bits(oracle), settings
+    return oracle
+
+
+def _assert_same_error(cells, **settings):
+    with pytest.raises(ConvergenceError) as mine:
+        BatchedReplicator(cells).integrate(raise_on_divergence=True, **settings)
+    with pytest.raises(ConvergenceError) as theirs:
+        GatheredReplicator(cells).integrate(raise_on_divergence=True, **settings)
+    assert str(mine.value) == str(theirs.value)
+
+
+class TestScalarTail:
+    """Both phases of ``BatchedReplicator.integrate`` — arrays while more
+    than ``TAIL_CELLS`` cells move, Python floats after — against the
+    gathered oracle, bit for bit, around the hand-over."""
+
+    # Each grid hands over to the tail at a different step.
+    GRIDS = {
+        "fig6-p0.8": _sweep(0.8, range(1, 101)),
+        "fig6-p0.95": _sweep(0.95, range(1, 101)),
+        "p0.8-narrow": _sweep(0.8, range(12, 2 * TAIL_CELLS + 12)),
+        "just-over": _random_cells(random.Random(11), TAIL_CELLS + 1),
+        "random": _random_cells(random.Random(5), TAIL_CELLS + 20),
+    }
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_threshold_crossed_at_different_steps(self, method):
+        crossings = {}
+        for name, cells in self.GRIDS.items():
+            oracle = _assert_oracle(cells, method=method, max_steps=5_000)
+            steps = oracle.steps.tolist()
+            crossings[name] = _crossing(steps)
+            # The tail takes steps of its own after the hand-over.
+            assert max(steps) > crossings[name], name
+        assert len(set(crossings.values())) == len(crossings), crossings
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("size", [1, 2, TAIL_CELLS])
+    def test_grids_at_or_below_threshold(self, size, method):
+        rng = random.Random(size)
+        for cells in (
+            _random_cells(rng, size),
+            _sweep(0.8, range(1, 101, 100 // size)[:size]),
+        ):
+            _assert_oracle(cells, method=method, max_steps=5_000, record_every=7)
+            _assert_oracle(cells, method=method, max_steps=5_000)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("record_every", [None, 1, 7])
+    def test_recording_with_cells_converging_in_both_phases(
+        self, record_every, method
+    ):
+        cells = _sweep(0.8, range(1, TAIL_CELLS + 21))
+        oracle = _assert_oracle(cells, method=method, record_every=record_every)
+        steps = oracle.steps.tolist()
+        crossing = _crossing(steps)
+        assert oracle.all_converged
+        assert any(s <= crossing for s in steps)
+        assert any(s > crossing for s in steps)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_budget_runs_out_in_either_phase(self, method):
+        cells = _sweep(0.8, range(1, TAIL_CELLS + 21))
+        steps = GatheredReplicator(cells).integrate(method=method).steps.tolist()
+        crossing = _crossing(steps)
+        for budget in (crossing - 1, (crossing + max(steps)) // 2):
+            for record_every in (None, 7):
+                oracle = _assert_oracle(
+                    cells, method=method, max_steps=budget, record_every=record_every
+                )
+                assert not oracle.all_converged
+            _assert_same_error(cells, method=method, max_steps=budget)
+
+    def test_divergence_messages_match(self):
+        # Stuck in the array phase, stuck in the tail, and a grid that
+        # never leaves the tail: at p = 0.5, m = 9..19 take 5,039 steps
+        # or more, and m = 16..19 never converge.
+        cells = _sweep(0.5, range(1, 101))
+        _assert_same_error(cells, max_steps=100)
+        _assert_same_error(cells, max_steps=20_000)
+        _assert_same_error(_sweep(0.5, range(9, 9 + TAIL_CELLS)), max_steps=2_000)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_per_cell_origins(self, method):
+        rng = random.Random(41)
+        for cells in (_sweep(0.8, range(1, TAIL_CELLS + 21)), _random_cells(rng, TAIL_CELLS)):
+            n = len(cells)
+            origins = dict(
+                x0=np.array([rng.random() for _ in range(n)]),
+                y0=np.array([rng.random() for _ in range(n)]),
+            )
+            oracle = _assert_oracle(cells, method=method, max_steps=4_000, **origins)
+            _assert_oracle(
+                cells, method=method, max_steps=4_000, record_every=7, **origins
+            )
+            if n > TAIL_CELLS:
+                assert max(oracle.steps) > _crossing(oracle.steps.tolist())
+
+
+def _trajectory_bits(trajectory):
+    return (
+        _hex(trajectory.xs), _hex(trajectory.ys),
+        trajectory.steps, trajectory.converged, trajectory.dt, trajectory.method,
+    )
+
+
+class TestScalarLoopOracle:
+    """``ReplicatorDynamics.integrate``, now a one-cell batched call,
+    against the scalar loop it replaced (``scalar_integrate``)."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.8, 0.95, 0.98])
+    def test_one_cell_call_matches_scalar_loop(self, p):
+        for m in (1, 2, 12, 40):
+            params = paper_parameters(p=p, m=m, max_buffers=100)
+            for method, budget in (("euler", 20_000), ("rk4", 3_000)):
+                settings = dict(method=method, max_steps=budget)
+                ours = ReplicatorDynamics(params).integrate(**settings)
+                assert _trajectory_bits(ours) == _trajectory_bits(
+                    scalar_integrate(params, **settings)
+                ), (m, method)
+
+    @pytest.mark.parametrize("p, m", [(0.1, 2), (0.98, 1)])
+    def test_fig7_fallback_cells(self, p, m):
+        """The cells Algorithm 3 hands to the dynamics on fig7's grid,
+        at the fallback's budget and recording stride."""
+        params = paper_parameters(p=p, m=m)
+        settings = dict(max_steps=100_000, record_every=10)
+        ours = ReplicatorDynamics(params).integrate(**settings)
+        assert _trajectory_bits(ours) == _trajectory_bits(
+            scalar_integrate(params, **settings)
+        )
