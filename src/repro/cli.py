@@ -40,6 +40,8 @@ from repro.analysis.reporting import (
 )
 from repro.analysis.sweep import open_interval_grid
 from repro.analysis.trajectories import regime_bands
+from repro.devtools.lint import add_arguments as add_lint_arguments
+from repro.devtools.lint import run as run_lint
 from repro.engine import Executor, ResultCache, executor_for
 from repro.errors import ReproError
 from repro.net.harness import LoadTestConfig, run_loadtest
@@ -586,49 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint", help="reprolint: check the repo's AST invariants"
     )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        type=Path,
-        default=[Path("src"), Path("benchmarks")],
-        help="files/directories to lint (default: src benchmarks)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json", "github"),
-        default="text",
-        help="report format (default: text)",
-    )
-    lint.add_argument(
-        "--select",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    lint.add_argument(
-        "--project",
-        action="store_true",
-        help="also run the whole-program rules (RPL010..RPL012)",
-    )
-    lint.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="suppress violations recorded in this baseline file",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="record current violations as the baseline and exit 0",
-    )
-    lint.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
+    add_lint_arguments(lint)
 
     sanitize = sub.add_parser(
         "sanitize",
@@ -1330,20 +1290,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.devtools.lint import execute
-
-    return execute(
-        args.paths,
-        output_format=args.format,
-        select_csv=args.select,
-        list_rules=args.list_rules,
-        project=args.project,
-        baseline=args.baseline,
-        write_baseline=args.write_baseline,
-    )
-
-
 def _write_sanitize_artifact(path: Optional[Path], document: dict) -> None:
     import json
 
@@ -1475,7 +1421,7 @@ _COMMANDS = {
     "attack": _cmd_attack,
     "profile": _cmd_profile,
     "bench": _cmd_bench,
-    "lint": _cmd_lint,
+    "lint": run_lint,
     "sanitize": _cmd_sanitize,
 }
 

@@ -20,7 +20,11 @@ Message types (``"type"`` field):
 ==================  ==================================================
 
 The scenario/soak codecs round-trip the harness dataclasses through
-plain JSON types; every decode validates shape and raises
+plain JSON types. The soak codec walks the dataclass fields of
+:class:`~repro.net.harness.SoakResult` (its ``fleet`` travels as the
+``nodes`` list; the fleet's ``sent_authentic`` is the soak's), so a new
+tally field crosses the wire without another list to edit. Every decode
+validates shape and scalar types and raises
 :class:`~repro.errors.ClusterError` on garbage rather than crashing a
 daemon thread with a ``KeyError``.
 """
@@ -31,8 +35,11 @@ import json
 import socket
 import threading
 from collections import deque
-from dataclasses import asdict
-from typing import Any, Deque, Dict, Optional
+from dataclasses import asdict, fields, is_dataclass
+from functools import lru_cache
+from typing import (
+    Any, Deque, Dict, Optional, Tuple, get_args, get_origin, get_type_hints,
+)
 
 from repro.devtools.sanitizers.locks import tracked_lock
 from repro.devtools.sanitizers.resources import release_resource, track_resource
@@ -61,16 +68,6 @@ MESSAGE_TYPES = (
     "shutdown",
 )
 
-_SOAK_INT_FIELDS = (
-    "sent_authentic",
-    "datagrams_delivered",
-    "datagrams_dropped",
-    "datagrams_duplicated",
-    "datagrams_reordered",
-    "malformed",
-    "packets_injected",
-)
-
 
 def encode_scenario(scenario: ScenarioConfig) -> Dict[str, Any]:
     """A :class:`ScenarioConfig` as a JSON-ready dict."""
@@ -89,20 +86,17 @@ def decode_scenario(document: Dict[str, Any]) -> ScenarioConfig:
 
 
 def encode_soak(soak: SoakResult) -> Dict[str, Any]:
-    """A :class:`SoakResult` as a JSON-ready dict."""
-    return {
-        "nodes": [asdict(node) for node in soak.fleet.nodes],
-        "sent_authentic": soak.sent_authentic,
-        "latencies": list(soak.latencies),
-        "datagrams_delivered": soak.datagrams_delivered,
-        "datagrams_dropped": soak.datagrams_dropped,
-        "datagrams_duplicated": soak.datagrams_duplicated,
-        "datagrams_reordered": soak.datagrams_reordered,
-        "malformed": soak.malformed,
-        "packets_injected": soak.packets_injected,
-        "simulated_seconds": soak.simulated_seconds,
-        "wall_seconds": soak.wall_seconds,
-    }
+    """A :class:`SoakResult` as a JSON-ready dict, keyed in field order."""
+    document: Dict[str, Any] = {}
+    for spec in fields(SoakResult):
+        value = getattr(soak, spec.name)
+        if spec.name == "fleet":
+            document["nodes"] = [asdict(node) for node in value.nodes]
+        elif isinstance(value, tuple):
+            document[spec.name] = list(value)
+        else:
+            document[spec.name] = value
+    return document
 
 
 def decode_soak(document: Dict[str, Any]) -> SoakResult:
@@ -110,21 +104,55 @@ def decode_soak(document: Dict[str, Any]) -> SoakResult:
     if not isinstance(document, dict):
         raise ClusterError(f"soak document must be an object, got {document!r}")
     try:
-        nodes = tuple(
-            NodeSummary(**node) for node in document["nodes"]
+        nodes = _decoded(Tuple[NodeSummary, ...], document["nodes"], "nodes")
+        values = {
+            name: _decoded(kind, document[name], name)
+            for name, kind in _field_types(SoakResult)
+            if name != "fleet"
+        }
+    except KeyError as exc:
+        raise ClusterError(f"malformed soak document: missing {exc}") from exc
+    fleet = FleetSummary(nodes=nodes, sent_authentic=values["sent_authentic"])
+    return SoakResult(fleet=fleet, **values)
+
+
+@lru_cache(maxsize=None)
+def _field_types(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """``(field name, annotated type)`` pairs of a dataclass, in order."""
+    hints = get_type_hints(cls)
+    return tuple((spec.name, hints[spec.name]) for spec in fields(cls))
+
+
+def _decoded(kind: Any, value: Any, name: str) -> Any:
+    """``value`` as the JSON form of ``kind``: a scalar, a tuple of
+    them, or a dataclass of scalar fields (unknown keys rejected)."""
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ClusterError(f"malformed soak document: {name!r} is not an object")
+        known = dict(_field_types(kind))
+        unknown = set(value) - set(known)
+        if unknown:
+            raise ClusterError(
+                f"malformed soak document: unknown {name!r} keys {sorted(unknown)}"
+            )
+        return kind(
+            **{
+                key: _decoded(key_kind, value[key], key)
+                for key, key_kind in known.items()
+            }
         )
-        fleet = FleetSummary(
-            nodes=nodes, sent_authentic=int(document["sent_authentic"])
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ClusterError(f"malformed soak document: {name!r} is not a list")
+        item_kind = get_args(kind)[0]
+        return tuple(_decoded(item_kind, item, name) for item in value)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ClusterError(
+            f"malformed soak document: {name!r} must be {kind.__name__},"
+            f" got {value!r}"
         )
-        return SoakResult(
-            fleet=fleet,
-            latencies=tuple(float(v) for v in document["latencies"]),
-            simulated_seconds=float(document["simulated_seconds"]),
-            wall_seconds=float(document["wall_seconds"]),
-            **{name: int(document[name]) for name in _SOAK_INT_FIELDS},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ClusterError(f"malformed soak document: {exc}") from exc
+    return kind(value)
 
 
 class MessageStream:

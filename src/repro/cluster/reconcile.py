@@ -17,10 +17,11 @@ have no in-memory equivalent and are *not* reconciled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import List, Sequence, Tuple
 
 from repro.net.harness import SoakResult, predicted_soak
+from repro.sim.metrics import NodeSummary
 from repro.sim.scenario import ScenarioConfig
 
 __all__ = [
@@ -32,16 +33,9 @@ __all__ = [
 ]
 
 #: Per-node outcome tallies compared between the soak and the
-#: prediction (everything NodeSummary counts).
-NODE_FIELDS: Tuple[str, ...] = (
-    "authenticated",
-    "lost_no_record",
-    "rejected_forged",
-    "rejected_weak_auth",
-    "discarded_unsafe",
-    "forged_accepted",
-    "packets_received",
-    "peak_buffer_bits",
+#: prediction: every NodeSummary field but the receiver's name.
+NODE_FIELDS: Tuple[str, ...] = tuple(
+    spec.name for spec in fields(NodeSummary) if spec.name != "name"
 )
 
 

@@ -21,9 +21,7 @@ Suppression syntax (both forms take an optional ``-- justification``):
 Beyond the per-file rules, ``--project`` adds the whole-program pass
 (:mod:`repro.devtools.project` / ``RPL010``–``RPL012``): files are
 parsed once, indexed together, and the cross-file rules run over the
-index. ``--format github`` emits GitHub Actions annotation lines;
-``--baseline FILE`` filters findings recorded by ``--write-baseline``
-so a new rule can land before the tree is fully clean.
+index. ``--format github`` emits GitHub Actions annotation lines.
 
 Exit codes: 0 clean, 1 violations found, 2 usage/internal error (the
 ``main``/``execute`` fault boundary guarantees a crash inside a rule
@@ -143,8 +141,6 @@ class LintReport:
     violations: Tuple[Violation, ...]
     files_checked: int
     rules: Tuple[str, ...]
-    #: findings filtered out by ``--baseline`` (still clean exit).
-    baselined: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -153,13 +149,9 @@ class LintReport:
 
     def _summary(self) -> str:
         noun = "violation" if len(self.violations) == 1 else "violations"
-        baseline = (
-            f", {self.baselined} baselined" if self.baselined else ""
-        )
         return (
             f"reprolint: {len(self.violations)} {noun} in"
-            f" {self.files_checked} files"
-            f" ({len(self.rules)} rules{baseline})"
+            f" {self.files_checked} files ({len(self.rules)} rules)"
         )
 
     def format_text(self) -> str:
@@ -187,7 +179,6 @@ class LintReport:
         return json.dumps(
             {
                 "version": 1,
-                "baselined": self.baselined,
                 "files_checked": self.files_checked,
                 "rules": list(self.rules),
                 "violations": [v.to_json() for v in self.violations],
@@ -496,69 +487,9 @@ def lint_paths(
     )
 
 
-def _baseline_key(violation: Violation) -> Tuple[str, str, str]:
-    # Line/col excluded on purpose: unrelated edits shift them, and a
-    # baseline that churns on every commit suppresses nothing reliably.
-    return (violation.rule, violation.path, violation.message)
-
-
-def load_baseline(path: Path) -> Dict[Tuple[str, str, str], int]:
-    """Parse a baseline file into a (rule, path, message) multiset."""
-    document = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(document, dict) or "entries" not in document:
-        raise ValueError(f"{path}: not a reprolint baseline file")
-    counts: Dict[Tuple[str, str, str], int] = {}
-    for entry in document["entries"]:
-        key = (entry["rule"], entry["path"], entry["message"])
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def write_baseline_file(report: LintReport, path: Path) -> int:
-    """Record the report's findings as the new baseline; returns the
-    number of entries written."""
-    entries = [
-        {"rule": v.rule, "path": v.path, "message": v.message}
-        for v in report.violations
-    ]
-    path.write_text(
-        json.dumps(
-            {"version": 1, "entries": entries}, indent=2, sort_keys=True
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    return len(entries)
-
-
-def apply_baseline(
-    report: LintReport, baseline: Dict[Tuple[str, str, str], int]
-) -> LintReport:
-    """Filter baselined findings out of ``report`` (multiset semantics:
-    a baseline entry absorbs at most its recorded count)."""
-    remaining = dict(baseline)
-    kept: List[Violation] = []
-    suppressed = 0
-    for violation in report.violations:
-        key = _baseline_key(violation)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            suppressed += 1
-        else:
-            kept.append(violation)
-    return LintReport(
-        violations=tuple(kept),
-        files_checked=report.files_checked,
-        rules=report.rules,
-        baselined=suppressed,
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reprolint",
-        description="repro's AST invariant checker (RPL rules)",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """reprolint's options, shared by ``python -m repro.devtools.lint``
+    and the ``repro lint`` subcommand."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -581,27 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--project",
         action="store_true",
-        help="also run the whole-program pass (RPL010-RPL012)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="suppress findings recorded in FILE (see --write-baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="record current findings to FILE and exit 0",
+        help="also run the whole-program rules (RPL010-RPL012)",
     )
     parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="reprolint",
+        description="repro's AST invariant checker (RPL rules)",
+    )
+    add_arguments(parser)
     return parser
 
 
@@ -612,8 +537,6 @@ def _execute(
     select_csv: Optional[str] = None,
     list_rules: bool = False,
     project: bool = False,
-    baseline: Optional[Path] = None,
-    write_baseline: Optional[Path] = None,
 ) -> int:
     if list_rules:
         from repro.devtools.project_rules import project_rule_catalog
@@ -636,17 +559,6 @@ def _execute(
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if write_baseline is not None:
-        written = write_baseline_file(report, write_baseline)
-        print(f"reprolint: wrote {written} baseline entries to {write_baseline}")
-        return 0
-    if baseline is not None:
-        try:
-            known = load_baseline(baseline)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        report = apply_baseline(report, known)
     if output_format == "json":
         print(report.to_json())
     elif output_format == "github":
@@ -663,8 +575,6 @@ def execute(
     select_csv: Optional[str] = None,
     list_rules: bool = False,
     project: bool = False,
-    baseline: Optional[Path] = None,
-    write_baseline: Optional[Path] = None,
 ) -> int:
     """Shared driver behind ``python -m repro.devtools.lint`` and the
     ``repro lint`` subcommand; returns the process exit code (0/1/2)."""
@@ -675,8 +585,6 @@ def execute(
             select_csv=select_csv,
             list_rules=list_rules,
             project=project,
-            baseline=baseline,
-            write_baseline=write_baseline,
         )
     # Fault boundary, reported then mapped to exit 2: a crash inside a
     # rule must never be mistaken for "violations found" (exit 1) by
@@ -690,19 +598,21 @@ def execute(
         return 2
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the linter; returns the process exit code (0/1/2)."""
-    parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
+def run(args: argparse.Namespace) -> int:
+    """:func:`execute` on options parsed by :func:`add_arguments`."""
     return execute(
         args.paths,
         output_format=args.format,
         select_csv=args.select,
         list_rules=args.list_rules,
         project=args.project,
-        baseline=args.baseline,
-        write_baseline=args.write_baseline,
     )
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the linter; returns the process exit code (0/1/2)."""
+    args = build_parser().parse_args(list(argv) if argv is not None else None)
+    return run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

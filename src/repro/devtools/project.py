@@ -1,6 +1,6 @@
 """Whole-program analysis substrate for the reprolint project pass.
 
-The per-file rules (RPL001–RPL009) see one ``ast.Module`` at a time and
+The per-file rules (RPL001–RPL006, RPL009) see one ``ast.Module`` at a time and
 structurally cannot check cross-file invariants: a seed threaded from
 ``run_scenario`` into the fleet engine, a perf counter written in
 ``crypto.mac`` and read in ``perf.bench``, a wire field produced by the
@@ -11,9 +11,7 @@ shared index those checks need:
   each entry carrying the parsed :class:`~repro.devtools.lint.LintContext`,
   its import alias maps (``import x as y`` / ``from m import f``,
   relative imports resolved against the package), its top-level
-  functions and class methods as :class:`FunctionInfo` records, and its
-  module-level string-tuple constants (wire-field lists like
-  ``_SOAK_INT_FIELDS``);
+  functions and class methods as :class:`FunctionInfo` records;
 - **cross-module call resolution** (:meth:`ProjectIndex.resolve_call`):
   a ``Name`` or dotted ``Attribute`` callee is resolved through the
   alias maps to the :class:`FunctionInfo` it names, including
@@ -103,8 +101,6 @@ class ModuleInfo:
     member_aliases: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: ``func`` / ``Class.method`` -> FunctionInfo.
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: module-level ``NAME = ("a", "b", ...)`` string sequences.
-    str_constants: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
 
 def _function_info(
@@ -144,29 +140,6 @@ def _collect_functions(module: ModuleInfo) -> None:
                     module.functions[key] = _function_info(
                         module.name, key, item, method=True
                     )
-
-
-def _collect_str_constants(module: ModuleInfo) -> None:
-    for node in module.ctx.tree.body:
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        value = node.value
-        if not isinstance(value, (ast.Tuple, ast.List)):
-            continue
-        items: List[str] = []
-        for element in value.elts:
-            if isinstance(element, ast.Constant) and isinstance(
-                element.value, str
-            ):
-                items.append(element.value)
-            else:
-                break
-        else:
-            if items:
-                module.str_constants[target.id] = tuple(items)
 
 
 def _package_of(module_name: str, logical_path: str) -> str:
@@ -232,7 +205,6 @@ class ProjectIndex:
     def add(self, ctx: LintContext) -> ModuleInfo:
         module = ModuleInfo(name=module_name_for(ctx.logical_path), ctx=ctx)
         _collect_functions(module)
-        _collect_str_constants(module)
         self.modules[module.name] = module
         return module
 

@@ -14,10 +14,11 @@ RPL011    perf-counter consistency: every counter name at an
           site produces, and all write sites agree on one canonical
           spelling — a typo'd metric name is dead observability
 RPL012    wire/report schema drift: fields produced into cluster
-          protocol messages, the soak codec, and ``metrics.jsonl``
-          records must match the set consumed on the other side — a
-          field nobody reads (or a read of a field nobody sends) is a
-          protocol bug waiting for a version skew to expose it
+          protocol messages must match the set consumed on the other
+          side, and every ``metrics.jsonl`` record of one kind must
+          carry the same keys — a field nobody reads (or a read of a
+          field nobody sends) is a protocol bug waiting for a version
+          skew to expose it
 ========  ==============================================================
 
 Like the per-file pack, rules stay suppression-agnostic; the engine
@@ -364,9 +365,8 @@ class PerfCounterConsistencyRule(ProjectRule):
 class SchemaDriftRule(ProjectRule):
     """RPL012 — produced and consumed message fields must match.
 
-    Three families of structured records cross process boundaries in
-    ``repro.cluster`` and each is checked producer-against-consumer
-    over the whole project:
+    Two families of structured records cross process boundaries in
+    ``repro.cluster`` and each is checked over the whole project:
 
     - **wire messages** (dict literals carrying a string ``"type"``,
       sent over the coordinator/worker TCP stream): every consumed
@@ -375,15 +375,14 @@ class SchemaDriftRule(ProjectRule):
       produced by some send site, and every produced field must be
       consumed somewhere — a field nobody reads is dead wire weight
       and a drift trap;
-    - **codec pairs** (``encode_X``/``decode_X``): the keys the encoder
-      emits must equal the keys the decoder reads, including reads
-      driven through module-level field-name tuples
-      (``for name in _SOAK_INT_FIELDS: document[name]``);
     - **metrics records** (dict literals carrying a string ``"kind"``,
       written to ``metrics.jsonl``): all producers of one kind must
       agree on the key set, so anything tailing the log can rely on a
       stable per-kind schema (the log is an export; consumed-elsewhere
       is not required).
+
+    The soak codec in ``cluster/protocol.py`` walks the dataclass
+    fields in both directions, so it has no key set to drift.
     """
 
     code = "RPL012"
@@ -399,14 +398,11 @@ class SchemaDriftRule(ProjectRule):
     def check_project(self, index: ProjectIndex) -> Iterator[Violation]:
         wire_produced: Dict[str, List[Tuple[ModuleInfo, ast.Dict]]] = {}
         wire_consumed: Dict[str, List[Tuple[ModuleInfo, ast.AST]]] = {}
-        codec_enc: Dict[str, List[Tuple[ModuleInfo, ast.Dict, FrozenSet[str]]]] = {}
-        codec_dec: Dict[str, Dict[str, Tuple[ModuleInfo, ast.AST]]] = {}
         kinds: Dict[str, List[Tuple[ModuleInfo, ast.Dict, FrozenSet[str]]]] = {}
         for module in self.scoped(index):
-            self._collect_literals(module, wire_produced, codec_enc, kinds)
-            self._collect_consumers(module, wire_consumed, codec_dec)
+            self._collect_literals(module, wire_produced, kinds)
+            self._collect_consumers(module, wire_consumed)
         yield from self._check_wire(wire_produced, wire_consumed)
-        yield from self._check_codecs(codec_enc, codec_dec)
         yield from self._check_kinds(kinds)
 
     # -- producers ------------------------------------------------------------
@@ -429,19 +425,8 @@ class SchemaDriftRule(ProjectRule):
         self,
         module: ModuleInfo,
         wire_produced: Dict[str, List[Tuple[ModuleInfo, ast.Dict]]],
-        codec_enc: Dict[str, List[Tuple[ModuleInfo, ast.Dict, FrozenSet[str]]]],
         kinds: Dict[str, List[Tuple[ModuleInfo, ast.Dict, FrozenSet[str]]]],
     ) -> None:
-        encode_bodies = {
-            info.name.split(".")[-1][len("encode_") :]: info.node
-            for info in module.functions.values()
-            if info.name.split(".")[-1].startswith("encode_")
-        }
-        in_encoder: Dict[int, str] = {}
-        for pair, body in encode_bodies.items():
-            for sub in ast.walk(body):
-                if isinstance(sub, ast.Dict):
-                    in_encoder[id(sub)] = pair
         for node in ast.walk(module.ctx.tree):
             if not isinstance(node, ast.Dict):
                 continue
@@ -465,10 +450,6 @@ class SchemaDriftRule(ProjectRule):
                 kinds.setdefault(kind_value.value, []).append(
                     (module, node, frozenset(keys))
                 )
-            elif id(node) in in_encoder:
-                codec_enc.setdefault(in_encoder[id(node)], []).append(
-                    (module, node, frozenset(keys))
-                )
 
     # -- consumers ------------------------------------------------------------
 
@@ -476,35 +457,20 @@ class SchemaDriftRule(ProjectRule):
         self,
         module: ModuleInfo,
         wire_consumed: Dict[str, List[Tuple[ModuleInfo, ast.AST]]],
-        codec_dec: Dict[str, Dict[str, Tuple[ModuleInfo, ast.AST]]],
     ) -> None:
-        seen: Set[Tuple[int, str]] = set()
+        seen: Set[int] = set()
         for func in ast.walk(module.ctx.tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             consumers = self._consumer_names(func)
-            decode_pair: Optional[str] = None
-            decode_param: Optional[str] = None
-            if func.name.startswith("decode_"):
-                params = func.args.posonlyargs + func.args.args
-                if params:
-                    decode_pair = func.name[len("decode_") :]
-                    decode_param = params[0].arg
-            loop_fields = self._loop_fields(func, module.str_constants)
             for node in ast.walk(func):
-                for var, key in self._consumption(node, loop_fields):
-                    if (id(node), key) in seen:
-                        continue
-                    if var == decode_param and decode_pair is not None:
-                        seen.add((id(node), key))
-                        codec_dec.setdefault(decode_pair, {}).setdefault(
-                            key, (module, node)
-                        )
-                    elif var in consumers:
-                        seen.add((id(node), key))
-                        wire_consumed.setdefault(key, []).append(
-                            (module, node)
-                        )
+                consumed = self._consumption(node)
+                if consumed is None or id(node) in seen:
+                    continue
+                var, key = consumed
+                if var in consumers:
+                    seen.add(id(node))
+                    wire_consumed.setdefault(key, []).append((module, node))
 
     def _consumer_names(
         self, func: "ast.FunctionDef | ast.AsyncFunctionDef"
@@ -527,40 +493,14 @@ class SchemaDriftRule(ProjectRule):
         return names
 
     @staticmethod
-    def _loop_fields(
-        func: ast.AST, constants: Dict[str, Tuple[str, ...]]
-    ) -> Dict[str, Tuple[str, ...]]:
-        """loop-variable -> field names, for loops over name tuples."""
-        out: Dict[str, Tuple[str, ...]] = {}
-        for node in ast.walk(func):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                target, source = node.target, node.iter
-            elif isinstance(node, ast.comprehension):
-                target, source = node.target, node.iter
-            else:
-                continue
-            if (
-                isinstance(target, ast.Name)
-                and isinstance(source, ast.Name)
-                and source.id in constants
-            ):
-                out[target.id] = constants[source.id]
-        return out
-
-    @staticmethod
-    def _consumption(
-        node: ast.AST, loop_fields: Dict[str, Tuple[str, ...]]
-    ) -> Iterator[Tuple[str, str]]:
-        """``(variable, key)`` pairs one AST node consumes."""
+    def _consumption(node: ast.AST) -> Optional[Tuple[str, str]]:
+        """The ``(variable, key)`` one AST node consumes, if any."""
         if isinstance(node, ast.Subscript) and isinstance(
             node.value, ast.Name
         ):
             key = node.slice
             if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                yield node.value.id, key.value
-            elif isinstance(key, ast.Name) and key.id in loop_fields:
-                for field_name in loop_fields[key.id]:
-                    yield node.value.id, field_name
+                return node.value.id, key.value
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -570,7 +510,8 @@ class SchemaDriftRule(ProjectRule):
             and isinstance(node.args[0], ast.Constant)
             and isinstance(node.args[0].value, str)
         ):
-            yield node.func.value.id, node.args[0].value
+            return node.func.value.id, node.args[0].value
+        return None
 
     # -- checks ---------------------------------------------------------------
 
@@ -600,34 +541,6 @@ class SchemaDriftRule(ProjectRule):
                     f"produces wire field '{key}' that no consumer"
                     " reads: dead wire weight — consume it on the"
                     " receiving side or drop it from the message",
-                )
-
-    def _check_codecs(
-        self,
-        encoders: Dict[str, List[Tuple[ModuleInfo, ast.Dict, FrozenSet[str]]]],
-        decoders: Dict[str, Dict[str, Tuple[ModuleInfo, ast.AST]]],
-    ) -> Iterator[Violation]:
-        for pair in sorted(set(encoders) & set(decoders)):
-            decoded = set(decoders[pair])
-            encoded: Set[str] = set()
-            for module, node, keys in encoders[pair]:
-                encoded |= keys
-                for key in sorted(keys - decoded):
-                    yield self.violation(
-                        module,
-                        node,
-                        f"encode_{pair} emits field '{key}' that"
-                        f" decode_{pair} never reads: the round-trip"
-                        " silently drops data",
-                    )
-            for key in sorted(decoded - encoded):
-                module, node = decoders[pair][key]
-                yield self.violation(
-                    module,
-                    node,
-                    f"decode_{pair} reads field '{key}' that"
-                    f" encode_{pair} never emits: decoding its own"
-                    " producer's output will fail or fall back",
                 )
 
     def _check_kinds(

@@ -16,9 +16,6 @@ RPL005    cache-key hygiene: content-addressed config dataclasses keep
           every knob visible to ``stable_key``
 RPL006    no bare/broad ``except`` that swallows (fault boundaries that
           re-raise are fine)
-RPL008    every ``SharedMemory`` block is ``close()``d — and
-          ``unlink()``ed when created — in a ``finally`` path (shared
-          segments outlive the process; leaks accumulate in /dev/shm)
 RPL009    μMAC/MAC hot paths use the batch APIs: no scalar
           ``.compute()``/``.verify()`` MAC calls inside loop bodies
           (use ``compute_many`` / ``verify_many``)
@@ -45,7 +42,6 @@ __all__ = [
     "ForkSafetyRule",
     "CacheKeyHygieneRule",
     "ExceptionHygieneRule",
-    "SharedMemoryHygieneRule",
     "BatchedMacRoutingRule",
     "rule_catalog",
 ]
@@ -724,164 +720,6 @@ class ExceptionHygieneRule(Rule):
         return False
 
 
-class SharedMemoryHygieneRule(Rule):
-    """RPL008 — SharedMemory blocks are released on every path.
-
-    The fleet engine publishes its packed delivery mask to pool workers
-    through one :class:`multiprocessing.shared_memory.SharedMemory`
-    block. Shared segments outlive the process: a creating path that
-    skips ``unlink()`` leaks a ``/dev/shm`` segment run after run, and
-    an attaching path that skips ``close()`` keeps the mapping (and its
-    descriptor) pinned for the process lifetime. Every
-    ``SharedMemory(...)`` call must therefore either bind a plain name
-    whose ``close()`` — plus ``unlink()`` when ``create=True`` — runs
-    inside a ``finally`` block of the same function, or be returned
-    directly (ownership transfers to the caller, where this rule
-    applies again).
-    """
-
-    code = "RPL008"
-    name = "shared-memory-hygiene"
-    description = (
-        "SharedMemory block without close() (and unlink() when created)"
-        " in a finally path"
-    )
-
-    SCOPE = ("repro/", "benchmarks/")
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        if not ctx.in_dir(*self.SCOPE):
-            return
-        yield from self._check_scope(ctx, ctx.tree)
-
-    def _check_scope(
-        self, ctx: LintContext, scope: ast.AST
-    ) -> Iterator[Violation]:
-        statements = list(getattr(scope, "body", []))
-        closed, unlinked = self._finally_cleanups(statements)
-        handled: Set[int] = set()
-        stack: List[ast.AST] = list(statements)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_scope(ctx, node)
-                continue
-            if isinstance(node, ast.Return) and self._is_block_call(
-                node.value
-            ):
-                # Direct return: ownership transfers to the caller,
-                # where this rule applies to the binding again.
-                handled.add(id(node.value))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                value = node.value
-                if isinstance(value, ast.Call) and self._is_block_call(value):
-                    handled.add(id(value))
-                    yield from self._check_binding(
-                        ctx, node, value, closed, unlinked
-                    )
-            elif (
-                isinstance(node, ast.Call)
-                and self._is_block_call(node)
-                and id(node) not in handled
-            ):
-                yield self.violation(
-                    ctx,
-                    node,
-                    "anonymous SharedMemory(...): nothing can ever"
-                    " close() it; bind it to a name and release it in"
-                    " a finally block",
-                )
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _check_binding(
-        self,
-        ctx: LintContext,
-        stmt: ast.AST,
-        call: ast.Call,
-        closed: Set[str],
-        unlinked: Set[str],
-    ) -> Iterator[Violation]:
-        targets: List[ast.expr]
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, ast.AnnAssign):
-            targets = [stmt.target]
-        else:  # unreachable: callers pass Assign/AnnAssign only
-            return
-        if len(targets) != 1 or not isinstance(targets[0], ast.Name):
-            yield self.violation(
-                ctx,
-                call,
-                "SharedMemory block bound to a non-name target; bind"
-                " it to a plain local so a finally block can release"
-                " it",
-            )
-            return
-        name = targets[0].id
-        if name not in closed:
-            yield self.violation(
-                ctx,
-                call,
-                f"SharedMemory block {name!r} has no {name}.close() in"
-                " a finally block: the mapping stays pinned when a"
-                " later statement raises",
-            )
-        if self._creates(call) and name not in unlinked:
-            yield self.violation(
-                ctx,
-                call,
-                f"created SharedMemory block {name!r} has no"
-                f" {name}.unlink() in a finally block: the /dev/shm"
-                " segment outlives the process and leaks run after"
-                " run",
-            )
-
-    def _finally_cleanups(
-        self, statements: Sequence[ast.AST]
-    ) -> Tuple[Set[str], Set[str]]:
-        """Names ``close()``d / ``unlink()``ed inside any ``finally``
-        of this scope (nested function bodies excluded)."""
-        closed: Set[str] = set()
-        unlinked: Set[str] = set()
-        stack: List[ast.AST] = list(statements)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, ast.Try):
-                for cleanup in node.finalbody:
-                    for call in ast.walk(cleanup):
-                        if (
-                            isinstance(call, ast.Call)
-                            and isinstance(call.func, ast.Attribute)
-                            and isinstance(call.func.value, ast.Name)
-                        ):
-                            if call.func.attr == "close":
-                                closed.add(call.func.value.id)
-                            elif call.func.attr == "unlink":
-                                unlinked.add(call.func.value.id)
-            stack.extend(ast.iter_child_nodes(node))
-        return closed, unlinked
-
-    @staticmethod
-    def _is_block_call(node: Optional[ast.expr]) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        if isinstance(func, ast.Name):
-            return func.id == "SharedMemory"
-        return isinstance(func, ast.Attribute) and func.attr == "SharedMemory"
-
-    @staticmethod
-    def _creates(node: ast.Call) -> bool:
-        return any(
-            keyword.arg == "create"
-            and isinstance(keyword.value, ast.Constant)
-            and keyword.value.value is True
-            for keyword in node.keywords
-        )
-
-
 class BatchedMacRoutingRule(Rule):
     """RPL009 — MAC hot paths stay on the batch routes.
 
@@ -963,7 +801,6 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     ForkSafetyRule,
     CacheKeyHygieneRule,
     ExceptionHygieneRule,
-    SharedMemoryHygieneRule,
     BatchedMacRoutingRule,
 )
 

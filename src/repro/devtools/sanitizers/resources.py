@@ -3,9 +3,8 @@
 The fleet engine creates ``multiprocessing.shared_memory`` segments
 (which outlive the process if not unlinked), the cluster layer opens
 listening and per-connection sockets, and the metrics log holds a file
-handle. RPL008 statically checks the obvious ``create``/``unlink``
-pairing; this sanitizer is the dynamic complement: every tracked
-resource not released by end-of-run is reported with its creation site.
+handle. Every tracked resource not released by end-of-run is reported
+with its creation site.
 
 Hot-path contract: :func:`track_resource` and :func:`release_resource`
 are no-ops behind an ``ACTIVE is None`` guard at each call site —

@@ -81,17 +81,19 @@ at a time. With ``summary="aggregate"`` the reduction keeps a single
 so peak memory tracks one shard regardless of fleet size. Parallel
 executors receive the packed mask through
 :class:`multiprocessing.shared_memory.SharedMemory` (one copy for the
-whole pool, closed and unlinked in ``finally`` paths).
+whole pool, created only through :func:`_shared_block`, which closes
+and unlinks it however the replay ends).
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import (
-    Any, ContextManager, Dict, List, Optional, Sequence, Set, Tuple, Union,
+    Any, ContextManager, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -2064,6 +2066,21 @@ def _phase(name: str) -> ContextManager[None]:
     return active.timer(name) if active is not None else nullcontext()
 
 
+@contextmanager
+def _shared_block(size: int, label: str) -> Iterator[shared_memory.SharedMemory]:
+    """A new shared-memory block, closed, unlinked and released however
+    the ``with`` body ends: a segment outlives its process, so one that
+    skips ``unlink()`` leaks in ``/dev/shm`` run after run."""
+    block = shared_memory.SharedMemory(create=True, size=size)
+    track_resource("shm", block.name, label)
+    try:
+        yield block
+    finally:
+        block.close()
+        block.unlink()
+        release_resource("shm", block.name)
+
+
 def _replay_shards(
     plan: _Plan,
     config: ScenarioConfig,
@@ -2077,11 +2094,9 @@ def _replay_shards(
     ``executor``) over shared memory."""
     slots = packed.shape[0]
     if executor is not None:
-        block = shared_memory.SharedMemory(create=True, size=packed.nbytes)
-        track_resource(
-            "shm", block.name, f"fleet delivery mask ({packed.nbytes} bytes)"
-        )
-        try:
+        with _shared_block(
+            packed.nbytes, f"fleet delivery mask ({packed.nbytes} bytes)"
+        ) as block:
             shared_view = np.ndarray(
                 packed.shape, dtype=np.uint8, buffer=block.buf
             )
@@ -2109,12 +2124,6 @@ def _replay_shards(
             for _index, result in executor.stream(spec):
                 start, stop, counts = result
                 accumulator.fold(start, stop, counts)
-        finally:
-            # Create-side hygiene: the block must disappear even when a
-            # shard fails mid-stream.
-            block.close()
-            block.unlink()
-            release_resource("shm", block.name)
     else:
         for start, stop in spans:
             delivered = _shard_delivered(packed, start, stop)

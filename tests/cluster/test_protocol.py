@@ -175,3 +175,90 @@ def test_message_types_cover_the_protocol():
         "task-failed",
         "shutdown",
     }
+
+
+# -- the soak wire document is pinned ----------------------------------------
+
+#: ``json.dumps(encode_soak(FIXED_SOAK), sort_keys=True)`` as the
+#: hand-listed codec wrote it before the codec walked the dataclass
+#: fields. Workers and coordinators from adjacent commits exchange this
+#: document, so it must not change.
+PINNED_SOAK_WIRE = (
+    '{"datagrams_delivered": 40, "datagrams_dropped": 3, '
+    '"datagrams_duplicated": 1, "datagrams_reordered": 2, '
+    '"latencies": [0.25, 0.5], "malformed": 0, '
+    '"nodes": [{"authenticated": 5, "discarded_unsafe": 0, '
+    '"forged_accepted": 0, "lost_no_record": 2, "name": "recv-0", '
+    '"packets_received": 15, "peak_buffer_bits": 448, '
+    '"rejected_forged": 7, "rejected_weak_auth": 1}, '
+    '{"authenticated": 6, "discarded_unsafe": 2, '
+    '"forged_accepted": 0, "lost_no_record": 1, "name": "recv-1", '
+    '"packets_received": 12, "peak_buffer_bits": 336, '
+    '"rejected_forged": 3, "rejected_weak_auth": 0}], '
+    '"packets_injected": 11, "sent_authentic": 8, '
+    '"simulated_seconds": 1.5, "wall_seconds": 0.125}'
+)
+
+
+@pytest.fixture
+def fixed_soak():
+    from repro.net.harness import SoakResult
+    from repro.sim.metrics import FleetSummary, NodeSummary
+
+    nodes = (
+        NodeSummary("recv-0", 5, 2, 7, 1, 0, 0, 15, 448),
+        NodeSummary("recv-1", 6, 1, 3, 0, 2, 0, 12, 336),
+    )
+    return SoakResult(
+        fleet=FleetSummary(nodes=nodes, sent_authentic=8),
+        sent_authentic=8,
+        latencies=(0.25, 0.5),
+        datagrams_delivered=40,
+        datagrams_dropped=3,
+        datagrams_duplicated=1,
+        datagrams_reordered=2,
+        malformed=0,
+        packets_injected=11,
+        simulated_seconds=1.5,
+        wall_seconds=0.125,
+    )
+
+
+def test_soak_wire_document_is_pinned(fixed_soak):
+    import json
+
+    document = encode_soak(fixed_soak)
+    assert json.dumps(document, sort_keys=True) == PINNED_SOAK_WIRE
+    assert decode_soak(json.loads(PINNED_SOAK_WIRE)) == fixed_soak
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("malformed",), "3"),
+        (("malformed",), 3.5),
+        (("sent_authentic",), True),
+        (("wall_seconds",), "fast"),
+        (("latencies",), 0.25),
+        (("latencies", 1), None),
+        (("nodes", 0, "authenticated"), "5"),
+        (("nodes", 1, "name"), 1),
+        (("nodes", 0), [1, 2]),
+        (("nodes",), {"recv-0": 5}),
+    ],
+)
+def test_decode_soak_rejects_wrong_typed_fields(fixed_soak, path, value):
+    document = encode_soak(fixed_soak)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ClusterError, match="malformed soak"):
+        decode_soak(document)
+
+
+def test_decode_soak_rejects_unknown_node_keys(fixed_soak):
+    document = encode_soak(fixed_soak)
+    document["nodes"][0]["bogus"] = 1
+    with pytest.raises(ClusterError, match="bogus"):
+        decode_soak(document)

@@ -1,5 +1,5 @@
-"""Known-bad RPL012 fixture: wire drift, codec drift and kind drift
-(checked as if it lived under ``repro/cluster/``)."""
+"""Known-bad RPL012 fixture: wire drift and kind drift (checked as if
+it lived under ``repro/cluster/``)."""
 
 
 def send_status(stream, worker_id):
@@ -16,17 +16,6 @@ def handle(message):
     worker = message["worker_id"]
     uptime = message.get("uptime", 0.0)
     return worker, uptime
-
-
-def encode_report(report):
-    return {
-        "total": report.total,
-        "elapsed": report.elapsed,
-    }
-
-
-def decode_report(document):
-    return {"total": int(document["total"])}
 
 
 def first_record(t):

@@ -139,13 +139,11 @@ class TestReportsAndExitCodes:
             "files_checked",
             "rules",
             "violations",
-            "baselined",
         }
-        assert document["baselined"] == 0
         assert document["version"] == 1
         assert document["files_checked"] == 2
         assert document["rules"] == [
-            f"RPL00{i}" for i in range(1, 10) if i != 7
+            f"RPL00{i}" for i in range(1, 10) if i not in (7, 8)
         ]
         (violation,) = document["violations"]
         assert set(violation) == {"rule", "path", "line", "col", "message"}
@@ -157,7 +155,7 @@ class TestReportsAndExitCodes:
         text = report.format_text()
         assert "dirty.py:5:" in text
         assert "RPL002" in text
-        assert text.endswith("1 violation in 2 files (8 rules)")
+        assert text.endswith("1 violation in 2 files (7 rules)")
 
     def test_main_exit_codes(self, tmp_path, capsys):
         clean = self._write_tree(tmp_path / "a", bad=False)
@@ -185,7 +183,7 @@ class TestReportsAndExitCodes:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for index in range(1, 10):
-            assert (f"RPL00{index}" in out) == (index != 7)
+            assert (f"RPL00{index}" in out) == (index not in (7, 8))
 
     def test_execute_matches_main(self, tmp_path, capsys):
         dirty = self._write_tree(tmp_path, bad=True)
@@ -275,55 +273,6 @@ class TestGithubFormat:
         out = capsys.readouterr().out
         assert out.startswith("::error ")
         assert "1 violation" in out
-
-
-class TestBaseline:
-    def _dirty(self, tmp_path):
-        tree = tmp_path / "src" / "repro" / "sim"
-        tree.mkdir(parents=True)
-        (tree / "dirty.py").write_text(BAD_SIM_SOURCE)
-        return tmp_path / "src"
-
-    def test_write_then_apply_roundtrip(self, tmp_path, capsys):
-        dirty = self._dirty(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(dirty), "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert main([str(dirty), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_new_violations_still_fail(self, tmp_path, capsys):
-        dirty = self._dirty(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(dirty), "--write-baseline", str(baseline)]) == 0
-        extra = dirty / "repro" / "sim" / "fresh.py"
-        extra.write_text(BAD_SIM_SOURCE)
-        capsys.readouterr()
-        assert main([str(dirty), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "fresh.py" in out
-        assert "1 baselined" in out
-
-    def test_baselined_count_in_json(self, tmp_path, capsys):
-        dirty = self._dirty(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(dirty), "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert (
-            main([str(dirty), "--baseline", str(baseline), "--format", "json"])
-            == 0
-        )
-        document = json.loads(capsys.readouterr().out)
-        assert document["baselined"] == 1
-        assert document["violations"] == []
-
-    def test_unreadable_baseline_is_usage_error(self, tmp_path, capsys):
-        dirty = self._dirty(tmp_path)
-        broken = tmp_path / "broken.json"
-        broken.write_text("not json")
-        assert main([str(dirty), "--baseline", str(broken)]) == 2
-        assert "cannot read baseline" in capsys.readouterr().err
 
 
 class TestFaultBoundary:

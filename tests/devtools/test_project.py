@@ -17,7 +17,6 @@ from repro.devtools.project import (
 from repro.devtools.project_rules import PROJECT_RULES, project_rule_catalog
 
 FIXTURES = Path(__file__).parent / "fixtures"
-ROOT = Path(__file__).resolve().parent.parent.parent
 
 #: project rule code -> (logical path in scope, violations in the bad
 #: fixture). Counts are pinned: each shape the rule documents fires
@@ -25,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent.parent
 PROJECT_CASES = {
     "RPL010": ("repro/sim/fixture_mod.py", 3),
     "RPL011": ("repro/perf/fixture_mod.py", 3),
-    "RPL012": ("repro/cluster/fixture_mod.py", 4),
+    "RPL012": ("repro/cluster/fixture_mod.py", 3),
 }
 
 
@@ -189,10 +188,9 @@ def test_project_select_requires_project_flag(tmp_path):
 # -- the tree is clean under the whole-program pass -------------------------
 
 
-def test_src_and_benchmarks_are_project_clean():
-    report = lint_paths(
-        [ROOT / "src", ROOT / "benchmarks"], project=True
+def test_src_and_benchmarks_are_project_clean(tree_lint_report):
+    assert tree_lint_report.files_checked > 80
+    assert len(tree_lint_report.rules) == 10
+    assert tree_lint_report.violations == (), (
+        "\n" + tree_lint_report.format_text()
     )
-    assert report.files_checked > 80
-    assert len(report.rules) == 11
-    assert report.violations == (), "\n" + report.format_text()

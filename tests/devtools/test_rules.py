@@ -23,7 +23,6 @@ CASES = {
     "RPL004": ("repro/analysis/fixture_mod.py", 3),
     "RPL005": ("repro/sim/fixture_mod.py", 4),
     "RPL006": ("repro/game/fixture_mod.py", 1),
-    "RPL008": ("repro/sim/fixture_mod.py", 3),
     "RPL009": ("repro/protocols/fixture_mod.py", 2),
 }
 
@@ -174,7 +173,7 @@ def test_rpl006_reraising_boundary_is_allowed():
 
 def test_rule_catalog_covers_all_rules():
     catalog = rule_catalog()
-    assert len(catalog) == len(ALL_RULES) == 8
+    assert len(catalog) == len(ALL_RULES) == 7
     codes = [code for code, _name, _description in catalog]
     assert codes == sorted(codes)
     assert codes[0] == "RPL001" and codes[-1] == "RPL009"

@@ -3,7 +3,9 @@
 This is the test that turns the RPL rules into a pre-merge gate even
 without CI: a stray ``hashlib`` call, an unseeded RNG in ``sim/``, a
 blocking call in an async transport path, or a cache-key-invisible
-config knob fails ``pytest`` here with the full violation listing.
+config knob fails ``pytest`` here with the full violation listing. The
+whole-tree pass is the session's ``tree_lint_report``; the entry-point
+check runs on a small clean tree.
 """
 
 from __future__ import annotations
@@ -12,21 +14,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.devtools.lint import lint_paths
-
 ROOT = Path(__file__).resolve().parent.parent.parent
 
 
-def test_src_and_benchmarks_are_reprolint_clean():
-    report = lint_paths([ROOT / "src", ROOT / "benchmarks"])
-    assert report.files_checked > 80
-    assert report.violations == (), "\n" + report.format_text()
+def test_src_and_benchmarks_are_reprolint_clean(tree_lint_report):
+    assert tree_lint_report.files_checked > 80
+    assert tree_lint_report.violations == (), (
+        "\n" + tree_lint_report.format_text()
+    )
 
 
-def test_module_entry_point_exits_zero():
-    """`python -m repro.devtools.lint src` — the CI invocation."""
+def test_module_entry_point_exits_zero(clean_lint_tree):
+    """`python -m repro.devtools.lint PATH` — the CI invocation."""
     result = subprocess.run(
-        [sys.executable, "-m", "repro.devtools.lint", "src", "benchmarks"],
+        [sys.executable, "-m", "repro.devtools.lint", str(clean_lint_tree)],
         cwd=ROOT,
         capture_output=True,
         text=True,

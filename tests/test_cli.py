@@ -420,11 +420,8 @@ class TestDurationValidation:
 
 
 class TestLint:
-    def test_lint_src_is_clean(self, capsys):
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parent.parent
-        assert main(["lint", str(root / "src")]) == 0
+    def test_lint_src_is_clean(self, clean_lint_tree, capsys):
+        assert main(["lint", str(clean_lint_tree)]) == 0
         assert "0 violations" in capsys.readouterr().out
 
     def test_lint_reports_violations_with_exit_one(self, tmp_path, capsys):
@@ -446,7 +443,12 @@ class TestLint:
 
     def test_lint_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
-        assert "RPL001" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        codes = [line.split()[0] for line in out.splitlines()]
+        assert codes == [
+            "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006",
+            "RPL009", "RPL010", "RPL011", "RPL012",
+        ]
 
     def test_lint_missing_path_is_usage_error(self, tmp_path, capsys):
         assert main(["lint", str(tmp_path / "nope")]) == 2
