@@ -22,7 +22,7 @@ Message types (``"type"`` field):
 The scenario/soak codecs round-trip the harness dataclasses through
 plain JSON types. The soak codec walks the dataclass fields of
 :class:`~repro.net.harness.SoakResult` (its ``fleet`` travels as the
-``nodes`` list; the fleet's ``sent_authentic`` is the soak's), so a new
+``nodes`` list followed by the fleet's ``sent_authentic``), so a new
 tally field crosses the wire without another list to edit. Every decode
 validates shape and scalar types and raises
 :class:`~repro.errors.ClusterError` on garbage rather than crashing a
@@ -92,6 +92,7 @@ def encode_soak(soak: SoakResult) -> Dict[str, Any]:
         value = getattr(soak, spec.name)
         if spec.name == "fleet":
             document["nodes"] = [asdict(node) for node in value.nodes]
+            document["sent_authentic"] = value.sent_authentic
         elif isinstance(value, tuple):
             document[spec.name] = list(value)
         else:
@@ -105,6 +106,7 @@ def decode_soak(document: Dict[str, Any]) -> SoakResult:
         raise ClusterError(f"soak document must be an object, got {document!r}")
     try:
         nodes = _decoded(Tuple[NodeSummary, ...], document["nodes"], "nodes")
+        sent_authentic = _decoded(int, document["sent_authentic"], "sent_authentic")
         values = {
             name: _decoded(kind, document[name], name)
             for name, kind in _field_types(SoakResult)
@@ -112,7 +114,7 @@ def decode_soak(document: Dict[str, Any]) -> SoakResult:
         }
     except KeyError as exc:
         raise ClusterError(f"malformed soak document: missing {exc}") from exc
-    fleet = FleetSummary(nodes=nodes, sent_authentic=values["sent_authentic"])
+    fleet = FleetSummary(nodes=nodes, sent_authentic=sent_authentic)
     return SoakResult(fleet=fleet, **values)
 
 

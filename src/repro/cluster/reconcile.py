@@ -93,10 +93,11 @@ def reconcile_task(
     )
     predicted = predicted_soak(vector_scenario)
     mismatches: List[str] = []
-    if soak.sent_authentic != predicted.sent_authentic:
+    sent_authentic = soak.fleet.sent_authentic
+    if sent_authentic != predicted.fleet.sent_authentic:
         mismatches.append(
-            f"{task_id}: sent_authentic {soak.sent_authentic} !="
-            f" predicted {predicted.sent_authentic}"
+            f"{task_id}: sent_authentic {sent_authentic} !="
+            f" predicted {predicted.fleet.sent_authentic}"
         )
     actual_nodes = soak.fleet.nodes
     predicted_nodes = predicted.fleet.nodes

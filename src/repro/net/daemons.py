@@ -25,7 +25,7 @@ from typing import List
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net.transport import Transport
-from repro.protocols.base import AuthEvent, BroadcastReceiver, BroadcastSender
+from repro.protocols.base import BroadcastReceiver, BroadcastSender
 from repro.protocols.packets import LEGITIMATE
 from repro.protocols.wire import decode_packet, encode_packet
 from repro.sim.metrics import NodeSummary, summary_from_stats
@@ -135,7 +135,6 @@ class ReceiverDaemon:
         self._clock: Clock = DriftingClock(
             transport.clock, offset=clock_offset, drift_rate=clock_drift
         )
-        self.events: List[AuthEvent] = []
         self.datagrams_received = 0
         self.malformed = 0
         self.latencies: List[float] = []
@@ -168,11 +167,10 @@ class ReceiverDaemon:
             # a malformed datagram is the cheapest DoS there is.
             self.malformed += 1
             return
-        events = self._receiver.receive(packet, self._clock.now())
+        self._receiver.receive(packet, self._clock.now())
         latency = perf_counter() - started
         if len(self.latencies) < _LATENCY_SAMPLE_LIMIT:
             self.latencies.append(latency)
-        self.events.extend(events)
 
     def node_summary(self) -> NodeSummary:
         """This daemon's outcome tallies, sim-metrics compatible."""

@@ -160,8 +160,9 @@ class SoakResult:
 
     Attributes:
         fleet: per-node and aggregate outcome tallies, in the same
-            vocabulary as the simulator (:class:`FleetSummary`).
-        sent_authentic: distinct verifiable authentic messages sent.
+            vocabulary as the simulator (:class:`FleetSummary`); its
+            ``sent_authentic`` counts the distinct verifiable authentic
+            messages sent.
         latencies: decode-to-verify wall latencies, seconds, across the
             fleet (sample-capped per daemon).
         datagrams_delivered: datagrams the transport delivered.
@@ -174,7 +175,6 @@ class SoakResult:
     """
 
     fleet: FleetSummary
-    sent_authentic: int
     latencies: Tuple[float, ...]
     datagrams_delivered: int
     datagrams_dropped: int
@@ -289,7 +289,6 @@ def run_loopback_soak(
         active.incr("net.datagrams_dropped", proxy.dropped)
     return SoakResult(
         fleet=fleet,
-        sent_authentic=world.sent_authentic,
         latencies=tuple(latencies),
         datagrams_delivered=network.datagrams_delivered,
         datagrams_dropped=proxy.dropped,
@@ -528,7 +527,6 @@ def predicted_soak(scenario: ScenarioConfig) -> SoakResult:
     result = run_scenario(scenario)
     return SoakResult(
         fleet=result.fleet,
-        sent_authentic=result.sent_authentic,
         latencies=(),
         datagrams_delivered=0,
         datagrams_dropped=0,
@@ -563,7 +561,7 @@ def merge_soaks(config: LoadTestConfig, soaks: Sequence[SoakResult]) -> LoadTest
     for soak in soaks:
         nodes.extend(soak.fleet.nodes)
         latencies.extend(soak.latencies)
-    sent_authentic = soaks[0].sent_authentic
+    sent_authentic = soaks[0].fleet.sent_authentic
     fleet = FleetSummary(nodes=tuple(nodes), sent_authentic=sent_authentic)
     wall = sum(soak.wall_seconds for soak in soaks)
     delivered = sum(soak.datagrams_delivered for soak in soaks)

@@ -6,24 +6,28 @@ forwarded to every downstream address through an emulated link — drop
 Gilbert–Elliott burst fades are both available), base delay, uniform
 jitter, duplication and reordering. Each downstream link owns a fresh
 loss-process instance (fades are per-link state) while one seeded RNG
-drives all links in downstream order — the exact draw discipline of
-:class:`repro.sim.medium.BroadcastMedium`, which is what lets a
-loopback soak reproduce an in-memory simulation decision-for-decision.
+drives all links in downstream order. The loss draws come from
+:func:`repro.sim.draws.kept_links`, the same iterator
+:class:`repro.sim.medium.BroadcastMedium` draws from, which is what
+lets a loopback soak reproduce an in-memory simulation
+decision-for-decision.
 
 Faults compose per delivery: a datagram can be duplicated *and* each
 copy delayed and reordered independently, which is how real congested
-paths behave.
+paths behave. All copies of one datagram leave in one
+:meth:`~repro.net.transport.Transport.send_many`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.transport import Transport
 from repro.sim.channel import BernoulliLoss, GilbertElliottLoss, LossProcess
+from repro.sim.draws import kept_links
 
 __all__ = ["ProxyConfig", "FaultInjectionProxy"]
 
@@ -157,18 +161,21 @@ class FaultInjectionProxy:
         return delay
 
     def _on_datagram(self, data: bytes, _arrival: float) -> None:
+        # Link i's duplicate, jitter and reorder draws come before link
+        # i + 1's loss draw: kept_links draws lazily.
         self.datagrams_received += 1
-        for link in self._links:
-            if link.loss.should_drop(self._rng):
-                self.dropped += 1
-                continue
+        duplicate_probability = self._config.duplicate_probability
+        rng = self._rng
+        sends: List[Tuple[str, float]] = []
+        kept = 0
+        for link in kept_links(self._links, rng):
+            kept += 1
             copies = 1
-            if (
-                self._config.duplicate_probability > 0.0
-                and self._rng.random() < self._config.duplicate_probability
-            ):
+            if duplicate_probability > 0.0 and rng.random() < duplicate_probability:
                 copies = 2
                 self.duplicated += 1
             for _ in range(copies):
-                self._transport.send(data, link.address, self._delivery_delay())
+                sends.append((link.address, self._delivery_delay()))
             self.forwarded += copies
+        self.dropped += len(self._links) - kept
+        self._transport.send_many(data, sends)

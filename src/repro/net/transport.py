@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import asyncio
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.events import Simulator
@@ -60,7 +60,9 @@ class Transport(ABC):
 
     An endpoint has an address, a clock, and a single datagram handler.
     ``send`` accepts an optional extra ``delay`` — the hook the
-    fault-injection proxy uses to model latency without sleeping.
+    fault-injection proxy uses to model latency without sleeping — and
+    ``send_many`` sends one datagram to many ``(address, delay)``
+    targets at once.
     """
 
     def __init__(self) -> None:
@@ -87,6 +89,12 @@ class Transport(ABC):
     def send(self, data: bytes, to: str, delay: float = 0.0) -> None:
         """Send one datagram to ``to``, optionally after ``delay``."""
 
+    def send_many(self, data: bytes, sends: Sequence[Tuple[str, float]]) -> None:
+        """Send ``data`` to each ``(address, delay)`` of ``sends``, in
+        order: the same as one :meth:`send` per pair."""
+        for to, delay in sends:
+            self.send(data, to, delay)
+
     @abstractmethod
     def call_at(self, time: float, action: Callable[[], None]) -> None:
         """Run ``action`` at absolute testbed time ``time``."""
@@ -103,23 +111,26 @@ class Transport(ABC):
         if self._handler is not None:
             self._handler(data, arrival)
 
-    def _account(self, data: bytes) -> None:
+    def _account(self, data: bytes, copies: int = 1) -> None:
         if len(data) > MAX_DATAGRAM_BYTES:
             raise ConfigurationError(
                 f"datagram of {len(data)} bytes exceeds the"
                 f" {MAX_DATAGRAM_BYTES}-byte testbed MTU"
             )
-        self.datagrams_sent += 1
-        self.bytes_sent += len(data)
+        self.datagrams_sent += copies
+        self.bytes_sent += copies * len(data)
 
 
 class LoopbackNetwork:
     """A deterministic in-process datagram network.
 
     All endpoints share one :class:`~repro.sim.events.Simulator`: a send
-    with delay ``d`` is an event at ``now + d``, simultaneous events
+    with delay ``d`` is delivered at ``now + d``, simultaneous deliveries
     fire in scheduling order, and time is virtual — a multi-minute soak
-    runs in milliseconds and identically on every machine.
+    runs in milliseconds and identically on every machine. One
+    :meth:`~Transport.send_many` is one
+    :meth:`~repro.sim.events.Simulator.schedule_fanout`, so its targets
+    that arrive together share one event.
 
     Args:
         simulator: share an existing event loop (e.g. to co-simulate
@@ -162,22 +173,22 @@ class LoopbackNetwork:
         """Process deliveries; returns events processed (see Simulator)."""
         return self._simulator.run(until=until)
 
-    def _send(self, data: bytes, to: str, delay: float) -> None:
-        if delay < 0:
-            raise ConfigurationError(f"delay must be >= 0, got {delay}")
-        payload = bytes(data)
+    def _deliver(self, payload: bytes) -> Callable[[str], None]:
+        """The fan-out action delivering ``payload`` to one address."""
+        endpoints = self._endpoints
+        clock = self._clock
 
-        def deliver() -> None:
-            target = self._endpoints.get(to)
+        def deliver(to: str) -> None:
+            target = endpoints.get(to)
             if target is None:
                 # Real networks drop datagrams to closed ports silently;
                 # so does the loopback, but it keeps count.
                 self.datagrams_undeliverable += 1
                 return
             self.datagrams_delivered += 1
-            target._dispatch(payload, self._clock.now())
+            target._dispatch(payload, clock.now())
 
-        self._simulator.schedule(self._clock.now() + delay, deliver)
+        return deliver
 
 
 class LoopbackTransport(Transport):
@@ -204,8 +215,18 @@ class LoopbackTransport(Transport):
         return self._clock.now()
 
     def send(self, data: bytes, to: str, delay: float = 0.0) -> None:
-        self._account(data)
-        self._network._send(data, to, delay)
+        self.send_many(data, ((to, delay),))
+
+    def send_many(self, data: bytes, sends: Sequence[Tuple[str, float]]) -> None:
+        self._account(data, len(sends))
+        now = self._clock.now()
+        deliveries: List[Tuple[float, str]] = []
+        for to, delay in sends:
+            if delay < 0:
+                raise ConfigurationError(f"delay must be >= 0, got {delay}")
+            deliveries.append((now + delay, to))
+        network = self._network
+        network.simulator.schedule_fanout(deliveries, network._deliver(bytes(data)))
 
     def call_at(self, time: float, action: Callable[[], None]) -> None:
         if time < self.now():

@@ -147,7 +147,6 @@ async def _soak_world(
     )
     return SoakResult(
         fleet=fleet,
-        sent_authentic=world.sent_authentic,
         latencies=tuple(latencies),
         datagrams_delivered=sum(daemon.datagrams_received for daemon in daemons),
         datagrams_dropped=proxy.dropped if proxy else 0,

@@ -26,7 +26,8 @@ Well-known names (see docs/API.md for the full table):
 ``crypto.walk_cache.hits``    chain-walk cache hits (O(1) re-verifications)
 ``crypto.walk_cache.misses``  chain-walk cache misses (full back-walks)
 ``crypto.chain_walk``         observation: walk lengths in chain steps
-``sim.events``                simulator events executed
+``sim.events``                simulator heap events executed (a fan-out
+                              group counts once)
 ``sim.queue_depth``           observation: event-queue depth per event
 ``sim.broadcasts``            packets offered to the broadcast medium
 ``sim.deliveries``            post-loss deliveries scheduled

@@ -3,7 +3,7 @@
 :class:`PerfReport` freezes a :class:`~repro.perf.registry.PerfRegistry`
 plus optional cProfile hotspot rows into a schema the CLI prints and CI
 archives. The ``derived`` block pre-computes the ratios people actually
-read (walk-cache hit rate, hashes per simulated event) so a report is
+read (walk-cache hit rate, hashes per delivered packet) so a report is
 interpretable without a calculator.
 """
 
@@ -23,10 +23,10 @@ def _derived(counters: Mapping[str, int]) -> Dict[str, float]:
     misses = counters.get("crypto.walk_cache.misses", 0)
     if hits + misses:
         out["walk_cache_hit_rate"] = hits / (hits + misses)
-    events = counters.get("sim.events", 0)
-    if events:
-        out["hashes_per_event"] = counters.get("crypto.hash", 0) / events
-        out["macs_per_event"] = counters.get("crypto.mac", 0) / events
+    deliveries = counters.get("sim.deliveries", 0)
+    if deliveries:
+        out["hashes_per_delivery"] = counters.get("crypto.hash", 0) / deliveries
+        out["macs_per_delivery"] = counters.get("crypto.mac", 0) / deliveries
     return out
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from itertools import repeat
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.game.parameters import GameParameters
@@ -39,8 +39,11 @@ from repro.protocols.packets import (
     TeslaPacket,
 )
 from repro.sim.events import Simulator
-from repro.sim.medium import BroadcastMedium
 from repro.timesync.intervals import IntervalSchedule
+
+if TYPE_CHECKING:
+    # repro.sim.medium imports repro.sim.draws, which imports this module.
+    from repro.sim.medium import BroadcastMedium
 
 __all__ = [
     "forged_copies_for_fraction",

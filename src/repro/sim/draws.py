@@ -12,6 +12,9 @@ draws in the same order. This module owns that order:
 - :func:`medium_blocks`: the medium stream replayed through a NumPy
   ``RandomState`` that shares its MT19937 state, so the fleet engine
   draws whole slot blocks at once, double for double.
+- :func:`kept_links`: the per-link loss draws of one transmission on
+  the medium stream, shared by the DES medium and the loopback fault
+  proxy.
 - :func:`forged_byte_rows`: the attacker stream's forged bytes, drawn
   the same way through a NumPy ``MT19937`` (each ``getrandbits(8)`` is
   one output word shifted right by 24).
@@ -33,7 +36,8 @@ from __future__ import annotations
 
 import random
 from typing import (
-    Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple,
+    TypeVar, Union,
 )
 
 import numpy as np
@@ -44,6 +48,7 @@ from repro.devtools.sanitizers import determinism
 from repro.devtools.sanitizers.determinism import traced_rng
 from repro.errors import SimulationError
 from repro.sim.attacker import forged_bytes
+from repro.sim.channel import LossProcess
 
 __all__ = [
     "FORGED_BLOCK_WORDS",
@@ -53,6 +58,7 @@ __all__ = [
     "ReceiverStreams",
     "SeedLadder",
     "forged_byte_rows",
+    "kept_links",
     "medium_blocks",
     "receiver_rng",
     "record_draws",
@@ -111,6 +117,31 @@ _Index = npt.NDArray[np.int64]
 def receiver_rng(index: int, seed: int) -> random.Random:
     """Receiver ``index``'s stream, from the seed the ladder drew for it."""
     return traced_rng(random.Random(seed), f"receiver-{index}")
+
+
+class _Link(Protocol):
+    @property
+    def loss(self) -> LossProcess: ...
+
+
+_L = TypeVar("_L", bound=_Link)
+
+
+def kept_links(links: Iterable[_L], rng: random.Random) -> Iterator[_L]:
+    """The links of one transmission whose loss draw keeps them.
+
+    Each link's ``loss.should_drop(rng)`` is drawn in link order, and
+    only when the consumer asks for the next link. So whatever the
+    consumer draws for a kept link before asking again (the fault
+    proxy's duplicate, jitter and reorder draws) comes before the next
+    link's loss draw. :class:`~repro.sim.medium.BroadcastMedium` and
+    :class:`~repro.net.proxy.FaultInjectionProxy` both decide losses
+    here, which is why a loopback soak over a plain-delay proxy makes
+    the medium's draws in the medium's order.
+    """
+    for link in links:
+        if not link.loss.should_drop(rng):
+            yield link
 
 
 def record_draws(stream: str, draws: Sequence[Tuple[str, Union[float, int]]]) -> None:

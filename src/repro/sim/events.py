@@ -8,18 +8,25 @@ by scheduling sequence number, so runs are exactly reproducible).
 Heap entries are plain ``(time, seq, handle)`` tuples, so the heap
 compares them in C. ``seq`` is unique per simulator, so a comparison
 never reaches the handle.
+
+A fan-out (one transmission heard by many receivers) is scheduled with
+:meth:`Simulator.schedule_fanout`: one heap entry per distinct arrival
+time, which delivers to its receivers in the order separate events
+would have fired.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from repro import perf
 from repro.errors import ConfigurationError, SchedulingError
 from repro.timesync.clock import SimClock
 
 __all__ = ["EventHandle", "Simulator"]
+
+_Item = TypeVar("_Item")
 
 
 class EventHandle:
@@ -80,7 +87,7 @@ class Simulator:
 
     @property
     def processed(self) -> int:
-        """Events executed so far."""
+        """Events executed so far (a fan-out group counts once)."""
         return self._processed
 
     def schedule(self, time: float, action: Callable[[], None]) -> EventHandle:
@@ -105,6 +112,56 @@ class Simulator:
             raise SchedulingError(f"delay must be >= 0, got {delay}")
         return self.schedule(self._clock.now() + delay, action)
 
+    def schedule_fanout(
+        self,
+        deliveries: Iterable[Tuple[float, _Item]],
+        action: Callable[[_Item], None],
+    ) -> None:
+        """Schedule ``action(item)`` at each ``(arrival, item)`` of one
+        fan-out, with one heap entry per distinct arrival time.
+
+        ``deliveries`` lists the fan-out in send order. Equal arrival
+        floats share one entry, placed at the first appearance of that
+        time, which calls ``action`` on its items in send order. Group
+        by the arrival float, not by the delay that produced it: two
+        different delays can round to the same arrival.
+
+        The firing order is the one a separate :meth:`schedule` per item
+        gives. Those events would take consecutive sequence numbers with
+        nothing scheduled between them, so any other event at the same
+        time either has a lower number (it fires before every member of
+        the fan-out, as it fires before the group) or a higher one (it
+        fires after all of them, as after the group). That includes an
+        event an action schedules at delay 0 while the group delivers:
+        it fires after the group's remaining items either way. Members
+        at one time fire in sequence order, which is send order, and
+        different times fire in time order.
+
+        Each heap entry counts once in :meth:`run`'s return value, in
+        ``max_events`` and in :attr:`processed`, however many items it
+        delivers.
+
+        Raises:
+            SchedulingError: for an arrival in the past (nothing of the
+                fan-out is scheduled then).
+        """
+        now = self._clock.now()
+        groups: Dict[float, List[_Item]] = {}
+        for time, item in deliveries:
+            members = groups.get(time)
+            if members is not None:
+                members.append(item)
+            elif time < now:
+                raise SchedulingError(
+                    f"cannot schedule at {time}, current time is {now}"
+                )
+            else:
+                groups[time] = [item]
+        queue = self._queue
+        for time, members in groups.items():
+            self._seq += 1
+            heappush(queue, (time, self._seq, EventHandle(_fanout(action, members))))
+
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> int:
@@ -113,6 +170,8 @@ class Simulator:
 
         Events scheduled exactly at ``until`` still fire (the horizon is
         inclusive), which makes "run to the end of interval N" natural.
+        A :meth:`schedule_fanout` group is one event: it fires whole and
+        counts once against ``max_events`` and in the return value.
         """
         if max_events is not None and max_events < 0:
             raise ConfigurationError(f"max_events must be >= 0, got {max_events}")
@@ -142,3 +201,13 @@ class Simulator:
         ):
             clock.set(until)
         return processed
+
+
+def _fanout(action: Callable[[_Item], None], items: List[_Item]) -> Callable[[], None]:
+    """One heap entry's action: ``action`` on each item, in order."""
+
+    def fire() -> None:
+        for item in items:
+            action(item)
+
+    return fire

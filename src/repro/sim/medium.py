@@ -18,6 +18,7 @@ from repro import perf
 from repro.errors import ConfigurationError
 from repro.protocols.packets import LEGITIMATE
 from repro.sim.channel import BernoulliLoss, LossProcess
+from repro.sim.draws import kept_links
 from repro.sim.events import Simulator
 
 __all__ = ["LinkQuality", "BroadcastMedium"]
@@ -149,6 +150,12 @@ class BroadcastMedium:
     def broadcast(self, packet: object, exclude: Optional[str] = None) -> int:
         """Transmit ``packet`` to every attached receiver.
 
+        Loss is drawn per attachment in attachment order
+        (:func:`~repro.sim.draws.kept_links`); the excluded attachment
+        draws nothing. The kept deliveries are one
+        :meth:`~repro.sim.events.Simulator.schedule_fanout`: attachments
+        whose delays give the same arrival share one event.
+
         Args:
             packet: any protocol packet (must expose ``wire_bits`` and
                 ``provenance`` for accounting; unknown objects are
@@ -164,27 +171,28 @@ class BroadcastMedium:
         self._packets_sent[provenance] = self._packets_sent.get(provenance, 0) + 1
         for tap in self._taps:
             tap(packet, self._simulator.now)
-        scheduled = 0
-        drops_before = self._drops
-        for attachment in self._attachments:
-            if exclude is not None and attachment.name == exclude:
-                continue
-            if attachment.loss.should_drop(self._rng):
-                self._drops += 1
-                continue
-            arrival = self._simulator.now + attachment.link.delay
+        simulator = self._simulator
+        attachments = self._attachments
+        if exclude is not None:
+            attachments = [a for a in attachments if a.name != exclude]
+        now = simulator.now
+        deliveries = [
+            (now + attachment.link.delay, attachment)
+            for attachment in kept_links(attachments, self._rng)
+        ]
+        scheduled = len(deliveries)
+        drops = len(attachments) - scheduled
+        self._drops += drops
+        self._deliveries += scheduled
+        clock = simulator.clock
 
-            def deliver(
-                target: _Attachment = attachment, pkt: object = packet, at: float = arrival
-            ) -> None:
-                target.deliver(pkt, at)
+        def deliver(target: _Attachment) -> None:
+            target.deliver(packet, clock.now())
 
-            self._simulator.schedule_in(attachment.link.delay, deliver)
-            self._deliveries += 1
-            scheduled += 1
+        simulator.schedule_fanout(deliveries, deliver)
         active = perf.ACTIVE
         if active is not None:
             active.incr("sim.broadcasts")
             active.incr("sim.deliveries", scheduled)
-            active.incr("sim.drops", self._drops - drops_before)
+            active.incr("sim.drops", drops)
         return scheduled

@@ -211,7 +211,6 @@ def fixed_soak():
     )
     return SoakResult(
         fleet=FleetSummary(nodes=nodes, sent_authentic=8),
-        sent_authentic=8,
         latencies=(0.25, 0.5),
         datagrams_delivered=40,
         datagrams_dropped=3,

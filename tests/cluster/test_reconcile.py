@@ -41,7 +41,8 @@ def test_wrong_scenario_is_caught(baseline, soak):
 
 def test_corrupted_tally_is_caught(baseline, soak):
     doctored = replace(
-        soak, sent_authentic=soak.sent_authentic + 1
+        soak,
+        fleet=replace(soak.fleet, sent_authentic=soak.fleet.sent_authentic + 1),
     )
     verdict = reconcile_task("r0-s0", baseline, doctored)
     assert not verdict.ok

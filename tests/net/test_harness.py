@@ -279,3 +279,69 @@ class TestReportSchema:
         del data["peak_buffer_bits"]
         with pytest.raises(ConfigurationError, match="peak_buffer_bits"):
             LoadTestReport.from_dict(data)
+
+
+#: LoadTestReport fields that are wall-clock measurements.
+_TIMING_FIELDS = ("wall_seconds", "packets_per_second", "latency_p50_us", "latency_p99_us")
+
+class TestFaultyLoopbackPin:
+    """Loopback load tests with bursty loss, duplication and reordering
+    on, with and without jitter, pinned to the reports of the
+    per-datagram scheduling the fan-out replaced (timing fields left
+    out). A fault draw moved, or a delivery made at the wrong time or
+    out of turn with another datagram, changes these numbers."""
+
+    @pytest.mark.parametrize(
+        "protocol, jitter, expected",
+        [
+            ("dap", 4e-4, {
+                "attack_success_rate": 0.19565217391304346,
+                "authentication_rate": 0.5942028985507246,
+                "datagrams_delivered": 2459, "datagrams_dropped": 527,
+                "datagrams_duplicated": 306, "datagrams_reordered": 249,
+                "latency_samples": 1789, "packets_sent": 1789,
+                "peak_buffer_bits": 1344,
+            }),
+            ("tesla_pp", 4e-4, {
+                "attack_success_rate": 0.6811594202898551,
+                "authentication_rate": 0.1956521739130435,
+                "datagrams_delivered": 2459, "datagrams_dropped": 527,
+                "datagrams_duplicated": 306, "datagrams_reordered": 249,
+                "latency_samples": 1789, "packets_sent": 1789,
+                "peak_buffer_bits": 2688,
+            }),
+            ("dap", 0.0, {
+                "attack_success_rate": 0.2318840579710145,
+                "authentication_rate": 0.5217391304347826,
+                "datagrams_delivered": 2526, "datagrams_dropped": 455,
+                "datagrams_duplicated": 301, "datagrams_reordered": 280,
+                "latency_samples": 1856, "packets_sent": 1856,
+                "peak_buffer_bits": 1176,
+            }),
+            ("tesla_pp", 0.0, {
+                "attack_success_rate": 0.6159420289855073,
+                "authentication_rate": 0.21739130434782608,
+                "datagrams_delivered": 2526, "datagrams_dropped": 455,
+                "datagrams_duplicated": 301, "datagrams_reordered": 280,
+                "latency_samples": 1856, "packets_sent": 1856,
+                "peak_buffer_bits": 2352,
+            }),
+        ],
+    )
+    def test_report_matches_per_datagram_scheduling(self, protocol, jitter, expected):
+        config = LoadTestConfig(
+            protocol=protocol, receivers=6, shards=2, intervals=24, buffers=3,
+            attack_fraction=0.6, loss_probability=0.25, loss_mean_burst=3.0,
+            jitter=jitter, duplicate_probability=0.2, reorder_probability=0.15,
+            seed=11,
+        )
+        document = run_loadtest(config).to_dict()
+        for name in _TIMING_FIELDS:
+            del document[name]
+        assert document == {
+            "protocol": protocol, "transport": "loopback", "receivers": 6,
+            "shards": 2, "intervals": 24, "schema_version": 1,
+            "sent_authentic": 23, "forged_accepted": 0, "malformed": 0,
+            "packets_injected": 384, "simulated_seconds": 1.3000000000000003,
+            **expected,
+        }

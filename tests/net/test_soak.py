@@ -46,7 +46,7 @@ class TestSimulationParity:
         net = run_loopback_soak(config)
         assert net.fleet.nodes == sim.fleet.nodes
         assert net.authentication_rate == sim.authentication_rate
-        assert net.sent_authentic == sim.sent_authentic
+        assert net.fleet.sent_authentic == sim.sent_authentic
 
     def test_parity_holds_under_bursty_loss(self):
         config = ScenarioConfig(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.net.transport import MAX_DATAGRAM_BYTES, LoopbackNetwork
+from repro.net.transport import MAX_DATAGRAM_BYTES, LoopbackNetwork, Transport
 
 
 @pytest.fixture
@@ -114,3 +114,71 @@ class TestTimers:
         network.run()
         with pytest.raises(SimulationError):
             a.call_at(0.5, lambda: None)
+
+
+def _one_target_world(send):
+    """Send a few datagrams through ``send(endpoint, data, to, delay)``
+    and record everything a caller can observe."""
+    network = LoopbackNetwork()
+    a = network.endpoint("a")
+    seen = []
+    for name in ("b", "c"):
+        network.endpoint(name).set_handler(
+            lambda data, at, n=name: seen.append((n, data, at, network.simulator.processed))
+        )
+    for data, to, delay in [(b"1", "b", 0.5), (b"22", "c", 0.5), (b"3", "nowhere", 0.0),
+                            (b"4", "b", 0.0), (b"55", "c", 0.25)]:
+        send(a, data, to, delay)
+    processed = network.run()
+    return (seen, processed, a.datagrams_sent, a.bytes_sent,
+            network.datagrams_delivered, network.datagrams_undeliverable)
+
+
+class TestSendMany:
+    def test_one_target_equals_send(self):
+        via_send = _one_target_world(lambda ep, data, to, delay: ep.send(data, to, delay))
+        via_many = _one_target_world(
+            lambda ep, data, to, delay: ep.send_many(data, [(to, delay)])
+        )
+        assert via_many == via_send
+        assert via_send[2:] == (5, 7, 4, 1)
+
+    def test_fanout_delivers_in_send_order_and_counts_each_copy(self, network):
+        a = network.endpoint("a")
+        seen = []
+        for name in ("b", "c"):
+            network.endpoint(name).set_handler(
+                lambda data, at, n=name: seen.append((n, at))
+            )
+        a.send_many(b"xy", [("c", 0.5), ("b", 0.25), ("b", 0.5), ("c", 0.25)])
+        assert network.simulator.pending == 2
+        network.run()
+        assert seen == [("b", 0.25), ("c", 0.25), ("c", 0.5), ("b", 0.5)]
+        assert (a.datagrams_sent, a.bytes_sent) == (4, 8)
+
+    def test_negative_delay_schedules_nothing(self, network):
+        a = network.endpoint("a")
+        with pytest.raises(ConfigurationError):
+            a.send_many(b"x", [("a", 0.0), ("a", -1.0)])
+        assert network.simulator.pending == 0
+
+    def test_base_class_loops_over_send(self):
+        class Recording(Transport):
+            address = "r"
+
+            def __init__(self):
+                super().__init__()
+                self.sent = []
+
+            def now(self):
+                return 0.0
+
+            def send(self, data, to, delay=0.0):
+                self.sent.append((data, to, delay))
+
+            def call_at(self, time, action):
+                raise AssertionError("not used")
+
+        transport = Recording()
+        transport.send_many(b"d", [("x", 0.1), ("y", 0.0), ("x", 0.1)])
+        assert transport.sent == [(b"d", "x", 0.1), (b"d", "y", 0.0), (b"d", "x", 0.1)]

@@ -66,14 +66,16 @@ class TestPerfReportSchema:
             counters={
                 "crypto.hash": 100,
                 "crypto.mac": 50,
-                "sim.events": 10,
+                "sim.events": 4,
+                "sim.deliveries": 10,
                 "crypto.walk_cache.hits": 3,
                 "crypto.walk_cache.misses": 1,
             },
         )
         derived = report.to_dict()["derived"]
-        assert derived["hashes_per_event"] == pytest.approx(10.0)
-        assert derived["macs_per_event"] == pytest.approx(5.0)
+        assert derived["hashes_per_delivery"] == pytest.approx(10.0)
+        assert derived["macs_per_delivery"] == pytest.approx(5.0)
+        assert "hashes_per_event" not in derived
         assert derived["walk_cache_hit_rate"] == pytest.approx(0.75)
 
     def test_empty_report(self):

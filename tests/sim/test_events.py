@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.sim.events import Simulator
+from tests.sim.per_receiver import schedule_each
 from tests.sim.scalar_events import DataclassHeapSimulator
 
 
@@ -200,3 +201,99 @@ class TestDataclassHeapOracle:
         assert ("cancel-in-action", True) in seen
         assert any(entry[0] == "past" for entry in seen)
         assert {(True, False), (False, True)} <= seen
+
+
+#: Fan-out delays: ties, zero, and 0.1 next to the float just above it.
+#: From a clock at 1.0 or later the two add up to the same arrival, so
+#: grouping by delay instead of by arrival would reorder them.
+_FAN_DELAYS = (0.0, 0.1, math.nextafter(0.1, 1.0), 0.25, 0.25, 0.5)
+
+
+def _drive_fanouts(seed, grouped):
+    """A seeded mix of fan-outs (with equal and unequal arrivals), plain
+    events before and after them, and handlers that schedule more
+    events and fan-outs at delay 0 while a group delivers. Returns every
+    firing with its time, and the clock and ``pending`` after each run."""
+    sim = Simulator(start=0.5 * (seed % 3))
+    rng = random.Random(seed)
+    fired = []
+    trace = []
+    ids = iter(range(10**9))
+
+    def fanout(delays):
+        deliveries = [(sim.now + delay, next(ids)) for delay in delays]
+        if grouped:
+            sim.schedule_fanout(deliveries, deliver)
+        else:
+            schedule_each(sim, deliveries, deliver)
+
+    def plain(delay):
+        eid = next(ids)
+        sim.schedule_in(delay, lambda: fired.append(("plain", eid, sim.now)))
+
+    def deliver(item):
+        fired.append(("item", item, sim.now))
+        plan = random.Random(seed * 1_000_003 + item)
+        roll = plan.random()
+        if roll < 0.15:
+            plain(0.0)
+        elif roll < 0.25:
+            fanout([plan.choice((0.0, 0.0, 0.1)) for _ in range(plan.randrange(1, 4))])
+
+    for _ in range(120):
+        op = rng.random()
+        if op < 0.45:
+            fanout([rng.choice(_FAN_DELAYS) for _ in range(rng.randrange(1, 7))])
+        elif op < 0.7:
+            plain(rng.choice(_FAN_DELAYS))
+        else:
+            until = rng.choice((None, sim.now, sim.now + rng.choice(_FAN_DELAYS)))
+            sim.run(until=until)
+            trace.append((sim.now, sim.pending))
+    sim.run()
+    trace.append((sim.now, sim.pending))
+    return fired, trace
+
+
+class TestFanoutOracle:
+    """:meth:`Simulator.schedule_fanout` against one event per item
+    (``tests/sim/per_receiver.py``): same firings in the same order at
+    the same times, same clock; ``pending`` agrees whenever the queue
+    has drained up to the clock."""
+
+    def test_random_fanouts_match_per_item_events(self):
+        merged = 0
+        for seed in range(24):
+            ours = _drive_fanouts(seed, grouped=True)
+            oracle = _drive_fanouts(seed, grouped=False)
+            assert ours[0] == oracle[0], seed
+            assert [now for now, _ in ours[1]] == [now for now, _ in oracle[1]]
+            assert ours[1][-1] == oracle[1][-1] == (ours[1][-1][0], 0)
+            times = [entry[2] for entry in ours[0] if entry[0] == "item"]
+            merged += len(times) - len(set(times))
+        assert merged > 0
+
+    def test_equal_arrivals_from_different_delays_share_one_event(self):
+        sim = Simulator(start=1.0)
+        log = []
+        low, high = 0.1, math.nextafter(0.1, 1.0)
+        assert low != high and 1.0 + low == 1.0 + high
+        deliveries = [(1.0 + low, "a"), (1.0 + high, "b"), (1.5, "c"), (1.0 + low, "d")]
+        sim.schedule_fanout(deliveries, log.append)
+        assert sim.pending == 2
+        assert sim.run() == 2
+        assert log == ["a", "b", "d", "c"]
+        assert sim.processed == 2
+
+    def test_group_counts_once_against_max_events(self):
+        sim = Simulator()
+        log = []
+        sim.schedule_fanout([(1.0, 1), (1.0, 2), (2.0, 3)], log.append)
+        assert sim.run(max_events=1) == 1
+        assert log == [1, 2]
+
+    def test_past_arrival_schedules_nothing(self):
+        sim = Simulator(start=2.0)
+        with pytest.raises(SchedulingError):
+            sim.schedule_fanout([(3.0, "a"), (1.0, "b")], lambda item: None)
+        assert sim.pending == 0

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.protocols.packets import FORGED, MacAnnouncePacket
+from repro.sim.channel import GilbertElliottLoss
 from repro.sim.events import Simulator
 from repro.sim.medium import BroadcastMedium, LinkQuality
+from tests.sim.per_receiver import PerEventMedium
 
 
 @pytest.fixture
@@ -132,3 +135,65 @@ class TestTaps:
         medium.add_tap(lambda p, t: b.append(p))
         medium.broadcast(PACKET)
         assert a == b == [PACKET]
+
+
+def _fanout_world(medium_type, seed, delays, rebroadcast=0.0):
+    """Attach one receiver per delay to a fresh ``medium_type``, send
+    a seeded burst of broadcasts, and log every delivery. A receiver
+    rebroadcasts what it hears with probability ``rebroadcast``."""
+    sim = Simulator(start=1.0)
+    rng = random.Random(seed)
+    medium = medium_type(sim, rng=random.Random(seed + 1))
+    log = []
+
+    def receiver(name):
+        def deliver(packet, at):
+            log.append((name, packet.index, at, sim.now))
+            if packet.index < 40 and rng.random() < rebroadcast:
+                medium.broadcast(MacAnnouncePacket(packet.index + 10, b"r"), exclude=name)
+
+        return deliver
+
+    for index, delay in enumerate(delays):
+        loss = GilbertElliottLoss.from_average(0.3, 3.0) if index % 3 == 2 else None
+        medium.attach(f"n{index}", receiver(f"n{index}"), LinkQuality(0.2, delay, loss))
+    for interval in range(12):
+        at = 1.0 + 0.05 * rng.randrange(4)
+        exclude = rng.choice([None, None, "n1"])
+        sim.schedule(max(at, sim.now), lambda i=interval, x=exclude: medium.broadcast(
+            MacAnnouncePacket(i, b"m"), exclude=x
+        ))
+        sim.run(until=sim.now + rng.choice((0.0, 0.05, 0.3)))
+    sim.run()
+    return log, medium.deliveries, medium.drops, medium._rng.random()
+
+
+class TestFanoutOrder:
+    """One heap entry per arrival time delivers in the order the old
+    per-attachment events fired (``tests/sim/per_receiver.py``)."""
+
+    def test_equal_arrival_from_different_delays_keeps_event_order(self):
+        low, high = 0.1, math.nextafter(0.1, 1.0)
+        assert low != high and 1.0 + low == 1.0 + high
+        delays = (low, high, low, 0.05, high)
+        for medium_type in (BroadcastMedium, PerEventMedium):
+            sim = Simulator(start=1.0)
+            medium = medium_type(sim, rng=random.Random(3))
+            order = []
+            for index, delay in enumerate(delays):
+                medium.attach(
+                    f"n{index}",
+                    lambda p, t, i=index: order.append((i, t)),
+                    LinkQuality(0.0, delay),
+                )
+            medium.broadcast(PACKET)
+            sim.run()
+            assert order == [(3, 1.05), (0, 1.1), (1, 1.1), (2, 1.1), (4, 1.1)]
+
+    def test_random_broadcasts_match_per_event_medium(self):
+        delays = (0.1, math.nextafter(0.1, 1.0), 0.1, 0.05, 0.0, 0.25)
+        for seed in range(6):
+            ours = _fanout_world(BroadcastMedium, seed, delays, rebroadcast=0.2)
+            oracle = _fanout_world(PerEventMedium, seed, delays, rebroadcast=0.2)
+            assert ours == oracle, seed
+            assert ours[0]
