@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.analysis.bandwidth import fig5_series
 from repro.analysis.costs import cost_curves
@@ -335,7 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--jitter", type=float, default=0.0)
     loadtest.add_argument("--duplicate", type=float, default=0.0)
     loadtest.add_argument("--reorder", type=float, default=0.0)
-    loadtest.add_argument("--seed", type=int, default=7)
+    loadtest.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="master seed (default: the --scenario entry's, else 7)",
+    )
     loadtest.add_argument(
         "--engine",
         choices=ENGINES,
@@ -955,49 +960,33 @@ def _cmd_boundaries(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
+    import dataclasses
+
     if args.scenario is not None:
-        sc = get_scenario(args.scenario).config
-        config = LoadTestConfig(
-            transport=args.transport,
-            protocol=sc.protocol,
-            receivers=sc.receivers,
-            shards=min(args.shards, sc.receivers),
-            intervals=sc.intervals,
-            interval_duration=sc.interval_duration,
-            buffers=sc.buffers,
-            packets_per_interval=sc.packets_per_interval,
-            announce_copies=sc.announce_copies,
-            disclosure_delay=sc.disclosure_delay,
-            attack_fraction=sc.attack_fraction,
-            attack_burst_fraction=sc.attack_burst_fraction,
-            loss_probability=sc.loss_probability,
-            loss_mean_burst=sc.loss_mean_burst,
-            delay=sc.link_delay,
-            max_offset=sc.max_offset,
-            workload=sc.workload,
-            sensing_tasks=sc.sensing_tasks,
-            seed=sc.seed,
-            engine=args.engine,
-        )
+        scenario = get_scenario(args.scenario).config
+        shards = min(args.shards, scenario.receivers)
     else:
-        config = LoadTestConfig(
-            transport=args.transport,
+        scenario = ScenarioConfig(
             protocol=args.protocol,
             receivers=args.receivers,
-            shards=args.shards,
             intervals=args.intervals,
             interval_duration=args.interval_duration,
             buffers=args.buffers,
             attack_fraction=args.p,
-            attack_rate=float(args.rate),
             loss_probability=args.loss,
             loss_mean_burst=args.burst,
-            jitter=args.jitter,
-            duplicate_probability=args.duplicate,
-            reorder_probability=args.reorder,
-            seed=args.seed,
-            engine=args.engine,
         )
+        shards = args.shards
+    seed = scenario.seed if args.seed is None else args.seed
+    config = LoadTestConfig(
+        **{**dataclasses.asdict(scenario), "seed": seed, "engine": args.engine},
+        transport=args.transport,
+        shards=shards,
+        attack_rate=float(args.rate),
+        jitter=args.jitter,
+        duplicate_probability=args.duplicate,
+        reorder_probability=args.reorder,
+    )
     executor, _ = _engine(args)
     report = run_loadtest(config, executor=executor)
     print(report.to_json())
@@ -1005,6 +994,18 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         print("SECURITY INVARIANT VIOLATED", file=sys.stderr)
         return 1
     return 0
+
+
+def _cluster_scenario(
+    args: argparse.Namespace, engine: str
+) -> Tuple[ScenarioConfig, int]:
+    """The ``--scenario`` catalog entry run at ``engine``, and its shard
+    count: ``--shards``, else one per worker, capped at its receivers."""
+    import dataclasses
+
+    scenario = dataclasses.replace(get_scenario(args.scenario).config, engine=engine)
+    shards = args.shards if args.shards is not None else args.workers
+    return scenario, min(shards, scenario.receivers)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -1025,16 +1026,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             + ["--max-runtime", str(args.max_runtime)]
         )
 
-    scenario = get_scenario(args.scenario).config
+    scenario, shards = _cluster_scenario(args, args.engine)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    shards = args.shards if args.shards is not None else args.workers
     config = ClusterConfig(
         scenario=scenario,
         workers=args.workers,
-        shards=min(shards, scenario.receivers),
+        shards=shards,
         rounds=args.rounds,
-        engine=args.engine,
         heartbeat_interval=args.heartbeat,
         lease_ttl=args.lease_ttl,
         metrics_interval=args.metrics_interval,
@@ -1345,12 +1344,11 @@ def _sanitize_locks(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterConfig, run_cluster_soak
     from repro.devtools.sanitizers import locks
 
-    scenario = get_scenario(args.scenario).config
-    shards = args.shards if args.shards is not None else args.workers
+    scenario, shards = _cluster_scenario(args, "des")
     config = ClusterConfig(
         scenario=scenario,
         workers=args.workers,
-        shards=min(shards, scenario.receivers),
+        shards=shards,
         max_runtime=args.duration,
     )
     with locks.tracking() as sanitizer:

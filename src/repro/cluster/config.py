@@ -1,7 +1,8 @@
 """Cluster soak configuration.
 
 One frozen dataclass holds everything a coordinator run needs: the
-scenario population to shard, the worker fleet shape, lease/heartbeat
+scenario population to shard (whose own ``engine`` field says how the
+workers run each shard), the worker fleet shape, lease/heartbeat
 timing, backpressure limits, the metrics cadence and the fault
 schedule. Validation is eager (:class:`~repro.errors.
 ConfigurationError` at construction) in the same spirit as
@@ -15,7 +16,6 @@ from typing import Optional, Tuple
 
 from repro.cluster.faults import FaultEvent
 from repro.errors import ConfigurationError
-from repro.net.harness import LoadTestConfig
 from repro.scenarios.families import NET_PROTOCOLS
 from repro.sim.scenario import ScenarioConfig
 
@@ -28,15 +28,16 @@ class ClusterConfig:
 
     Attributes:
         scenario: the population to soak; ``scenario.receivers`` is the
-            per-round fleet size, split across ``shards``.
+            per-round fleet size, split across ``shards``, and
+            ``scenario.engine`` picks how workers run a shard:
+            ``"des"`` drives a real loopback soak, ``"vectorized"``
+            predicts the same tallies via the fleet engine (useful for
+            very large dry runs).
         workers: worker daemons the coordinator spawns locally (remote
             workers may additionally connect to ``host:port``).
         shards: shard tasks per round; each is one lease.
         rounds: repetitions of the shard plan at laddered seeds — the
             knob that stretches a soak without touching the scenario.
-        engine: ``"des"`` makes workers drive real loopback soaks;
-            ``"vectorized"`` predicts the same tallies via the fleet
-            engine (useful for very large dry runs).
         host / port: coordinator listen address; port 0 picks an
             ephemeral port (reported by the coordinator once bound).
         heartbeat_interval: seconds between worker heartbeats.
@@ -72,7 +73,6 @@ class ClusterConfig:
     workers: int = 2
     shards: int = 2
     rounds: int = 1
-    engine: str = "des"
     host: str = "127.0.0.1"
     port: int = 0
     heartbeat_interval: float = 0.2
@@ -105,10 +105,8 @@ class ClusterConfig:
             )
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
-        if self.engine not in ("des", "vectorized"):
-            raise ConfigurationError(
-                f"engine must be 'des' or 'vectorized', got {self.engine!r}"
-            )
+        if not 0 <= self.port <= 65535:
+            raise ConfigurationError(f"port must be in 0..65535, got {self.port}")
         if self.heartbeat_interval <= 0:
             raise ConfigurationError(
                 f"heartbeat_interval must be > 0, got {self.heartbeat_interval}"
@@ -147,35 +145,3 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"tolerance must be >= 0, got {self.tolerance}"
             )
-
-    def loadtest_config(self) -> LoadTestConfig:
-        """The :class:`LoadTestConfig` this soak is equivalent to.
-
-        Used to fold cluster shard results through the existing
-        :func:`~repro.net.harness.merge_soaks` path — at ``rounds=1``
-        the merged report matches a plain ``run_loadtest`` of this
-        config node-for-node.
-        """
-        sc = self.scenario
-        return LoadTestConfig(
-            transport="loopback",
-            protocol=sc.protocol,
-            receivers=sc.receivers,
-            shards=self.shards,
-            intervals=sc.intervals,
-            interval_duration=sc.interval_duration,
-            buffers=sc.buffers,
-            packets_per_interval=sc.packets_per_interval,
-            announce_copies=sc.announce_copies,
-            disclosure_delay=sc.disclosure_delay,
-            attack_fraction=sc.attack_fraction,
-            attack_burst_fraction=sc.attack_burst_fraction,
-            loss_probability=sc.loss_probability,
-            loss_mean_burst=sc.loss_mean_burst,
-            delay=sc.link_delay,
-            max_offset=sc.max_offset,
-            workload=sc.workload,
-            sensing_tasks=sc.sensing_tasks,
-            seed=sc.seed,
-            engine=self.engine,
-        )

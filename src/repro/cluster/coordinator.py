@@ -126,7 +126,7 @@ class ClusterCoordinator:
         self.config = config
         self.port: Optional[int] = None
         self._task_list: List[ShardTask] = plan_tasks(
-            config.scenario, config.shards, config.rounds, config.engine
+            config.scenario, config.shards, config.rounds
         )
         self._tasks: Dict[str, ShardTask] = {
             task.task_id: task for task in self._task_list
@@ -191,7 +191,7 @@ class ClusterCoordinator:
             if self._metrics is not None:
                 self._metrics.close()
         ordered = [self._results[task.task_id] for task in self._task_list]
-        report = merge_soaks(config.loadtest_config(), ordered)
+        report = merge_soaks(config.scenario, ordered, "loopback")
         reconciliation = None
         if config.reconcile:
             reconciliation = reconcile_soaks(

@@ -2,22 +2,18 @@
 
 The coordinator never invents work at runtime: the complete task set is
 planned up front from the cluster config, so a cluster soak is a pure
-function of ``(scenario, shards, rounds, engine)`` plus whatever fault
-events fire. Task ``(round r, shard s)`` runs at seed ``base + r *
-shards + s`` — at ``rounds=1`` that is exactly the seed ladder
-:meth:`repro.net.harness.LoadTestConfig.scenario_for_shard` uses, so a
-one-round cluster soak reproduces ``run_loadtest`` node-for-node
-(pinned in ``tests/cluster``). Shard sizes come from the shared
-:func:`repro.net.harness.shard_sizes` round-robin split.
+function of ``(scenario, shards, rounds)`` plus whatever fault events
+fire. The tasks are :func:`repro.sim.scenario.shard_scenarios`, the
+shard plan ``repro loadtest`` runs too — so a one-round cluster soak
+reproduces ``run_loadtest`` node-for-node (pinned in ``tests/cluster``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List
 
-from repro.net.harness import shard_sizes
-from repro.sim.scenario import ScenarioConfig
+from repro.sim.scenario import ScenarioConfig, shard_scenarios
 
 __all__ = ["ShardTask", "plan_tasks"]
 
@@ -31,7 +27,7 @@ class ShardTask:
         round_index: which repetition of the shard plan this is.
         shard: shard index within the round.
         scenario: the fully-derived per-shard scenario (receivers cut
-            down to the shard's slice, seed laddered, engine pinned).
+            down to the shard's slice, seed laddered).
     """
 
     task_id: str
@@ -41,32 +37,25 @@ class ShardTask:
 
 
 def plan_tasks(
-    scenario: ScenarioConfig,
-    shards: int,
-    rounds: int = 1,
-    engine: str = "des",
+    scenario: ScenarioConfig, shards: int, rounds: int = 1
 ) -> List[ShardTask]:
     """The complete task list for a cluster soak, round-major.
 
-    Every round re-runs the same shard split at fresh seeds (round
-    ``r`` shard ``s`` gets ``scenario.seed + r * shards + s``), so long
-    soaks accumulate independent measurements instead of replaying one.
+    Every round re-runs the same shard split at fresh seeds (see
+    :func:`~repro.sim.scenario.shard_scenarios`), so long soaks
+    accumulate independent measurements instead of replaying one.
     """
-    sizes = shard_sizes(scenario.receivers, shards)
     tasks: List[ShardTask] = []
-    for round_index in range(rounds):
-        for shard in range(shards):
-            tasks.append(
-                ShardTask(
-                    task_id=f"r{round_index}-s{shard}",
-                    round_index=round_index,
-                    shard=shard,
-                    scenario=replace(
-                        scenario,
-                        receivers=sizes[shard],
-                        seed=scenario.seed + round_index * shards + shard,
-                        engine=engine,
-                    ),
-                )
+    for index, shard_scenario in enumerate(
+        shard_scenarios(scenario, shards, rounds)
+    ):
+        round_index, shard = divmod(index, shards)
+        tasks.append(
+            ShardTask(
+                task_id=f"r{round_index}-s{shard}",
+                round_index=round_index,
+                shard=shard,
+                scenario=shard_scenario,
             )
+        )
     return tasks

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import perf
@@ -41,7 +41,11 @@ from repro.net.transport import LoopbackNetwork
 from repro.sim.draws import SeedLadder
 from repro.sim.metrics import FleetSummary
 from repro.scenarios.families import NET_PROTOCOLS
-from repro.sim.scenario import ScenarioConfig, build_two_phase_protocol
+from repro.sim.scenario import (
+    ScenarioConfig,
+    build_two_phase_protocol,
+    shard_scenarios,
+)
 from repro.sim.workloads import workload_for
 from repro.timesync.intervals import IntervalSchedule
 from repro.timesync.sync import LooseTimeSync, SecurityCondition
@@ -58,7 +62,6 @@ __all__ = [
     "predicted_soak",
     "merge_soaks",
     "percentile",
-    "shard_sizes",
 ]
 
 #: Version of the :class:`LoadTestReport` JSON schema. Bump when a
@@ -121,26 +124,6 @@ def derive_soak_world(config: ScenarioConfig) -> SoakWorld:
         sent_authentic=sent_authentic,
         seeds=seeds,
     )
-
-
-def shard_sizes(receivers: int, shards: int) -> List[int]:
-    """Balanced round-robin split of ``receivers`` across ``shards``.
-
-    Receivers are dealt round-robin, so when ``receivers % shards != 0``
-    the remainder spreads one-per-shard over the *first* shards instead
-    of piling onto the last one: ``shard_sizes(10, 4) == [3, 3, 2, 2]``.
-    Shared by :meth:`LoadTestConfig.scenario_for_shard` and the cluster
-    coordinator's shard planner (:mod:`repro.cluster.shards`) — sizes
-    always differ by at most one and sum to ``receivers``.
-    """
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    if receivers < shards:
-        raise ConfigurationError(
-            f"cannot split {receivers} receivers into {shards} shards"
-        )
-    base, remainder = divmod(receivers, shards)
-    return [base + 1 if s < remainder else base for s in range(shards)]
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -302,75 +285,59 @@ def run_loopback_soak(
 
 
 @dataclass(frozen=True)
-class LoadTestConfig:
-    """Everything ``repro loadtest`` needs.
+class LoadTestConfig(ScenarioConfig):
+    """Everything ``repro loadtest`` needs: a scenario plus the net knobs.
+
+    The scenario fields are :class:`ScenarioConfig`'s, with the soak's
+    own defaults for three of them (4 receivers, 40 intervals of 0.05 s);
+    ``receivers`` is the whole fleet, split across ``shards``, and
+    ``link_delay`` is the proxy's propagation delay. The net knobs:
 
     Attributes:
         transport: ``"loopback"`` (deterministic, virtual time) or
-            ``"udp"`` (real sockets on localhost, wall time).
-        protocol: ``dap`` or ``tesla_pp``.
-        receivers: fleet size, split across ``shards``.
-        shards: independent soak worlds; each is one engine task, so
-            ``--jobs`` can execute them on separate cores.
-        intervals / interval_duration: soak length. UDP runs in real
-            time — keep ``intervals * interval_duration`` short there.
-        buffers: ``m`` — the record slots the game optimises.
-        attack_fraction: the paper's per-interval burst flood level.
-        attack_rate: constant forged packets/sec instead (overrides
+            ``"udp"`` (real sockets on localhost, wall time). UDP runs
+            in real time — keep ``intervals * interval_duration`` short
+            there.
+        shards: independent soak worlds (:func:`~repro.sim.scenario.
+            shard_scenarios`); each is one engine task, so ``--jobs``
+            can execute them on separate cores.
+        attack_rate: constant forged packets/sec instead of the
+            scenario's per-interval bursts (overrides
             ``attack_fraction`` when > 0).
-        loss_probability / loss_mean_burst / delay / jitter /
-        duplicate_probability / reorder_probability: proxy fault knobs.
-        workload: workload family driven over the wire (one of
-            :data:`~repro.scenarios.families.WORKLOADS`).
-        sensing_tasks: distinct workload sources per shard.
-        seed: master seed; shard ``s`` runs at ``seed + s``.
-        engine: ``"des"`` runs each shard as a real loopback soak;
-            ``"vectorized"`` predicts the same per-node outcome tallies
-            through the array scenario engine (:mod:`repro.sim.fleet`)
-            instead of driving daemons — orders of magnitude faster,
-            but transport-level counters (datagrams, latencies) read
-            zero. Only valid on the loopback transport with the faults
-            the in-memory medium models (no jitter / duplication /
-            reordering / rate-based floods).
+        jitter / duplicate_probability / reorder_probability:
+            proxy-only faults, on top of the scenario's loss and delay.
+        udp_host: the address UDP sockets bind to.
+
+    With ``engine="vectorized"`` each shard's per-node outcome tallies
+    are predicted through the array scenario engine
+    (:mod:`repro.sim.fleet`) instead of driving daemons — orders of
+    magnitude faster, but transport-level counters (datagrams,
+    latencies) read zero. That only holds on the loopback transport
+    with the faults the in-memory medium models (no jitter /
+    duplication / reordering / rate-based floods).
     """
 
-    transport: str = "loopback"
-    protocol: str = "dap"
     receivers: int = 4
-    shards: int = 1
     intervals: int = 40
     interval_duration: float = 0.05
-    buffers: int = 4
-    packets_per_interval: int = 1
-    announce_copies: int = 5
-    disclosure_delay: int = 1
-    attack_fraction: float = 0.0
+    transport: str = "loopback"
+    shards: int = 1
     attack_rate: float = 0.0
-    attack_burst_fraction: float = 0.25
-    loss_probability: float = 0.0
-    loss_mean_burst: Optional[float] = None
-    delay: float = 1e-3
     jitter: float = 0.0
     duplicate_probability: float = 0.0
     reorder_probability: float = 0.0
-    max_offset: float = 0.01
-    workload: str = "crowdsensing"
-    sensing_tasks: int = 4
-    seed: int = 7
     udp_host: str = "127.0.0.1"
-    engine: str = "des"
 
     def __post_init__(self) -> None:
-        if self.transport not in ("loopback", "udp"):
-            raise ConfigurationError(
-                f"transport must be 'loopback' or 'udp', got {self.transport!r}"
-            )
+        super().__post_init__()
         if self.protocol not in _NET_PROTOCOLS:
             raise ConfigurationError(
                 f"protocol must be one of {_NET_PROTOCOLS}, got {self.protocol!r}"
             )
-        if self.receivers < 1:
-            raise ConfigurationError(f"receivers must be >= 1, got {self.receivers}")
+        if self.transport not in ("loopback", "udp"):
+            raise ConfigurationError(
+                f"transport must be 'loopback' or 'udp', got {self.transport!r}"
+            )
         if not 1 <= self.shards <= self.receivers:
             raise ConfigurationError(
                 f"shards must be in 1..receivers ({self.receivers}),"
@@ -382,10 +349,6 @@ class LoadTestConfig:
             )
         if self.transport == "udp" and self.shards != 1:
             raise ConfigurationError("udp transport runs a single shard")
-        if self.engine not in ("des", "vectorized"):
-            raise ConfigurationError(
-                f"engine must be 'des' or 'vectorized', got {self.engine!r}"
-            )
         if self.engine == "vectorized":
             if self.transport != "loopback":
                 raise ConfigurationError(
@@ -407,36 +370,23 @@ class LoadTestConfig:
                     " the vectorized engine cannot model; use the des engine"
                 )
 
+    @property
+    def scenario(self) -> ScenarioConfig:
+        """The plain :class:`ScenarioConfig` this load test soaks."""
+        return ScenarioConfig(
+            **{spec.name: getattr(self, spec.name) for spec in fields(ScenarioConfig)}
+        )
+
     def scenario_for_shard(self, shard: int) -> ScenarioConfig:
         """The :class:`ScenarioConfig` for shard ``shard``."""
-        sizes = shard_sizes(self.receivers, self.shards)
-        return ScenarioConfig(
-            protocol=self.protocol,
-            intervals=self.intervals,
-            interval_duration=self.interval_duration,
-            receivers=sizes[shard],
-            buffers=self.buffers,
-            attack_fraction=self.attack_fraction,
-            loss_probability=self.loss_probability,
-            loss_mean_burst=self.loss_mean_burst,
-            link_delay=self.delay,
-            packets_per_interval=self.packets_per_interval,
-            announce_copies=self.announce_copies,
-            disclosure_delay=self.disclosure_delay,
-            max_offset=self.max_offset,
-            attack_burst_fraction=self.attack_burst_fraction,
-            sensing_tasks=self.sensing_tasks,
-            workload=self.workload,
-            seed=self.seed + shard,
-            engine=self.engine,
-        )
+        return shard_scenarios(self.scenario, self.shards)[shard]
 
     def proxy_config(self) -> ProxyConfig:
         """The proxy fault model this load test asks for."""
         return ProxyConfig(
             loss_probability=self.loss_probability,
             loss_mean_burst=self.loss_mean_burst,
-            delay=self.delay,
+            delay=self.link_delay,
             jitter=self.jitter,
             duplicate_probability=self.duplicate_probability,
             reorder_probability=self.reorder_probability,
@@ -539,11 +489,10 @@ def predicted_soak(scenario: ScenarioConfig) -> SoakResult:
     )
 
 
-def _run_loadtest_shard(task: Tuple[LoadTestConfig, int]) -> SoakResult:
+def _run_loadtest_shard(task: Tuple[LoadTestConfig, ScenarioConfig]) -> SoakResult:
     """Engine worker: one shard's soak (module-level, picklable)."""
-    config, shard = task
-    scenario = config.scenario_for_shard(shard)
-    if config.engine == "vectorized":
+    config, scenario = task
+    if scenario.engine == "vectorized":
         return predicted_soak(scenario)
     return run_loopback_soak(
         scenario,
@@ -552,8 +501,10 @@ def _run_loadtest_shard(task: Tuple[LoadTestConfig, int]) -> SoakResult:
     )
 
 
-def merge_soaks(config: LoadTestConfig, soaks: Sequence[SoakResult]) -> LoadTestReport:
-    """Fold shard soaks into one :class:`LoadTestReport`."""
+def merge_soaks(
+    scenario: ScenarioConfig, soaks: Sequence[SoakResult], transport: str
+) -> LoadTestReport:
+    """Fold the shard soaks of ``scenario`` into one :class:`LoadTestReport`."""
     if not soaks:
         raise ConfigurationError("cannot merge zero soak results")
     nodes: List[Any] = []
@@ -566,11 +517,11 @@ def merge_soaks(config: LoadTestConfig, soaks: Sequence[SoakResult]) -> LoadTest
     wall = sum(soak.wall_seconds for soak in soaks)
     delivered = sum(soak.datagrams_delivered for soak in soaks)
     return LoadTestReport(
-        transport=config.transport,
-        protocol=config.protocol,
-        receivers=config.receivers,
+        transport=transport,
+        protocol=scenario.protocol,
+        receivers=scenario.receivers,
         shards=len(soaks),
-        intervals=config.intervals,
+        intervals=scenario.intervals,
         sent_authentic=sent_authentic,
         authentication_rate=fleet.mean_authentication_rate,
         attack_success_rate=fleet.mean_attack_success_rate,
@@ -600,23 +551,24 @@ def run_loadtest(
 ) -> LoadTestReport:
     """Run the load test described by ``config``.
 
-    Loopback shards run through the experiment engine, so ``executor``
-    chooses serial or process-pool fan-out; the UDP transport runs one
-    asyncio world in-process (``executor`` is ignored). No result cache
-    is offered: a load test's latency and throughput numbers are
-    measurements, not pure functions of the config.
+    Loopback shards (:func:`~repro.sim.scenario.shard_scenarios`) run
+    through the experiment engine, so ``executor`` chooses serial or
+    process-pool fan-out; the UDP transport runs one asyncio world
+    in-process (``executor`` is ignored). No result cache is offered: a
+    load test's latency and throughput numbers are measurements, not
+    pure functions of the config.
     """
     if config.transport == "udp":
         from repro.net.udp import run_udp_soak
 
         soaks = [run_udp_soak(config)]
     else:
-        tasks = [(config, shard) for shard in range(config.shards)]
+        scenarios = shard_scenarios(config.scenario, config.shards)
         soaks = run_tasks(
             _run_loadtest_shard,
-            tasks,
+            [(config, scenario) for scenario in scenarios],
             executor=executor,
             label="loadtest",
             task_labels=[f"shard={shard}" for shard in range(config.shards)],
         )
-    return merge_soaks(config, soaks)
+    return merge_soaks(config, soaks, config.transport)

@@ -72,7 +72,7 @@ Sharding
 The fleet's per-receiver state is independent given the shared
 delivery mask, so the receiver axis shards cleanly:
 :func:`shard_plan` cuts it into contiguous ranges (balanced via
-:func:`repro.net.harness.shard_sizes` — the same plan the live-network
+:func:`repro.sim.scenario.shard_sizes` — the same split the live-network
 and cluster harnesses use), each shard replays only its slice of the
 bit-packed mask, and per-shard results stream back through
 :meth:`repro.engine.executors.Executor.stream` to be folded one shard
@@ -152,6 +152,7 @@ from repro.sim.scenario import (
     ScenarioConfig,
     ScenarioResult,
     _seed_bytes,
+    shard_sizes,
 )
 from repro.sim.workloads import (
     CrowdsensingWorkload,
@@ -207,14 +208,10 @@ def supports(config: ScenarioConfig) -> bool:
 def shard_plan(receivers: int, shards: int) -> List[Tuple[int, int]]:
     """Contiguous ``(start, stop)`` receiver ranges for ``shards`` shards.
 
-    Delegates the size split to :func:`repro.net.harness.shard_sizes`
-    so the fleet engine, the live-network harness and the cluster
-    coordinator all balance identically (sizes differ by at most one).
+    The sizes come from :func:`repro.sim.scenario.shard_sizes`, the
+    split the loadtest and cluster shards use, so all three balance
+    identically (sizes differ by at most one).
     """
-    # Lazy import: net.harness builds on sim.scenario, which imports
-    # this module lazily for the vectorized path.
-    from repro.net.harness import shard_sizes
-
     sizes = shard_sizes(receivers, shards)
     plan: List[Tuple[int, int]] = []
     start = 0

@@ -3,17 +3,17 @@
 A :class:`SenderNode` walks an interval schedule and broadcasts
 whatever its protocol sender emits for each interval, spreading the
 packets uniformly across the interval. A :class:`ReceiverNode` owns a
-protocol receiver plus a (possibly skewed) local clock, feeds arriving
-packets in with receiver-local timestamps, and journals every
-authentication event for the metrics layer.
+protocol receiver plus a (possibly skewed) local clock and feeds
+arriving packets in with receiver-local timestamps; the receiver's own
+``stats`` count every outcome for the metrics layer.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
-from repro.protocols.base import AuthEvent, BroadcastReceiver, BroadcastSender
+from repro.protocols.base import BroadcastReceiver, BroadcastSender
 from repro.sim.events import Simulator
 from repro.sim.medium import BroadcastMedium, LinkQuality
 from repro.timesync.clock import Clock, DriftingClock
@@ -101,7 +101,6 @@ class ReceiverNode:
         self._clock: Clock = DriftingClock(
             simulator.clock, offset=clock_offset, drift_rate=clock_drift
         )
-        self.events: List[AuthEvent] = []
 
     @property
     def receiver(self) -> BroadcastReceiver:
@@ -118,12 +117,4 @@ class ReceiverNode:
         medium.attach(self.name, self._deliver, link)
 
     def _deliver(self, packet: object, _arrival: float) -> None:
-        events = self._receiver.receive(packet, self._clock.now())
-        self.events.extend(events)
-
-    def events_by_outcome(self) -> List[Tuple[str, int]]:
-        """(outcome value, count) pairs for quick inspection."""
-        counts = {}
-        for event in self.events:
-            counts[event.outcome.value] = counts.get(event.outcome.value, 0) + 1
-        return sorted(counts.items())
+        self._receiver.receive(packet, self._clock.now())

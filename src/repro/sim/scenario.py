@@ -23,7 +23,7 @@ edrp        multi-level    EDRP CDM hash chaining
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.kernels import ChainWalkCache
@@ -75,6 +75,8 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "run_scenario",
+    "shard_scenarios",
+    "shard_sizes",
     "build_two_phase_protocol",
 ]
 
@@ -178,6 +180,52 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"disclosure_delay must be >= 1, got {self.disclosure_delay}"
             )
+
+
+def shard_sizes(receivers: int, shards: int) -> List[int]:
+    """Balanced round-robin split of ``receivers`` across ``shards``.
+
+    Receivers are dealt round-robin, so when ``receivers % shards != 0``
+    the remainder spreads one-per-shard over the *first* shards instead
+    of piling onto the last one: ``shard_sizes(10, 4) == [3, 3, 2, 2]``.
+    Sizes always differ by at most one and sum to ``receivers``; the
+    soak shards (:func:`shard_scenarios`) and the fleet engine's
+    receiver ranges (:func:`repro.sim.fleet.shard_plan`) both split
+    through here.
+    """
+    if shards < 1:
+        raise ConfigurationError(f"shards must be >= 1, got {shards}")
+    if receivers < shards:
+        raise ConfigurationError(
+            f"cannot split {receivers} receivers into {shards} shards"
+        )
+    base, remainder = divmod(receivers, shards)
+    return [base + 1 if s < remainder else base for s in range(shards)]
+
+
+def shard_scenarios(
+    scenario: ScenarioConfig, shards: int, rounds: int = 1
+) -> List[ScenarioConfig]:
+    """The one shard plan: ``scenario`` cut into ``shards`` soak worlds.
+
+    Round-major: shard ``s`` of round ``r`` runs its
+    :func:`shard_sizes` slice of the fleet at seed ``scenario.seed +
+    r * shards + s``, every other field (``engine`` included) carried
+    through, so each round re-runs the same split at fresh seeds.
+    ``repro loadtest`` (:meth:`repro.net.harness.LoadTestConfig.
+    scenario_for_shard`) and the cluster planner
+    (:func:`repro.cluster.shards.plan_tasks`) both shard through here,
+    which is why a one-round cluster soak merges to the loadtest's
+    report. The shard seed is an offset of the master seed, not a
+    :class:`~repro.sim.draws.SeedLadder` stream: each shard builds its
+    own ladder from it.
+    """
+    sizes = shard_sizes(scenario.receivers, shards)
+    return [
+        replace(scenario, receivers=size, seed=scenario.seed + r * shards + s)
+        for r in range(rounds)
+        for s, size in enumerate(sizes)
+    ]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ unfinished task ids instead of hanging the suite.
 
 from __future__ import annotations
 
+from dataclasses import asdict, replace
+
 import pytest
 
 from repro.cluster import (
@@ -27,7 +29,7 @@ from repro.cluster import (
     read_metrics,
     run_cluster_soak,
 )
-from repro.net.harness import run_loadtest
+from repro.net.harness import LoadTestConfig, run_loadtest
 from repro.scenarios import get_scenario
 
 #: Report fields that are functions of the scenario alone (everything
@@ -61,6 +63,12 @@ def baseline():
     return get_scenario("crowdsensing-baseline-t0").config
 
 
+def loadtest_of(config):
+    """The single-process ``run_loadtest`` of a one-round cluster soak:
+    the same scenario, cut into the same shards."""
+    return run_loadtest(LoadTestConfig(**asdict(config.scenario), shards=config.shards))
+
+
 def assert_stable_fields_match(report, reference):
     for field_name in STABLE_FIELDS:
         assert getattr(report, field_name) == getattr(
@@ -83,7 +91,7 @@ def test_two_worker_soak_matches_run_loadtest(tmp_path, baseline):
     )
     result = run_cluster_soak(config)
 
-    reference = run_loadtest(config.loadtest_config())
+    reference = loadtest_of(config)
     assert_stable_fields_match(result.report, reference)
 
     assert result.tasks == 2
@@ -137,7 +145,7 @@ def test_worker_kill_expires_leases_and_releases(tmp_path, baseline):
 
     # Re-leased shards re-run at the same seeds, so the merged report
     # still equals the single-process reference.
-    reference = run_loadtest(config.loadtest_config())
+    reference = loadtest_of(config)
     assert_stable_fields_match(result.report, reference)
 
     records = read_metrics(metrics_path)
@@ -199,10 +207,9 @@ def test_vectorized_engine_soak(baseline):
     """engine='vectorized': workers predict via the fleet engine; the
     merged report still matches the equivalent loadtest run."""
     config = ClusterConfig(
-        scenario=baseline,
+        scenario=replace(baseline, engine="vectorized"),
         workers=1,
         shards=2,
-        engine="vectorized",
         max_runtime=60.0,
     )
     result = run_cluster_soak(config)
@@ -212,7 +219,7 @@ def test_vectorized_engine_soak(baseline):
         task.engine_used == "vectorized"
         for task in result.reconciliation.tasks
     )
-    reference = run_loadtest(config.loadtest_config())
+    reference = loadtest_of(config)
     assert result.report.sent_authentic == reference.sent_authentic
     assert (
         result.report.authentication_rate == reference.authentication_rate

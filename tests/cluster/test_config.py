@@ -1,4 +1,4 @@
-"""ClusterConfig validation and its LoadTestConfig equivalence."""
+"""ClusterConfig validation."""
 
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ def test_defaults_validate(baseline):
         ({"workers": 0}, "workers"),
         ({"shards": 0}, "shards"),
         ({"rounds": 0}, "rounds"),
-        ({"engine": "quantum"}, "engine"),
+        ({"port": 70000}, "port"),
         ({"heartbeat_interval": 0.0}, "heartbeat_interval"),
         ({"heartbeat_interval": 2.0, "lease_ttl": 1.0}, "lease_ttl"),
         ({"metrics_interval": 0.0}, "metrics_interval"),
@@ -56,32 +56,3 @@ def test_rejects_non_testbed_protocols(baseline):
     scenario = replace(baseline, protocol="tesla")
     with pytest.raises(ConfigurationError, match="protocol"):
         ClusterConfig(scenario=scenario)
-
-
-def test_loadtest_config_mirrors_the_scenario(baseline):
-    config = ClusterConfig(scenario=baseline, shards=3, engine="vectorized")
-    loadtest = config.loadtest_config()
-    assert loadtest.transport == "loopback"
-    assert loadtest.protocol == baseline.protocol
-    assert loadtest.receivers == baseline.receivers
-    assert loadtest.shards == 3
-    assert loadtest.intervals == baseline.intervals
-    assert loadtest.buffers == baseline.buffers
-    assert loadtest.seed == baseline.seed
-    assert loadtest.engine == "vectorized"
-    assert loadtest.loss_probability == baseline.loss_probability
-    assert loadtest.attack_fraction == baseline.attack_fraction
-
-
-def test_loadtest_config_shards_match_cluster_plan(baseline):
-    """The derived LoadTestConfig shards the same population the same
-    way the cluster plans it — the merge path depends on this."""
-    from repro.cluster.shards import plan_tasks
-
-    config = ClusterConfig(scenario=baseline, shards=2)
-    loadtest = config.loadtest_config()
-    tasks = plan_tasks(baseline, shards=2, engine=config.engine)
-    for task in tasks:
-        shard_scenario = loadtest.scenario_for_shard(task.shard)
-        assert shard_scenario.receivers == task.scenario.receivers
-        assert shard_scenario.seed == task.scenario.seed

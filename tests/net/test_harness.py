@@ -17,9 +17,8 @@ from repro.net.harness import (
     percentile,
     run_loadtest,
     run_loopback_soak,
-    shard_sizes,
 )
-from repro.sim.scenario import ScenarioConfig
+from repro.sim.scenario import ScenarioConfig, shard_sizes
 
 
 class TestPercentile:
@@ -84,6 +83,37 @@ class TestLoadTestConfig:
         with pytest.raises(ConfigurationError):
             LoadTestConfig(engine="vectorized", reorder_probability=0.1)
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"intervals": 2, "attack_fraction": 1.5}, "intervals"),
+            ({"attack_fraction": 1.5}, "attack_fraction"),
+            ({"buffers": 0}, "buffers"),
+            ({"disclosure_delay": 0}, "disclosure_delay"),
+            ({"workload": "weather"}, "workload"),
+            ({"protocol": "nosuch"}, "protocol"),
+        ],
+    )
+    def test_scenario_fields_fail_at_construction(self, overrides, match):
+        """The inherited ScenarioConfig checks run before any shard does."""
+        with pytest.raises(ConfigurationError, match=match):
+            LoadTestConfig(**overrides)
+
+    def test_defaults_are_the_loadtest_shape(self):
+        config = LoadTestConfig()
+        assert config.receivers == 4
+        assert config.intervals == 40
+        assert config.interval_duration == 0.05
+        assert config.link_delay == config.proxy_config().delay == 1e-3
+
+    def test_scenario_is_the_plain_projection(self):
+        config = LoadTestConfig(receivers=6, shards=2, seed=9, jitter=0.01)
+        scenario = config.scenario
+        assert type(scenario) is ScenarioConfig
+        assert scenario == ScenarioConfig(
+            receivers=6, intervals=40, interval_duration=0.05, seed=9
+        )
+
     def test_engine_threads_into_shard_scenarios(self):
         config = LoadTestConfig(receivers=4, shards=2, engine="vectorized")
         assert all(
@@ -142,7 +172,7 @@ class TestRunLoadtest:
 
     def test_merge_requires_results(self):
         with pytest.raises(ConfigurationError):
-            merge_soaks(self.CONFIG, [])
+            merge_soaks(self.CONFIG, [], "loopback")
 
     def test_faulty_proxy_knobs_reach_the_soak(self):
         config = LoadTestConfig(
@@ -217,12 +247,6 @@ class TestShardSizes:
                 assert sum(sizes) == receivers
                 assert max(sizes) - min(sizes) <= 1
                 assert sizes == sorted(sizes, reverse=True)
-
-    def test_matches_scenario_for_shard(self):
-        config = LoadTestConfig(receivers=7, shards=3)
-        assert [
-            config.scenario_for_shard(s).receivers for s in range(3)
-        ] == shard_sizes(7, 3)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigurationError):

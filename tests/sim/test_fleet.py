@@ -18,7 +18,6 @@ from repro.devtools.sanitizers.determinism import tracing
 from repro.engine import stable_key
 from repro.engine.executors import ParallelExecutor
 from repro.errors import ConfigurationError, ReproError, SimulationError
-from repro.net.harness import shard_sizes
 from repro.protocols import dap as dap_module
 from repro.scenarios import get_scenario, tier
 from repro.scenarios.families import (
@@ -28,7 +27,7 @@ from repro.sim import draws, fleet
 from repro import perf
 from repro.sim.fleet import run_fleet_scenario, shard_plan, supports
 from repro.sim.metrics import FleetAggregate
-from repro.sim.scenario import ScenarioConfig, run_scenario
+from repro.sim.scenario import ScenarioConfig, run_scenario, shard_sizes
 
 #: The canonical catalog seeds (every dual-seed entry declares these).
 CATALOG_SEEDS = (7, 11)
@@ -349,8 +348,8 @@ class TestSupport:
 
 class TestSharding:
     def test_shard_plan_matches_harness_shard_sizes(self):
-        """Regression: fleet shard plans reuse net.harness.shard_sizes,
-        not a parallel implementation."""
+        """Regression: fleet shard plans reuse the soak shards'
+        shard_sizes, not a parallel implementation."""
         for receivers, shards in [(10, 3), (1000, 7), (5, 5), (64, 1)]:
             plan = shard_plan(receivers, shards)
             assert [stop - start for start, stop in plan] == shard_sizes(

@@ -552,6 +552,39 @@ class TestScenarioFlags:
         report = json.loads(capsys.readouterr().out)
         assert report["forged_accepted"] == 0
 
+    def test_loadtest_scenario_keeps_net_flags_and_seed(self, capsys):
+        """--scenario fixes the shape flags only: the net flags and
+        --seed still reach the soak."""
+        import json
+        from dataclasses import asdict, replace
+
+        from repro.net.harness import LoadTestConfig, run_loadtest
+        from repro.scenarios import get_scenario
+
+        def run(*flags):
+            assert main(["loadtest", "--scenario", "smoke-t2", *flags]) == 0
+            report = json.loads(capsys.readouterr().out)
+            for name in ("wall_seconds", "packets_per_second",
+                         "latency_p50_us", "latency_p99_us"):
+                del report[name]
+            return report
+
+        plain = run()
+        assert plain["datagrams_duplicated"] == 0
+        assert plain["packets_injected"] == 60  # the 50% per-interval bursts
+        faulty = run("--duplicate", "0.5", "--reorder", "0.5",
+                     "--jitter", "0.001", "--rate", "100")
+        assert faulty["datagrams_duplicated"] > 0
+        assert faulty["datagrams_reordered"] > 0
+        assert faulty["packets_injected"] == 100 * 12
+        reseeded = run("--seed", "99")
+        smoke = get_scenario("smoke-t2").config
+        reference = run_loadtest(
+            LoadTestConfig(**asdict(replace(smoke, seed=99)))
+        ).to_dict()
+        assert reseeded == {name: reference[name] for name in reseeded}
+        assert reseeded != plain
+
     def test_figures_scenario_writes_extra_csv(self, tmp_path, capsys):
         assert main(
             ["figures", "--out", str(tmp_path), "--points", "16",
